@@ -662,25 +662,30 @@ impl Pass {
             }
         }
 
-        // Symbols. Labels starting with '.' are local (assembler-internal
-        // or compiler-generated) and are not exported.
-        for (name, (sec, off)) in &self.labels {
-            if name.starts_with('.') {
-                continue;
-            }
-            let Some(&addr) = sec_addr.get(sec) else {
-                continue;
-            };
-            let kind = if *sec == Sec::Text {
-                SymbolKind::Func
-            } else {
-                SymbolKind::Object
-            };
-            binary.push_symbol(Symbol {
-                name: name.clone(),
-                addr: addr + off,
-                kind,
-            });
+        // Symbols, in (address, name) order so the binary is a pure
+        // function of the source, not of the label map's iteration order.
+        // Labels starting with '.' are local (assembler-internal or
+        // compiler-generated) and are not exported.
+        let mut symbols: Vec<Symbol> = self
+            .labels
+            .iter()
+            .filter(|(name, _)| !name.starts_with('.'))
+            .filter_map(|(name, (sec, off))| {
+                let kind = if *sec == Sec::Text {
+                    SymbolKind::Func
+                } else {
+                    SymbolKind::Object
+                };
+                Some(Symbol {
+                    name: name.clone(),
+                    addr: sec_addr.get(sec)? + off,
+                    kind,
+                })
+            })
+            .collect();
+        symbols.sort_by(|a, b| (a.addr, &a.name).cmp(&(b.addr, &b.name)));
+        for symbol in symbols {
+            binary.push_symbol(symbol);
         }
 
         // Entry point.

@@ -15,8 +15,8 @@
 //!    span event either in a ring (`retained + dropped`) or
 //!    reconstructed from the unsampled pid's [`asc_kernel::KernelStats`].
 //!
-//! Deterministic end to end — CI diffs the text output against
-//! `crates/bench/golden/audit.txt` (the `audit-smoke` job) and the binary
+//! Deterministic end to end — `cargo test` diffs the text output against
+//! `crates/bench/golden/audit.txt` (`golden_tables.rs`) and the binary
 //! exits nonzero on any [`AuditReport::problems`] entry.
 
 use asc_audit::{fnv64_pids, replay, Bundle, FleetScenario, ReplayVerdict};

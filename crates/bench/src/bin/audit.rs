@@ -10,8 +10,8 @@
 //! event accounting exact — and exits nonzero if any guarantee fails.
 //!
 //! `--json` exports the same data (full bundle included) as JSON.
-//! Deterministic end to end — CI diffs the text output against
-//! `crates/bench/golden/audit.txt` (the `audit-smoke` job).
+//! Deterministic end to end — `cargo test` diffs the text output against
+//! `crates/bench/golden/audit.txt` (`golden_tables.rs`).
 
 use asc_bench::audit::{audit_to_value, render_audit, run_audit};
 use asc_bench::print_json;

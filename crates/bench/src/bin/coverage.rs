@@ -20,8 +20,8 @@
 //!   with `unrewritten-site` — in particular the raw-gadget guest dies
 //!   before its smuggled `write` produces a single byte of output.
 //!
-//! Deterministic end to end — CI diffs the output against
-//! `crates/bench/golden/coverage.txt` (the `coverage-smoke` job).
+//! Deterministic end to end — `cargo test` diffs the output against
+//! `crates/bench/golden/coverage.txt` (`golden_tables.rs`).
 
 use asc_bench::bench_key;
 use asc_installer::{Installer, InstallerOptions};

@@ -3,7 +3,7 @@
 //! suite, and the fault-campaign detection-latency coverage matrix.
 //!
 //! The default report is golden-pinned (`crates/bench/golden/health.txt`)
-//! and diffed by the `health-smoke` CI job. Exits nonzero if the healthy
+//! and diffed by `crates/bench/tests/golden_tables.rs`. Exits nonzero if the healthy
 //! fleet fires any quiet-SLO detector, any fault class goes undetected,
 //! or a detection's monitoring lag exceeds the hard bound.
 //!

@@ -12,8 +12,8 @@
 //!
 //! Both default configurations are fully fixed-seed: their outputs are
 //! pinned at `crates/bench/golden/server.txt` and
-//! `crates/bench/golden/fleet.txt` and diffed by the `server-smoke` and
-//! `fleet-smoke` CI jobs.
+//! `crates/bench/golden/fleet.txt` and diffed by
+//! `crates/bench/tests/golden_tables.rs`.
 //!
 //! ```text
 //! cargo run --release -p asc-bench --bin server -- \

@@ -11,8 +11,8 @@
 //! nonzero if the coverage model is violated (see
 //! `asc_faults::TierReport::problems`).
 //!
-//! Deterministic end to end — CI diffs the output against
-//! `crates/bench/golden/tiers.txt` (the `tiers-smoke` job).
+//! Deterministic end to end — `cargo test` diffs the output against
+//! `crates/bench/golden/tiers.txt` (`golden_tables.rs`).
 
 use asc_bench::{bench_key, build_and_install};
 use asc_faults::{run_tier_matrix, TierMatrixConfig};

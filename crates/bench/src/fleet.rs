@@ -26,7 +26,7 @@
 //!
 //! Everything is a pure function of the seed; the default configuration's
 //! table is golden-pinned (`crates/bench/golden/fleet.txt`) and diffed by
-//! the `fleet-smoke` CI job.
+//! `crates/bench/tests/golden_tables.rs`.
 
 use std::collections::BTreeMap;
 

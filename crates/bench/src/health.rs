@@ -16,7 +16,7 @@
 //! The sentinel observes through shared references only, so attaching it
 //! cannot perturb the run (`tests/sentinel.rs` proves bit-identity); the
 //! default report is golden-pinned (`crates/bench/golden/health.txt`)
-//! and diffed by the `health-smoke` CI job. The binary exits nonzero if
+//! and diffed by `crates/bench/tests/golden_tables.rs`. The binary exits nonzero if
 //! the healthy fleet fires any quiet-SLO detector or the latency
 //! campaign reports a problem.
 

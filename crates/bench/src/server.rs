@@ -25,7 +25,7 @@ use asc_workloads::{program, ProgramSpec};
 
 use crate::{bench_key, sim_seconds};
 
-/// Default interleaving seed for the golden table and the CI smoke run.
+/// Default interleaving seed for the golden table.
 pub const DEFAULT_SEED: u64 = 0x5EB5_EED1;
 
 /// The syscall-heavy workloads the server processes cycle over (the

@@ -1,19 +1,28 @@
 //! Byte-identity guard for the paper tables: with no trace sink attached
 //! (the default for every table binary), the flight recorder must not
 //! change a single byte of output relative to the checked-in goldens.
+//! Also the exit-status gate of the seeded fault campaign.
 //!
 //! Regenerate after an intentional change with:
 //!
 //! ```sh
-//! for t in table1 table2 table3 table4 table6 ablation andrew server tiers audit coverage; do
+//! for t in table1 table2 table3 table4 table6 ablation andrew server tiers audit coverage health; do
 //!     cargo run --release -p asc-bench --bin $t > crates/bench/golden/$t.txt
 //! done
+//! cargo run --release -p asc-bench --bin server -- --fleet > crates/bench/golden/fleet.txt
 //! ```
 
 use std::process::Command;
 
 fn check(bin: &str, golden: &str) {
-    let out = Command::new(bin).output().expect("table binary runs");
+    check_args(bin, &[], golden);
+}
+
+fn check_args(bin: &str, args: &[&str], golden: &str) {
+    let out = Command::new(bin)
+        .args(args)
+        .output()
+        .expect("table binary runs");
     assert!(
         out.status.success(),
         "{golden}: exit {:?}, stderr: {}",
@@ -89,4 +98,28 @@ fn audit_is_byte_identical() {
 #[test]
 fn health_is_byte_identical() {
     check(env!("CARGO_BIN_EXE_health"), "health.txt");
+}
+
+#[test]
+fn fleet_is_byte_identical() {
+    check_args(env!("CARGO_BIN_EXE_server"), &["--fleet"], "fleet.txt");
+}
+
+/// The seeded fault campaign exits nonzero on any silent corruption or
+/// crash, on a false-positive kill from a cache fault, on an origin-class
+/// kill that is not an attributed unrewritten-site fail-stop, or when the
+/// weakened-verifier demo fails to show its expected silent row.
+#[test]
+fn fault_campaign_exits_cleanly() {
+    let out = Command::new(env!("CARGO_BIN_EXE_faults"))
+        .args(["--seed", "0x0A5CF417", "--trials", "3"])
+        .output()
+        .expect("faults binary runs");
+    assert!(
+        out.status.success(),
+        "faults: exit {:?}\n{}{}",
+        out.status,
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
 }

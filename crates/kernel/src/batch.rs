@@ -1,5 +1,6 @@
-//! The submission-ring batch path: amortizing shared-verifier setup across
-//! a window of authenticated calls.
+//! Batch windows: amortizing shared-verifier setup across a scheduler
+//! slice, and [`PidCache`], the one place that decides which verified-call
+//! cache a pid uses.
 //!
 //! A fleet-scale scheduler drives thousands of kernels against one
 //! pid-sharded [`asc_core::SharedVerifyCache`]. Unbatched, every enforced
@@ -8,7 +9,7 @@
 //! scheduler slice ([`crate::Kernel::open_batch_window`] /
 //! [`crate::Kernel::close_batch_window`]): at the first enforced call of
 //! the window the pid's namespace is *detached* from the family (one
-//! probe), up to `K` calls drain against the local namespace with zero
+//! probe), up to `K` calls verify against the local namespace with zero
 //! shared-structure traffic, and the namespace is *reattached* on window
 //! close (one probe). Setup cost per call falls from `O(1 probe/call)` to
 //! `O(2 probes/K calls)` — measured by the family's shard probe counters,
@@ -20,23 +21,22 @@
 //!
 //! # Soundness: batching cannot reorder or skip checks
 //!
-//! Each enforced trap pushes its authenticated-call registers onto the
-//! window's FIFO ring and the ring is drained *within the same trap*, in
-//! submission order, through the unchanged
-//! [`asc_core::verify_call_traced`] — the guest is synchronous, so the
-//! ring's occupancy never exceeds one and no call can observe another
-//! call's result early. Every drained call runs the complete per-call
-//! check suite (call MAC, blobs, policy state, capability check) against
-//! the *same* [`asc_core::VerifyCache`] state machine it would hit
+//! A window changes only *where* the pid's namespace lives, never what a
+//! trap does. Each enforced trap runs the kernel's verify stage on its own
+//! registers, within that trap, in program order — the guest is
+//! synchronous, so no call can be queued behind another or observe
+//! another's result early, and [`BatchStats`] counts every such call as
+//! submitted and drained at depth 1. The verify stage runs the complete
+//! per-call check suite (call MAC, blobs, policy state, capability check)
+//! against the *same* [`asc_core::VerifyCache`] state machine it would hit
 //! unbatched: detach/attach moves the namespace, never its contents, so
 //! hits, epochs, scrubs, per-pid statistics, and the accept set are
-//! bit-identical to the unbatched path by construction. The window close
-//! asserts the ring is empty — a queued-but-unverified call cannot
-//! survive a window.
+//! bit-identical to the unbatched path by construction.
 
-use std::collections::VecDeque;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use asc_core::{AuthCallRegs, VerifyCache};
+use asc_core::{CacheStats, SharedVerifyCache, VerifyCache};
 
 /// Counters for the batched verification path. Kernel-level observability
 /// only: these never feed `KernelStats`, charged cycles, or metrics, so
@@ -52,11 +52,13 @@ pub struct BatchStats {
     /// Batch windows that detached a cache namespace (a window with no
     /// enforced cached call opens nothing and costs nothing).
     pub windows: u64,
-    /// Calls submitted to the ring.
+    /// Enforced calls submitted inside a window.
     pub submitted: u64,
-    /// Calls drained from the ring through the verifier.
+    /// Submitted calls drained through the verifier (each within the
+    /// trap that submitted it).
     pub drained: u64,
-    /// High-water ring occupancy (1 while guests are synchronous).
+    /// High-water count of submitted, not-yet-drained calls (1 while
+    /// guests are synchronous).
     pub max_depth: u64,
 }
 
@@ -71,9 +73,9 @@ impl BatchStats {
         self.max_depth = self.max_depth.max(other.max_depth);
     }
 
-    /// Drained calls per namespace-detaching window — how full the ring
-    /// ran, the number the `O(2 probes/K calls)` amortisation claim rides
-    /// on. 0.0 before any window detached.
+    /// Drained calls per namespace-detaching window — how full the
+    /// windows ran, the number the `O(2 probes/K calls)` amortisation
+    /// claim rides on. 0.0 before any window detached.
     pub fn fill_ratio(&self) -> f64 {
         if self.windows > 0 {
             self.drained as f64 / self.windows as f64
@@ -81,22 +83,23 @@ impl BatchStats {
             0.0
         }
     }
+
+    /// Counts one enforced call inside a window: submitted and drained in
+    /// its own trap.
+    pub(crate) fn pass_through(&mut self) {
+        self.submitted += 1;
+        self.drained += 1;
+        self.max_depth = self.max_depth.max(1);
+    }
 }
 
-/// One open batch window: the bounded submission ring plus the pid's
-/// detached cache namespace (taken lazily at the first enforced call).
+/// One open batch window.
 #[derive(Debug)]
 pub(crate) struct BatchSession {
-    /// Ring capacity `K`: after `K` drained calls the window rolls
+    /// Window capacity `K`: after `K` verified calls the window rolls
     /// (namespace reattached, next call opens a fresh window).
     pub(crate) capacity: usize,
-    /// The pid's cache namespace, detached from the shared family for the
-    /// life of the window. `None` until the first enforced cached call,
-    /// and again after a kill discards it.
-    pub(crate) namespace: Option<VerifyCache>,
-    /// FIFO of submitted, not-yet-verified calls.
-    pub(crate) ring: VecDeque<AuthCallRegs>,
-    /// Calls drained in the current window (rolls the window at
+    /// Calls verified in the current window (rolls the window at
     /// `capacity`).
     pub(crate) drained_in_window: usize,
 }
@@ -105,9 +108,88 @@ impl BatchSession {
     pub(crate) fn new(capacity: usize) -> BatchSession {
         BatchSession {
             capacity: capacity.max(1),
-            namespace: None,
-            ring: VecDeque::new(),
             drained_in_window: 0,
+        }
+    }
+}
+
+/// Where a pid's verified-call cache lives: the kernel's private cache,
+/// or the pid's namespace in a scheduler-shared family — resident there,
+/// or detached while an open batch window holds it.
+#[derive(Debug)]
+pub(crate) enum PidCache {
+    /// The per-kernel cache (no shared family attached).
+    Private(VerifyCache),
+    /// A namespace in a scheduler-owned, pid-keyed family, so concurrent
+    /// processes can never serve (or invalidate) each other's entries.
+    Shared {
+        /// The family.
+        family: Rc<RefCell<SharedVerifyCache>>,
+        /// The pid's namespace while a batch window holds it detached.
+        detached: Option<VerifyCache>,
+    },
+}
+
+impl PidCache {
+    /// Runs `f` on the cache `pid` uses now: the detached namespace, else
+    /// its namespace in the shared family (created on first use, one
+    /// counted probe), else the private cache.
+    pub(crate) fn with<R>(&mut self, pid: u32, f: impl FnOnce(&mut VerifyCache) -> R) -> R {
+        match self {
+            PidCache::Private(cache)
+            | PidCache::Shared {
+                detached: Some(cache),
+                ..
+            } => f(cache),
+            PidCache::Shared { family, .. } => f(family.borrow_mut().pid_cache(pid)),
+        }
+    }
+
+    /// The behaviour counters of the cache [`PidCache::with`] would pick.
+    /// A read: it never probes the family or creates a namespace, so a
+    /// killed pid's counters read as zero.
+    pub(crate) fn stats(&self, pid: u32) -> CacheStats {
+        match self {
+            PidCache::Private(cache)
+            | PidCache::Shared {
+                detached: Some(cache),
+                ..
+            } => cache.stats(),
+            PidCache::Shared { family, .. } => family.borrow().pid_stats(pid),
+        }
+    }
+
+    /// Detaches the pid's shared namespace for a batch window (one
+    /// probe). False when there is nothing to detach: no family, or the
+    /// namespace is already out.
+    pub(crate) fn detach(&mut self, pid: u32) -> bool {
+        match self {
+            PidCache::Shared { family, detached } if detached.is_none() => {
+                *detached = Some(family.borrow_mut().detach_pid(pid));
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Returns a detached namespace to the family (one probe); a no-op
+    /// when none is out.
+    pub(crate) fn reattach(&mut self, pid: u32) {
+        if let PidCache::Shared { family, detached } = self {
+            if let Some(ns) = detached.take() {
+                family.borrow_mut().attach_pid(pid, ns);
+            }
+        }
+    }
+
+    /// Fail-stop: drops the pid's shared namespace — and *only* its
+    /// namespace; every other pid's entries survive. A detached namespace
+    /// dies with the window instead of being reattached. The private
+    /// cache is kept, so its counters stay readable after the kill.
+    pub(crate) fn drop_pid(&mut self, pid: u32) {
+        if let PidCache::Shared { family, detached } = self {
+            *detached = None;
+            family.borrow_mut().drop_pid(pid);
         }
     }
 }

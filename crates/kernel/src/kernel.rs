@@ -2,10 +2,13 @@
 //! authenticated-system-call checking glue.
 //!
 //! The paper's kernel modification is ~250 lines inside the trap handler;
-//! the analogue here is [`Kernel::handle_trap`]'s enforcement block, which
-//! delegates the three checks of §3.4 to `asc_core::verify_call` and turns
-//! any [`Violation`] into fail-stop process termination plus an
-//! administrator alert.
+//! the analogue here is the enforced path of [`Kernel::handle_trap`], in
+//! three stages. The *verify* stage runs the origin check, the SFIP flow
+//! pre-filter and the three checks of §3.4 (delegated to
+//! `asc_core::verify_call`) and returns one [`TrapRecord`]. Then the call
+//! is either dispatched or, on any [`Violation`], killed fail-stop with an
+//! administrator alert. The *account* stage folds the record into
+//! [`KernelStats`], the metrics registry and the trace sink.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -16,17 +19,16 @@ use asc_core::{
 };
 use asc_crypto::{CapabilitySet, MacKey, MemoryChecker};
 use asc_isa::Reg;
-use asc_trace::{
-    CacheDecision, CallMeter, CheckKind, CheckRecord, Event, EventKind, Severity, SpanId, TraceSink,
-};
+use asc_trace::{CacheDecision, CallMeter, CheckKind, CheckRecord, SpanId, TraceSink};
 use asc_vm::{MemFault, Memory, SyscallHandler, TrapContext, TrapOutcome};
 
 use crate::abi::{spec, Personality, SyscallId};
 use crate::alert::Alert;
-use crate::batch::{BatchSession, BatchStats};
+use crate::batch::{BatchSession, BatchStats, PidCache};
 use crate::cost::CostModel;
 use crate::fs::FileSystem;
-use crate::metrics::{KernelMetrics, PATH_COLD, PATH_FALLBACK, PATH_SCRUB, PATH_WARM};
+use crate::metrics::KernelMetrics;
+use crate::record::TrapRecord;
 
 /// What an open file descriptor refers to.
 #[derive(Clone, Debug)]
@@ -97,12 +99,14 @@ pub struct KernelStats {
     /// Verification cycles charged on warm verifications (subset of
     /// `verify_cycles`).
     pub warm_verify_cycles: u64,
-    /// Verifications where a cache entry existed but no longer matched
-    /// (stale or poisoned): the kernel degraded gracefully to the full
-    /// cold CMAC path instead of trusting the entry.
+    /// Checks that found a cache entry which existed but no longer
+    /// matched (stale or poisoned), summed over each call's checks and
+    /// counted on calls that are then killed too: each such check
+    /// degraded gracefully to the full cold CMAC path instead of trusting
+    /// the entry.
     pub cache_fallbacks: u64,
     /// Poisoned cache state entries scrubbed because they claimed an
-    /// impossible (future) counter epoch.
+    /// impossible (future) counter epoch (killed calls included).
     pub cache_scrubs: u64,
 }
 
@@ -139,6 +143,38 @@ impl KernelStats {
         self.warm_verify_cycles += other.warm_verify_cycles;
         self.cache_fallbacks += other.cache_fallbacks;
         self.cache_scrubs += other.cache_scrubs;
+    }
+
+    /// Folds one enforced trap's record. Cache fallbacks and scrubs count
+    /// on every trap; the rest only on verified calls.
+    pub(crate) fn record(&mut self, rec: &TrapRecord) {
+        self.cache_fallbacks += rec.fallbacks;
+        self.cache_scrubs += rec.scrubs;
+        if rec.violation.is_some() {
+            return;
+        }
+        self.verified += 1;
+        self.verify_aes_blocks += rec.aes_blocks;
+        self.verify_cycles += rec.vc;
+        if rec.cache_hit {
+            self.cache_hits += 1;
+            self.warm_aes_blocks += rec.aes_blocks;
+            self.warm_verify_cycles += rec.vc;
+        }
+        // The warm counters partition the totals; a violation here means
+        // warm work was double counted somewhere.
+        debug_assert!(
+            self.warm_aes_blocks <= self.verify_aes_blocks,
+            "warm AES blocks exceed total"
+        );
+        debug_assert!(
+            self.warm_verify_cycles <= self.verify_cycles,
+            "warm verify cycles exceed total"
+        );
+        debug_assert!(
+            self.cache_hits + self.cache_fallbacks <= self.verified,
+            "more cache outcomes than verified calls"
+        );
     }
 }
 
@@ -330,6 +366,41 @@ pub enum FaultAction {
     },
 }
 
+impl FaultAction {
+    /// Corrupts the verifier's register copy, the anti-replay counter, or
+    /// this pid's cache wherever it currently lives.
+    fn apply(
+        self,
+        regs: &mut AuthCallRegs,
+        checker: &mut MemoryChecker,
+        cache: &mut PidCache,
+        pid: u32,
+    ) {
+        match self {
+            FaultAction::XorReg { index, mask } => {
+                let mask = if mask == 0 { 1 } else { mask };
+                match index {
+                    0 => regs.nr ^= mask,
+                    1..=6 => regs.args[index as usize - 1] ^= mask,
+                    7 => regs.pol_des ^= mask,
+                    8 => regs.block_id ^= mask,
+                    9 => regs.pred_set_ptr ^= mask,
+                    10 => regs.lb_ptr ^= mask,
+                    11 => regs.call_mac_ptr ^= mask,
+                    _ => regs.hint_ptr ^= mask,
+                }
+            }
+            FaultAction::SkewCounter { delta } => checker.skew_counter_for_fault(delta),
+            FaultAction::CorruptCache { selector, mask } => {
+                cache.with(pid, |c| c.corrupt_entry_for_fault(selector, mask));
+            }
+            FaultAction::SkewCacheEpoch { delta } => {
+                cache.with(pid, |c| c.skew_state_epoch_for_fault(delta));
+            }
+        }
+    }
+}
+
 /// The simulated kernel for one process.
 pub struct Kernel {
     pub(crate) opts: KernelOptions,
@@ -341,12 +412,9 @@ pub struct Kernel {
     pub(crate) brk: u32,
     pub(crate) mmap_cursor: u32,
     checker: MemoryChecker,
-    verify_cache: VerifyCache,
-    /// Scheduler-owned pid-keyed cache family. When attached, the trap
-    /// handler uses this pid's namespace inside it instead of the private
-    /// `verify_cache`, so concurrent processes can never serve (or
-    /// invalidate) each other's entries.
-    shared_cache: Option<Rc<RefCell<SharedVerifyCache>>>,
+    /// This pid's verified-call cache: private, or a namespace in a
+    /// scheduler-shared family (see [`Kernel::share_cache`]).
+    cache: PidCache,
     /// Process id, 1-based. Single-process harnesses keep the default 1
     /// (the historical alert rendering); a scheduler assigns real pids.
     pid: u32,
@@ -394,9 +462,8 @@ pub struct Kernel {
     metrics: Option<Box<KernelMetrics>>,
     /// Next span id to allocate (one span per enforced trap).
     next_span: u64,
-    /// Open batch window (submission ring + detached cache namespace),
-    /// `None` outside a window. See [`crate::batch`].
-    batch: Option<BatchSession>,
+    /// Open batch window, `None` outside one. See [`crate::batch`].
+    window: Option<BatchSession>,
     /// Lifetime counters for the batched path (never part of
     /// [`KernelStats`]).
     batch_stats: BatchStats,
@@ -450,8 +517,7 @@ impl Kernel {
             brk: 0,
             mmap_cursor: 0x60_0000,
             checker: MemoryChecker::new(),
-            verify_cache: VerifyCache::new(),
-            shared_cache: None,
+            cache: PidCache::Private(VerifyCache::new()),
             pid: 1,
             last_policy_cell: None,
             flow: None,
@@ -476,7 +542,7 @@ impl Kernel {
             trace_sink: None,
             metrics: None,
             next_span: 0,
-            batch: None,
+            window: None,
             batch_stats: BatchStats::default(),
             last_io_bytes: 0,
         }
@@ -484,18 +550,11 @@ impl Kernel {
 
     /// Installs the verification key (the kernel side of the shared secret;
     /// required when `enforce` is on). Every cached verification was
-    /// performed under the previous key, so the verified-call cache is
-    /// dropped wholesale.
+    /// performed under the previous key, so this pid's verified-call cache
+    /// is dropped wholesale, wherever it lives.
     pub fn set_key(&mut self, key: MacKey) {
         self.key = Some(key);
-        self.verify_cache.clear();
-        // During a batch window this pid's shared namespace may be
-        // detached into the session; clear it wherever it lives.
-        if let Some(ns) = self.batch.as_mut().and_then(|b| b.namespace.as_mut()) {
-            ns.clear();
-        } else if let Some(shared) = self.shared_cache.as_ref() {
-            shared.borrow_mut().pid_cache(self.pid).clear();
-        }
+        self.cache.with(self.pid, VerifyCache::clear);
     }
 
     /// Behaviour counters of the verified-call cache (all zero when the
@@ -503,25 +562,19 @@ impl Kernel {
     /// counters of this pid's namespace — wherever it currently lives
     /// (detached into an open batch window or resident in the family).
     pub fn cache_stats(&self) -> CacheStats {
-        if let Some(ns) = self.batch.as_ref().and_then(|b| b.namespace.as_ref()) {
-            return ns.stats();
-        }
-        match self.shared_cache.as_ref() {
-            Some(shared) => shared.borrow().pid_stats(self.pid),
-            None => self.verify_cache.stats(),
-        }
+        self.cache.stats(self.pid)
     }
 
     /// Opens a batch window of capacity `k`: until
-    /// [`Kernel::close_batch_window`], enforced calls submit to the
-    /// window's FIFO ring and drain against a cache namespace detached
-    /// from the shared family once per window instead of probed per call.
-    /// A scheduler brackets each slice with open/close; re-opening an
-    /// already-open window first flushes it. Per-pid outputs are
-    /// bit-identical with or without a window (see the `batch` module docs).
+    /// [`Kernel::close_batch_window`], enforced calls verify against a
+    /// cache namespace detached from the shared family once per window
+    /// instead of probed per call. A scheduler brackets each slice with
+    /// open/close; re-opening an already-open window first reattaches its
+    /// namespace. Per-pid outputs are bit-identical with or without a
+    /// window (see the `batch` module docs).
     pub fn open_batch_window(&mut self, k: usize) {
-        self.flush_batch_namespace();
-        self.batch = Some(BatchSession::new(k));
+        self.cache.reattach(self.pid);
+        self.window = Some(BatchSession::new(k));
         self.batch_stats.opened += 1;
     }
 
@@ -529,8 +582,8 @@ impl Kernel {
     /// any) to the shared family. Idempotent; a no-op when no window is
     /// open.
     pub fn close_batch_window(&mut self) {
-        self.flush_batch_namespace();
-        if self.batch.take().is_some() {
+        self.cache.reattach(self.pid);
+        if self.window.take().is_some() {
             self.batch_stats.closed += 1;
         }
     }
@@ -538,21 +591,6 @@ impl Kernel {
     /// Lifetime counters of the batched verification path.
     pub fn batch_stats(&self) -> BatchStats {
         self.batch_stats
-    }
-
-    /// Reattaches the window's detached namespace (if any) and resets the
-    /// window's drain count. The ring must already be drained — every
-    /// submission drains within its own trap.
-    fn flush_batch_namespace(&mut self) {
-        if let Some(session) = self.batch.as_mut() {
-            debug_assert!(session.ring.is_empty(), "ring drained at window close");
-            session.drained_in_window = 0;
-            if let Some(ns) = session.namespace.take() {
-                if let Some(shared) = self.shared_cache.as_ref() {
-                    shared.borrow_mut().attach_pid(self.pid, ns);
-                }
-            }
-        }
     }
 
     /// Assigns this kernel's process id (1-based; the default is 1, which
@@ -571,10 +609,14 @@ impl Kernel {
 
     /// Attaches a scheduler-owned pid-keyed cache family. The trap handler
     /// then uses this kernel's pid namespace inside it instead of the
-    /// private per-kernel cache (still gated on
-    /// [`KernelOptions::verify_cache`]). Call after [`Kernel::set_pid`].
+    /// private per-kernel cache, which is discarded (still gated on
+    /// [`KernelOptions::verify_cache`]). Call after [`Kernel::set_pid`],
+    /// before the process runs.
     pub fn share_cache(&mut self, shared: Rc<RefCell<SharedVerifyCache>>) {
-        self.shared_cache = Some(shared);
+        self.cache = PidCache::Shared {
+            family: shared,
+            detached: None,
+        };
     }
 
     /// The in-kernel anti-replay counter (the per-process nonce the
@@ -768,8 +810,7 @@ impl Kernel {
     fn handle_trap(&mut self, ctx: &mut TrapContext<'_>) -> TrapOutcome {
         self.stats.syscalls += 1;
         if let Some(m) = self.metrics.as_mut() {
-            let id = m.syscalls;
-            m.inc(id);
+            m.count_syscall();
         }
         let mut charged = 0u64;
         if self.opts.charge_costs {
@@ -778,461 +819,14 @@ impl Kernel {
 
         // --- The paper's kernel modification: verify before dispatch. ---
         if self.opts.enforce {
-            // Batched path: at the first enforced cached call of an open
-            // batch window, detach this pid's namespace from the shared
-            // family (one probe). Every call in the window then drains
-            // against the local namespace — the shared structure is not
-            // touched again until the window closes and reattaches it.
-            if self.opts.verify_cache && self.opts.verify_tier.checks_mac() {
-                if let (Some(session), Some(shared)) =
-                    (self.batch.as_mut(), self.shared_cache.as_ref())
-                {
-                    if session.namespace.is_none() {
-                        session.namespace = Some(shared.borrow_mut().detach_pid(self.pid));
-                        self.batch_stats.windows += 1;
-                    }
-                }
-            }
-            // Borrow the long-lived key: its AES round keys and CMAC
-            // subkeys were expanded once at `set_key` time and are reused
-            // for every trap (re-deriving the schedule per call would
-            // dwarf the short-message MAC itself). A fleet goes one step
-            // further and shares one expanded schedule across every
-            // kernel (`MacKey::shared_schedule`).
-            let Some(key) = self.key.as_ref() else {
-                return TrapOutcome::Kill("kernel misconfigured: enforcing without a key".into());
+            let rec = match self.verify(ctx) {
+                Ok(rec) => rec,
+                Err(misconfigured) => return TrapOutcome::Kill(misconfigured.into()),
             };
-            // Telemetry is armed only when a sink is attached *and* wants
-            // events; otherwise no span is allocated, no meter records,
-            // and no event is ever built (the no-perturbation rule).
-            let tracing = self.trace_sink.as_ref().is_some_and(|s| s.enabled());
-            // The span carries the pid dimension in its high bits; for the
-            // default pid 1 this is the identity encoding, so
-            // single-process trace output is byte-identical.
-            let span = SpanId::for_pid(self.pid, self.next_span);
-            if tracing {
-                self.next_span += 1;
-                if let Some(sink) = self.trace_sink.as_mut() {
-                    sink.record(Event {
-                        span,
-                        at_cycles: ctx.cycles(),
-                        severity: Severity::Info,
-                        kind: EventKind::TrapEnter {
-                            site: ctx.pc,
-                            nr: ctx.reg(Reg::R0) as u16,
-                        },
-                    });
-                }
-            }
-            let fired = match &self.fault {
-                Some(f) if f.at_trap == self.stats.syscalls => self.fault.take(),
-                _ => None,
-            };
-            let mut regs = AuthCallRegs {
-                nr: ctx.reg(Reg::R0),
-                call_site: ctx.pc,
-                args: [
-                    ctx.reg(Reg::R1),
-                    ctx.reg(Reg::R2),
-                    ctx.reg(Reg::R3),
-                    ctx.reg(Reg::R4),
-                    ctx.reg(Reg::R5),
-                    ctx.reg(Reg::R6),
-                ],
-                pol_des: ctx.reg(Reg::R7),
-                block_id: ctx.reg(Reg::R8),
-                pred_set_ptr: ctx.reg(Reg::R9),
-                lb_ptr: ctx.reg(Reg::R10),
-                call_mac_ptr: ctx.reg(Reg::R11),
-                hint_ptr: ctx.reg(Reg::R12),
-            };
-            if let Some(f) = fired {
-                match f.action {
-                    FaultAction::XorReg { index, mask } => {
-                        let mask = if mask == 0 { 1 } else { mask };
-                        match index {
-                            0 => regs.nr ^= mask,
-                            1..=6 => regs.args[index as usize - 1] ^= mask,
-                            7 => regs.pol_des ^= mask,
-                            8 => regs.block_id ^= mask,
-                            9 => regs.pred_set_ptr ^= mask,
-                            10 => regs.lb_ptr ^= mask,
-                            11 => regs.call_mac_ptr ^= mask,
-                            _ => regs.hint_ptr ^= mask,
-                        }
-                    }
-                    FaultAction::SkewCounter { delta } => {
-                        self.checker.skew_counter_for_fault(delta);
-                    }
-                    // Cache faults target this pid's namespace wherever it
-                    // currently lives: detached into an open batch window,
-                    // resident in the shared family, or private.
-                    FaultAction::CorruptCache { selector, mask } => {
-                        if let Some(ns) = self.batch.as_mut().and_then(|b| b.namespace.as_mut()) {
-                            ns.corrupt_entry_for_fault(selector, mask);
-                        } else {
-                            match self.shared_cache.as_ref() {
-                                Some(shared) => {
-                                    shared
-                                        .borrow_mut()
-                                        .pid_cache(self.pid)
-                                        .corrupt_entry_for_fault(selector, mask);
-                                }
-                                None => {
-                                    self.verify_cache.corrupt_entry_for_fault(selector, mask);
-                                }
-                            }
-                        }
-                    }
-                    FaultAction::SkewCacheEpoch { delta } => {
-                        if let Some(ns) = self.batch.as_mut().and_then(|b| b.namespace.as_mut()) {
-                            ns.skew_state_epoch_for_fault(delta);
-                        } else {
-                            match self.shared_cache.as_ref() {
-                                Some(shared) => {
-                                    shared
-                                        .borrow_mut()
-                                        .pid_cache(self.pid)
-                                        .skew_state_epoch_for_fault(delta);
-                                }
-                                None => {
-                                    self.verify_cache.skew_state_epoch_for_fault(delta);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            // Submission ring: inside a batch window the authenticated
-            // call is queued and the ring drained FIFO within the same
-            // trap — submission order is program order, so batching can
-            // never reorder calls, and the drain below runs the complete
-            // check suite, so it can never skip one. Occupancy is 1 while
-            // guests are synchronous; the ring carries the ordering
-            // contract (and the counters) an asynchronous front end would
-            // rely on.
-            let regs = match self.batch.as_mut() {
-                Some(session) => {
-                    session.ring.push_back(regs);
-                    self.batch_stats.submitted += 1;
-                    self.batch_stats.max_depth =
-                        self.batch_stats.max_depth.max(session.ring.len() as u64);
-                    let next = session.ring.pop_front().expect("just submitted");
-                    self.batch_stats.drained += 1;
-                    next
-                }
-                None => regs,
-            };
-            // The metrics registry needs the per-check partition too, so
-            // the meter records whenever either consumer is attached.
-            let metering = self.metrics.is_some();
-            let mut meter = if tracing || metering {
-                CallMeter::recording()
-            } else {
-                CallMeter::disabled()
-            };
-            // --- Origin privilege: the trap pc must be a rewritten site. ---
-            // Checked on the *trusted* trap pc (not the verifier's
-            // register copy — the pc comes from the trap itself and
-            // cannot be forged) before the flow and MAC paths, under
-            // every tier: a raw `SYSCALL` gadget outside the installed
-            // `.ascsites` registry has no policy to verify, so the only
-            // sound response is an immediate fail-stop — zero side
-            // effects, zero AES work. Silent on the pass path (a pure
-            // set probe charged no cycles), so registry-free harnesses
-            // and existing traces are byte-identical.
-            if let Some(sites) = self.sites.as_ref() {
-                if !sites.contains(ctx.pc) {
-                    let violation = Violation::UnrewrittenSite { pc: ctx.pc };
-                    return self.kill(ctx, charged, span, tracing, &violation);
-                }
-            }
-            // --- The SFIP flow tier: digraph membership pre-filter. ---
-            // Checked on the verifier's copy of the registers (so armed
-            // faults hit it like every other check) and *before* the MAC
-            // suite and dispatch: a bad edge fail-stops with zero side
-            // effects and zero AES work.
-            let tier = self.opts.verify_tier;
-            if tier.checks_flow() {
-                let Some(flow) = self.flow.as_ref() else {
-                    return TrapOutcome::Kill(
-                        "kernel misconfigured: flow tier without a digraph".into(),
-                    );
-                };
-                let from = self.last_syscall.unwrap_or(FLOW_START);
-                let to = regs.nr as u16;
-                let passed = flow.contains(from, to);
-                meter.record(CheckRecord {
-                    kind: CheckKind::FlowEdge,
-                    passed,
-                    aes_blocks: 0,
-                    bytes: 0,
-                    cache: CacheDecision::Disabled,
-                });
-                if !passed {
-                    if tracing {
-                        let at = ctx.cycles();
-                        if let Some(sink) = self.trace_sink.as_mut() {
-                            // Killed calls are charged no verification
-                            // cycles (same convention as a MAC failure).
-                            for record in &meter.checks {
-                                sink.record(Event {
-                                    span,
-                                    at_cycles: at,
-                                    severity: Severity::Warn,
-                                    kind: EventKind::Check {
-                                        record: *record,
-                                        cycles: 0,
-                                    },
-                                });
-                            }
-                        }
-                    }
-                    let violation = Violation::BadFlowEdge { from, to };
-                    return self.kill(ctx, charged, span, tracing, &violation);
-                }
-            }
-            let mut mem = VmUserMemory(ctx.mem);
-            let caps = &self.caps;
-            let tracking = self.opts.capability_tracking;
-            let mut cap_check = |fd: u32| caps.contains(fd);
-            let hooks = VerifyHooks {
-                accept_any_string: self.opts.weaken_string_check,
-            };
-            // Pick the cache the verifier consults: the namespace detached
-            // into the open batch window, this pid's namespace inside the
-            // scheduler-shared family, or the private per-kernel cache.
-            // Either way the before/after stats must come from the *same*
-            // cache so the fallback/scrub deltas attribute correctly.
-            let batching = self
-                .batch
-                .as_ref()
-                .is_some_and(|session| session.namespace.is_some());
-            let mut shared_guard = match (
-                self.opts.verify_cache && tier.checks_mac() && !batching,
-                self.shared_cache.as_ref(),
-            ) {
-                (true, Some(shared)) => Some(shared.borrow_mut()),
-                _ => None,
-            };
-            let cache = if !self.opts.verify_cache || !tier.checks_mac() {
-                None
-            } else if batching {
-                self.batch.as_mut().and_then(|b| b.namespace.as_mut())
-            } else {
-                match shared_guard.as_mut() {
-                    Some(guard) => Some(guard.pid_cache(self.pid)),
-                    None => Some(&mut self.verify_cache),
-                }
-            };
-            // With no cache in play the stats are identically zero, so the
-            // deltas below are zero too.
-            let cache_before = match cache.as_ref() {
-                Some(c) => c.stats(),
-                None => CacheStats::default(),
-            };
-            // Flow-only skips the MAC suite entirely: the digraph probe
-            // above *is* the verification, and the outcome carries zero
-            // AES blocks, zero bytes, and no cache participation.
-            let result = if tier.checks_mac() {
-                verify_call_traced(
-                    key,
-                    &mut self.checker,
-                    cache,
-                    &mut mem,
-                    &regs,
-                    tracking.then_some(&mut cap_check as &mut dyn FnMut(u32) -> bool),
-                    hooks,
-                    &mut meter,
-                )
-            } else {
-                Ok(VerifyOutcome::default())
-            };
-            let cache_after = if batching {
-                self.batch
-                    .as_ref()
-                    .and_then(|b| b.namespace.as_ref())
-                    .map(|ns| ns.stats())
-                    .unwrap_or_default()
-            } else {
-                match shared_guard.as_ref() {
-                    Some(guard) => guard.pid_stats(self.pid),
-                    None => self.verify_cache.stats(),
-                }
-            };
-            drop(shared_guard);
-            let fallback_delta = cache_after.stale_misses - cache_before.stale_misses;
-            let scrub_delta = cache_after.scrubs - cache_before.scrubs;
-            self.stats.cache_fallbacks += fallback_delta;
-            self.stats.cache_scrubs += scrub_delta;
-            // Roll the batch window once its ring capacity worth of calls
-            // has drained: the namespace reattaches and the next call
-            // opens a fresh window. Pure bookkeeping — no per-pid output
-            // depends on where the window boundaries fall.
-            if let Some(session) = self.batch.as_mut() {
-                session.drained_in_window += 1;
-                if session.drained_in_window >= session.capacity {
-                    session.drained_in_window = 0;
-                    if let Some(ns) = session.namespace.take() {
-                        if let Some(shared) = self.shared_cache.as_ref() {
-                            shared.borrow_mut().attach_pid(self.pid, ns);
-                        }
-                    }
-                }
-            }
-            match result {
-                Ok(outcome) => {
-                    self.stats.verified += 1;
-                    // Advance the flow state: this (verified) call is the
-                    // next call's predecessor. Tracked under every tier so
-                    // switching tiers never changes what the state means.
-                    self.last_syscall = Some(regs.nr as u16);
-                    if tier.checks_mac() && regs.lb_ptr != 0 {
-                        self.last_policy_cell = Some(regs.lb_ptr);
-                    }
-                    self.stats.verify_aes_blocks += outcome.aes_blocks;
-                    if outcome.cache_hit {
-                        self.stats.cache_hits += 1;
-                        self.stats.warm_aes_blocks += outcome.aes_blocks;
-                    }
-                    // Charged verification cycles: the fixed flow-probe
-                    // term under the flow tiers, plus the metered MAC cost
-                    // under the MAC tiers — so mac+flow is priced as
-                    // exactly mac plus the probe.
-                    let vc = if self.opts.charge_costs {
-                        let flow_term = if tier.checks_flow() {
-                            self.cost.flow_check
-                        } else {
-                            0
-                        };
-                        let mac_term = if tier.checks_mac() {
-                            self.cost.verify_cost_for(&outcome)
-                        } else {
-                            0
-                        };
-                        flow_term + mac_term
-                    } else {
-                        0
-                    };
-                    if self.opts.charge_costs {
-                        self.stats.verify_cycles += vc;
-                        if outcome.cache_hit {
-                            self.stats.warm_verify_cycles += vc;
-                        }
-                        charged += vc;
-                    }
-                    // The warm counters partition the totals; a violation
-                    // here means warm work was double counted somewhere.
-                    debug_assert!(
-                        self.stats.warm_aes_blocks <= self.stats.verify_aes_blocks,
-                        "warm AES blocks exceed total"
-                    );
-                    debug_assert!(
-                        self.stats.warm_verify_cycles <= self.stats.verify_cycles,
-                        "warm verify cycles exceed total"
-                    );
-                    debug_assert!(
-                        self.stats.cache_hits + self.stats.cache_fallbacks <= self.stats.verified,
-                        "more cache outcomes than verified calls"
-                    );
-                    if let Some(m) = self.metrics.as_mut() {
-                        let path = if outcome.cache_hit {
-                            PATH_WARM
-                        } else if fallback_delta > 0 {
-                            PATH_FALLBACK
-                        } else if scrub_delta > 0 {
-                            PATH_SCRUB
-                        } else {
-                            PATH_COLD
-                        };
-                        let charge_costs = self.opts.charge_costs;
-                        // The per-call fixed term is a MAC-suite cost; the
-                        // flow probe's whole cost lives in its check
-                        // record, so flow-only's fixed term is zero and
-                        // the check/fixed partition still reconstructs vc.
-                        let fixed = if charge_costs && tier.checks_mac() {
-                            self.cost.verify_fixed_for(outcome.cache_hit)
-                        } else {
-                            0
-                        };
-                        m.record_verified(
-                            path,
-                            vc,
-                            fixed,
-                            &outcome,
-                            &meter.checks,
-                            &self.cost,
-                            charge_costs,
-                            self.opts.verify_cache,
-                        );
-                    }
-                    if tracing {
-                        let at = ctx.cycles();
-                        let fixed = if self.opts.charge_costs && tier.checks_mac() {
-                            self.cost.verify_fixed_for(outcome.cache_hit)
-                        } else {
-                            0
-                        };
-                        let cost = self.cost;
-                        let charge_costs = self.opts.charge_costs;
-                        if let Some(sink) = self.trace_sink.as_mut() {
-                            for record in &meter.checks {
-                                let cycles = if charge_costs {
-                                    cost.check_cost_of(record)
-                                } else {
-                                    0
-                                };
-                                sink.record(Event {
-                                    span,
-                                    at_cycles: at,
-                                    severity: Severity::Info,
-                                    kind: EventKind::Check {
-                                        record: *record,
-                                        cycles,
-                                    },
-                                });
-                            }
-                            sink.record(Event {
-                                span,
-                                at_cycles: at,
-                                severity: Severity::Info,
-                                kind: EventKind::TrapExit {
-                                    verified: true,
-                                    cache_hit: outcome.cache_hit,
-                                    verify_cycles: vc,
-                                    fixed_cycles: fixed,
-                                },
-                            });
-                        }
-                    }
-                }
-                Err(violation) => {
-                    if tracing {
-                        let at = ctx.cycles();
-                        if let Some(sink) = self.trace_sink.as_mut() {
-                            // Failed calls are charged no verification
-                            // cycles, so the per-check cycle attribution
-                            // is 0; the AES blocks they burnt are real
-                            // and are reported.
-                            for record in &meter.checks {
-                                sink.record(Event {
-                                    span,
-                                    at_cycles: at,
-                                    severity: if record.passed {
-                                        Severity::Info
-                                    } else {
-                                        Severity::Warn
-                                    },
-                                    kind: EventKind::Check {
-                                        record: *record,
-                                        cycles: 0,
-                                    },
-                                });
-                            }
-                        }
-                    }
-                    return self.kill(ctx, charged, span, tracing, &violation);
-                }
+            charged += rec.vc;
+            self.account(&rec, ctx.cycles());
+            if let Some(violation) = rec.violation {
+                return self.kill(ctx, charged, violation);
             }
         }
 
@@ -1305,6 +899,176 @@ impl Kernel {
         outcome
     }
 
+    /// The verify stage: the origin check, the SFIP flow pre-filter and
+    /// the MAC suite, in that order, on the trapped call. Builds the trap's
+    /// one record; `Err` is a misconfigured kernel, killed without an
+    /// alert.
+    fn verify(&mut self, ctx: &mut TrapContext<'_>) -> Result<TrapRecord, &'static str> {
+        let tier = self.opts.verify_tier;
+        let cached = self.opts.verify_cache && tier.checks_mac();
+        // The first enforced cached call of a batch window detaches this
+        // pid's shared namespace (one probe); the window's later calls
+        // verify against it without touching the shared family.
+        if cached && self.window.is_some() && self.cache.detach(self.pid) {
+            self.batch_stats.windows += 1;
+        }
+        // Borrow the long-lived key: its AES round keys and CMAC subkeys
+        // were expanded once at `set_key` time and are reused for every
+        // trap (re-deriving the schedule per call would dwarf the
+        // short-message MAC itself). A fleet goes one step further and
+        // shares one expanded schedule across every kernel
+        // (`MacKey::shared_schedule`).
+        let Some(key) = self.key.as_ref() else {
+            return Err("kernel misconfigured: enforcing without a key");
+        };
+        let mut regs = trapped_regs(ctx);
+        if let Some(fault) = self.fault.take_if(|f| f.at_trap == self.stats.syscalls) {
+            fault
+                .action
+                .apply(&mut regs, &mut self.checker, &mut self.cache, self.pid);
+        }
+        if self.window.is_some() {
+            self.batch_stats.pass_through();
+        }
+        // Check records are kept only for an observer that reads them; a
+        // disabled meter allocates nothing (the no-perturbation rule).
+        let observed =
+            self.metrics.is_some() || self.trace_sink.as_ref().is_some_and(|s| s.enabled());
+        let mut meter = if observed {
+            CallMeter::recording()
+        } else {
+            CallMeter::disabled()
+        };
+        let mut rec = TrapRecord {
+            pid: self.pid,
+            site: ctx.pc,
+            nr: ctx.reg(Reg::R0) as u16,
+            tier,
+            cache_on: self.opts.verify_cache,
+            ..TrapRecord::default()
+        };
+        let result = 'suite: {
+            // --- Origin privilege: the trap pc must be a rewritten site. ---
+            // Checked on the *trusted* trap pc (not the verifier's register
+            // copy — the pc comes from the trap itself and cannot be
+            // forged) before the flow and MAC paths, under every tier: a
+            // raw `SYSCALL` gadget outside the installed `.ascsites`
+            // registry has no policy to verify, so the only sound response
+            // is an immediate fail-stop — zero side effects, zero AES
+            // work. Silent on the pass path (a pure set probe charged no
+            // cycles), so registry-free harnesses and existing traces are
+            // byte-identical.
+            if self.sites.as_ref().is_some_and(|s| !s.contains(ctx.pc)) {
+                break 'suite Err(Violation::UnrewrittenSite { pc: ctx.pc });
+            }
+            // --- The SFIP flow tier: digraph membership pre-filter. ---
+            // Checked on the verifier's copy of the registers (so armed
+            // faults hit it like every other check) and *before* the MAC
+            // suite and dispatch: a bad edge fail-stops with zero side
+            // effects and zero AES work.
+            if tier.checks_flow() {
+                let Some(flow) = self.flow.as_ref() else {
+                    return Err("kernel misconfigured: flow tier without a digraph");
+                };
+                let from = self.last_syscall.unwrap_or(FLOW_START);
+                let to = regs.nr as u16;
+                let passed = flow.contains(from, to);
+                meter.record(CheckRecord {
+                    kind: CheckKind::FlowEdge,
+                    passed,
+                    aes_blocks: 0,
+                    bytes: 0,
+                    cache: CacheDecision::Disabled,
+                });
+                if !passed {
+                    break 'suite Err(Violation::BadFlowEdge { from, to });
+                }
+            }
+            // Flow-only skips the MAC suite entirely: the digraph probe
+            // above *is* the verification, and the outcome carries zero
+            // AES blocks, zero bytes, and no cache participation.
+            let result = if tier.checks_mac() {
+                let mut mem = VmUserMemory(ctx.mem);
+                let caps = &self.caps;
+                let mut cap_check = |fd: u32| caps.contains(fd);
+                let cap_check = self
+                    .opts
+                    .capability_tracking
+                    .then_some(&mut cap_check as &mut dyn FnMut(u32) -> bool);
+                let hooks = VerifyHooks {
+                    accept_any_string: self.opts.weaken_string_check,
+                };
+                let (checker, meter) = (&mut self.checker, &mut meter);
+                let verify = |cache: Option<&mut VerifyCache>| {
+                    verify_call_traced(
+                        key, checker, cache, &mut mem, &regs, cap_check, hooks, meter,
+                    )
+                };
+                if cached {
+                    // The fallback/scrub deltas come from the very cache
+                    // the verifier consulted.
+                    self.cache.with(self.pid, |cache| {
+                        let before = cache.stats();
+                        let result = verify(Some(&mut *cache));
+                        let after = cache.stats();
+                        rec.fallbacks = after.stale_misses - before.stale_misses;
+                        rec.scrubs = after.scrubs - before.scrubs;
+                        result
+                    })
+                } else {
+                    verify(None)
+                }
+            } else {
+                Ok(VerifyOutcome::default())
+            };
+            // Roll the batch window once its capacity worth of calls has
+            // verified: the namespace reattaches and the next call opens a
+            // fresh window. Pure bookkeeping — no per-pid output depends
+            // on where the window boundaries fall.
+            if let Some(window) = self.window.as_mut() {
+                window.drained_in_window += 1;
+                if window.drained_in_window >= window.capacity {
+                    window.drained_in_window = 0;
+                    self.cache.reattach(self.pid);
+                }
+            }
+            result
+        };
+        match result {
+            Ok(outcome) => {
+                // Advance the flow state: this (verified) call is the next
+                // call's predecessor. Tracked under every tier so
+                // switching tiers never changes what the state means.
+                self.last_syscall = Some(regs.nr as u16);
+                if tier.checks_mac() && regs.lb_ptr != 0 {
+                    self.last_policy_cell = Some(regs.lb_ptr);
+                }
+                rec.pass(&outcome, self.opts.charge_costs.then_some(self.cost));
+            }
+            Err(violation) => rec.violation = Some(violation),
+        }
+        rec.checks = meter.checks;
+        Ok(rec)
+    }
+
+    /// The account stage: [`KernelStats`], the metrics registry and the
+    /// trace sink each fold the trap's record. Nothing flows back into
+    /// the record, so attaching an observer changes no charged cycle.
+    fn account(&mut self, rec: &TrapRecord, at_cycles: u64) {
+        self.stats.record(rec);
+        if let Some(m) = self.metrics.as_mut() {
+            m.record(rec);
+        }
+        if let Some(sink) = self.trace_sink.as_mut().filter(|s| s.enabled()) {
+            // The span carries the pid dimension in its high bits; for the
+            // default pid 1 this is the identity encoding, so
+            // single-process trace output is byte-identical.
+            let span = SpanId::for_pid(rec.pid, self.next_span);
+            self.next_span += 1;
+            rec.events(span, at_cycles).for_each(|e| sink.record(e));
+        }
+    }
+
     /// Mirrors the trace ring's drop counter into the metrics gauge when
     /// both a sink and a registry are attached. Read-only on the sink and
     /// off the charged path, so attaching metrics never perturbs traced
@@ -1319,49 +1083,20 @@ impl Kernel {
         &mut self,
         ctx: &mut TrapContext<'_>,
         charged: u64,
-        span: SpanId,
-        tracing: bool,
-        violation: &Violation,
+        violation: Violation,
     ) -> TrapOutcome {
-        let site = ctx.pc;
         let nr = ctx.reg(Reg::R0) as u16;
         let alert = Alert {
             pid: self.pid,
-            site,
+            site: ctx.pc,
             nr,
             name: self.opts.personality.name_of(nr).to_string(),
-            violation: violation.clone(),
+            violation,
         };
-        // Fail-stop: this process is dead, so its namespace in a shared
-        // cache family is dropped — and *only* its namespace; every other
-        // pid's entries survive untouched. If the namespace is currently
-        // detached into a batch window, it dies there instead of being
-        // reattached at window close.
-        if let Some(session) = self.batch.as_mut() {
-            session.namespace = None;
-        }
-        if let Some(shared) = self.shared_cache.as_ref() {
-            shared.borrow_mut().drop_pid(self.pid);
-        }
+        // Fail-stop: this process is dead, so its shared-cache namespace
+        // dies with it.
+        self.cache.drop_pid(self.pid);
         let msg = alert.to_string();
-        if let Some(m) = self.metrics.as_mut() {
-            let id = m.kills;
-            m.inc(id);
-        }
-        if tracing {
-            if let Some(sink) = self.trace_sink.as_mut() {
-                sink.record(Event {
-                    span,
-                    at_cycles: ctx.cycles(),
-                    severity: Severity::Alert,
-                    kind: EventKind::Kill {
-                        site,
-                        nr,
-                        reason: alert.reason(),
-                    },
-                });
-            }
-        }
         self.log.push(alert);
         self.sync_ring_gauge();
         if self.opts.charge_costs {
@@ -1369,6 +1104,28 @@ impl Kernel {
             self.stats.kernel_cycles += charged;
         }
         TrapOutcome::Kill(msg)
+    }
+}
+
+/// The authenticated-call registers as trapped (the verifier's copy).
+fn trapped_regs(ctx: &TrapContext<'_>) -> AuthCallRegs {
+    AuthCallRegs {
+        nr: ctx.reg(Reg::R0),
+        call_site: ctx.pc,
+        args: [
+            ctx.reg(Reg::R1),
+            ctx.reg(Reg::R2),
+            ctx.reg(Reg::R3),
+            ctx.reg(Reg::R4),
+            ctx.reg(Reg::R5),
+            ctx.reg(Reg::R6),
+        ],
+        pol_des: ctx.reg(Reg::R7),
+        block_id: ctx.reg(Reg::R8),
+        pred_set_ptr: ctx.reg(Reg::R9),
+        lb_ptr: ctx.reg(Reg::R10),
+        call_mac_ptr: ctx.reg(Reg::R11),
+        hint_ptr: ctx.reg(Reg::R12),
     }
 }
 

@@ -32,6 +32,7 @@ pub mod cost;
 pub mod fs;
 mod kernel;
 pub mod metrics;
+mod record;
 
 pub use abi::{spec, Personality, SyscallId, SyscallSpec, SPECS};
 pub use alert::Alert;

@@ -8,8 +8,10 @@
 //! cost model: charged cycles and every `KernelStats` counter are identical
 //! with or without a registry attached.
 //!
-//! The metric families and their reconstruction identities (asserted by
-//! `crates/kernel/tests/metrics_identity.rs`):
+//! The registry is one fold over each enforced trap's record — the same
+//! record `KernelStats` and the trace sink fold — so the reconstruction
+//! identities below hold by construction. They are asserted, under every
+//! verification tier, by `crates/kernel/tests/metrics_identity.rs`:
 //!
 //! * `asc_verify_cycles{path}` / `asc_verify_aes_blocks{path}` /
 //!   `asc_verify_bytes{path}` — one observation per *successful*
@@ -18,7 +20,8 @@
 //!   reconstructs `KernelStats::verify_cycles` / `verify_aes_blocks`
 //!   exactly.
 //! * `asc_verify_fixed_cycles{path}` — the fixed (check-independent) term
-//!   of each call's verification cost.
+//!   of each call's verification cost; always 0 under flow-only, whose
+//!   whole cost is its flow-edge check.
 //! * `asc_check_cycles{family}` / `asc_check_aes_blocks{family}` /
 //!   `asc_check_bytes{family}` — one observation per verification check,
 //!   labeled by check family (`CallMeter`'s partition: call-mac,
@@ -33,11 +36,10 @@
 //!   `asc_cache_outcome_total{outcome}` — plain counters; the cache-outcome
 //!   counter is only incremented when the verified-call cache is enabled.
 
-use asc_core::VerifyOutcome;
 use asc_metrics::{CounterId, GaugeId, HistogramId, Registry, Snapshot};
-use asc_trace::{CheckKind, CheckRecord, CHECK_FAMILIES};
+use asc_trace::{CheckKind, CHECK_FAMILIES};
 
-use crate::cost::CostModel;
+use crate::record::TrapRecord;
 
 /// The cache-participation paths a verification is labeled with, in
 /// [`PATH_COLD`]..[`PATH_SCRUB`] order.
@@ -59,9 +61,9 @@ pub const PATH_SCRUB: usize = 3;
 #[derive(Clone, Debug)]
 pub struct KernelMetrics {
     registry: Registry,
-    pub(crate) syscalls: CounterId,
-    pub(crate) kills: CounterId,
-    pub(crate) cache_outcome: [CounterId; 4],
+    syscalls: CounterId,
+    kills: CounterId,
+    cache_outcome: [CounterId; 4],
     verify_cycles: [HistogramId; 4],
     fixed_cycles: [HistogramId; 4],
     aes_blocks: [HistogramId; 4],
@@ -69,7 +71,7 @@ pub struct KernelMetrics {
     check_cycles: [HistogramId; CHECK_FAMILIES],
     check_aes: [HistogramId; CHECK_FAMILIES],
     check_bytes: [HistogramId; CHECK_FAMILIES],
-    pub(crate) ring_dropped: GaugeId,
+    ring_dropped: GaugeId,
 }
 
 impl Default for KernelMetrics {
@@ -195,8 +197,9 @@ impl KernelMetrics {
         self.registry.snapshot()
     }
 
-    pub(crate) fn inc(&mut self, id: CounterId) {
-        self.registry.inc(id, 1);
+    /// Counts one trapped system call, enforced or not.
+    pub(crate) fn count_syscall(&mut self) {
+        self.registry.inc(self.syscalls, 1);
     }
 
     /// Mirrors the attached trace ring's drop counter
@@ -208,43 +211,30 @@ impl KernelMetrics {
         self.registry.set(id, dropped as f64);
     }
 
-    /// Records one successful verification: the per-call histograms under
-    /// `path`, the per-check family histograms from the meter's records,
-    /// and (when the cache was attached) the cache-outcome counter.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn record_verified(
-        &mut self,
-        path: usize,
-        verify_cycles: u64,
-        fixed_cycles: u64,
-        outcome: &VerifyOutcome,
-        checks: &[CheckRecord],
-        cost: &CostModel,
-        charge_costs: bool,
-        cache_enabled: bool,
-    ) {
-        self.registry
-            .observe(self.verify_cycles[path], verify_cycles);
-        self.registry.observe(self.fixed_cycles[path], fixed_cycles);
-        self.registry
-            .observe(self.aes_blocks[path], outcome.aes_blocks);
-        self.registry
-            .observe(self.bytes[path], outcome.bytes_checked);
-        if cache_enabled {
+    /// Folds one enforced trap's record: a kill bumps the kill counter; a
+    /// verified call is observed in the per-call histograms under its
+    /// cache path, in the per-check family histograms, and (when the cache
+    /// is enabled) in the cache-outcome counter.
+    pub(crate) fn record(&mut self, rec: &TrapRecord) {
+        if rec.violation.is_some() {
+            self.registry.inc(self.kills, 1);
+            return;
+        }
+        let path = rec.path();
+        self.registry.observe(self.verify_cycles[path], rec.vc);
+        self.registry.observe(self.fixed_cycles[path], rec.fixed);
+        self.registry.observe(self.aes_blocks[path], rec.aes_blocks);
+        self.registry.observe(self.bytes[path], rec.bytes);
+        if rec.cache_on {
             self.registry.inc(self.cache_outcome[path], 1);
         }
-        for record in checks {
-            let family = record.kind.family();
-            let cycles = if charge_costs {
-                cost.check_cost_of(record)
-            } else {
-                0
-            };
-            self.registry.observe(self.check_cycles[family], cycles);
+        for check in &rec.checks {
+            let family = check.kind.family();
             self.registry
-                .observe(self.check_aes[family], record.aes_blocks);
+                .observe(self.check_cycles[family], rec.check_cycles(check));
             self.registry
-                .observe(self.check_bytes[family], record.bytes);
+                .observe(self.check_aes[family], check.aes_blocks);
+            self.registry.observe(self.check_bytes[family], check.bytes);
         }
     }
 }

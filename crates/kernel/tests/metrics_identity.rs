@@ -10,13 +10,16 @@
 //! * `Σ_family asc_check_cycles.sum + Σ_path asc_verify_fixed_cycles.sum
 //!   == KernelStats::verify_cycles` (the cost model is linear)
 //!
+//! They hold under every verification tier: flow-only prices the whole
+//! call in its `flow-edge` check and charges no fixed term.
+//!
 //! And attaching the registry must change *nothing* the run can observe:
 //! same cycles, same stats, same output — metrics observe costs, they do
 //! not incur them.
 
 use asc_crypto::MacKey;
 use asc_installer::{Installer, InstallerOptions};
-use asc_kernel::{Kernel, KernelOptions, KernelStats, Personality, VERIFY_PATHS};
+use asc_kernel::{Kernel, KernelOptions, KernelStats, Personality, VerifyTier, VERIFY_PATHS};
 use asc_metrics::Snapshot;
 use asc_vm::Machine;
 
@@ -49,14 +52,28 @@ struct Run {
 }
 
 fn run(auth: &asc_object::Binary, key: &MacKey, cached: bool, metrics: bool) -> Run {
+    run_tier(auth, key, VerifyTier::Mac, cached, metrics)
+}
+
+fn run_tier(
+    auth: &asc_object::Binary,
+    key: &MacKey,
+    tier: VerifyTier,
+    cached: bool,
+    metrics: bool,
+) -> Run {
+    let opts = KernelOptions::enforcing(PERSONALITY).with_tier(tier);
     let opts = if cached {
-        KernelOptions::enforcing(PERSONALITY).with_verify_cache()
+        opts.with_verify_cache()
     } else {
-        KernelOptions::enforcing(PERSONALITY)
+        opts
     };
     let mut kernel = Kernel::new(opts);
     kernel.set_key(key.clone());
     kernel.set_brk(auth.highest_addr());
+    if tier.checks_flow() {
+        kernel.set_flow_graph(asc_workloads::flow_graph_of(auth, key));
+    }
     if metrics {
         kernel.attach_metrics();
     }
@@ -146,13 +163,43 @@ fn assert_identities(run: &Run, label: &str) {
 #[test]
 fn histograms_reconstruct_kernel_stats_exactly() {
     let (auth, key) = build();
-    for cached in [false, true] {
-        let run = run(&auth, &key, cached, true);
-        assert!(run.stats.verified > 0, "guest made verified calls");
-        if cached {
-            assert!(run.stats.cache_hits > 0, "repeat calls warm the cache");
+    for tier in VerifyTier::ALL {
+        for cached in [false, true] {
+            let run = run_tier(&auth, &key, tier, cached, true);
+            let label = format!("{} {}", tier.name(), if cached { "cached" } else { "cold" });
+            assert!(run.stats.verified > 0, "{label}: guest made verified calls");
+            if cached && tier.checks_mac() {
+                assert!(
+                    run.stats.cache_hits > 0,
+                    "{label}: repeat calls warm the cache"
+                );
+            }
+            assert_identities(&run, &label);
+            let snap = run.snapshot.as_ref().expect("metrics attached");
+            let flow_checks = snap
+                .histogram("asc_check_cycles", &[("family", "flow-edge")])
+                .map_or(0, |h| h.count());
+            let expected = if tier.checks_flow() {
+                run.stats.verified
+            } else {
+                0
+            };
+            assert_eq!(
+                flow_checks, expected,
+                "{label}: one flow-edge check per call"
+            );
+            if !tier.checks_mac() {
+                assert_eq!(
+                    snap.histogram_sum_across_labels("asc_verify_fixed_cycles"),
+                    0,
+                    "{label}: flow-only charges no fixed term"
+                );
+                assert_eq!(
+                    run.stats.verify_aes_blocks, 0,
+                    "{label}: flow-only runs no AES"
+                );
+            }
         }
-        assert_identities(&run, if cached { "cached" } else { "cold" });
     }
 }
 

@@ -65,9 +65,9 @@ pub struct SchedConfig {
     /// [`ProcState::Faulted`] rather than looping forever.
     pub budget_cycles: u64,
     /// When `Some(k)`, every slice runs inside a kernel batch window of
-    /// depth `k`: enforced calls drain through the submission ring and the
-    /// pid's cache namespace is detached from the shared family for up to
-    /// `k` calls at a time (see `asc_kernel`'s batch module). Per-pid
+    /// depth `k`: the pid's cache namespace is detached from the shared
+    /// family for up to `k` enforced calls at a time (see `asc_kernel`'s
+    /// batch module). Per-pid
     /// outputs are bit-identical with batching on or off; only shared
     /// probe traffic changes.
     pub batch_depth: Option<usize>,

@@ -118,3 +118,15 @@ fn all_registered_programs_have_distinct_names() {
     names.dedup();
     assert_eq!(names.len(), before);
 }
+
+#[test]
+fn builds_are_byte_identical() {
+    // Two builds in one process must agree byte for byte, symbol table
+    // included: the assembler emits symbols in a fixed order, not in its
+    // label map's per-instance hash order.
+    let spec = program("bison").expect("registered");
+    let first = build(spec, Personality::Linux).expect("builds");
+    let second = build(spec, Personality::Linux).expect("builds");
+    assert!(!first.symbols().is_empty(), "the workload exports symbols");
+    assert_eq!(first.to_bytes(), second.to_bytes());
+}
