@@ -27,6 +27,7 @@ pub mod oflags {
 }
 
 const EBADF: u32 = (-9i32) as u32;
+const ENOMEM: u32 = (-12i32) as u32;
 const EFAULT: u32 = (-14i32) as u32;
 const EINVAL: u32 = (-22i32) as u32;
 const ENOSYS: u32 = (-38i32) as u32;
@@ -502,9 +503,14 @@ impl Kernel {
     }
 
     fn sys_mmap(&mut self, len: u32, ctx: &mut TrapContext<'_>) -> u32 {
-        let len = len.max(1).div_ceil(0x1000) * 0x1000;
+        let Some(len) = len.max(1).div_ceil(0x1000).checked_mul(0x1000) else {
+            return ENOMEM;
+        };
         let addr = self.mmap_cursor;
-        self.mmap_cursor += len;
+        let Some(cursor) = addr.checked_add(len) else {
+            return ENOMEM;
+        };
+        self.mmap_cursor = cursor;
         ctx.mem.protect(addr, len, asc_vm::PageFlags::RW);
         addr
     }

@@ -462,6 +462,64 @@ fn mmap_returns_usable_memory() {
     assert_eq!(outcome, RunOutcome::Exited(0));
 }
 
+/// `mmap(0, len)` into `rd`.
+fn mmap_into(rd: &str, len: u32) -> String {
+    format!(
+        "
+        movi r0, 90
+        movi r1, 0
+        movi r2, {len:#x}
+        movi r3, 3
+        movi r4, 2
+        syscall
+        mov {rd}, r0
+        "
+    )
+}
+
+/// Exits with 0 when r6, r7 and r8 hold `expect`, nonzero otherwise.
+fn check_r6_r7_r8(expect: [u32; 3]) -> String {
+    let [a, b, c] = expect;
+    format!(
+        "
+        xori r6, r6, {a:#x}
+        xori r7, r7, {b:#x}
+        xori r8, r8, {c:#x}
+        or r1, r6, r7
+        or r1, r1, r8
+        "
+    )
+}
+
+const ENOMEM: u32 = (-12i32) as u32;
+
+#[test]
+fn mmap_length_past_4gib_is_enomem_and_leaves_the_cursor() {
+    // A length whose page rounding passes 4 GiB.
+    let body = [
+        mmap_into("r6", 0xffff_ffff),
+        mmap_into("r7", 0x2000),
+        mmap_into("r8", 0x1000),
+        check_r6_r7_r8([ENOMEM, 0x60_0000, 0x60_2000]),
+    ];
+    let (outcome, _) = run(&exit_with(&body.concat(), ""));
+    assert_eq!(outcome, RunOutcome::Exited(0));
+}
+
+#[test]
+fn mmap_cursor_past_4gib_is_enomem_and_leaves_the_cursor() {
+    // Two 2 GiB mappings from the cursor at 0x600000: the second would
+    // carry the cursor past 4 GiB.
+    let body = [
+        mmap_into("r6", 0x7fff_f000),
+        mmap_into("r7", 0x7fff_f000),
+        mmap_into("r8", 0x1000),
+        check_r6_r7_r8([0x60_0000, ENOMEM, 0x805f_f000]),
+    ];
+    let (outcome, _) = run(&exit_with(&body.concat(), ""));
+    assert_eq!(outcome, RunOutcome::Exited(0));
+}
+
 #[test]
 fn sockets_queue_per_descriptor() {
     // Two sockets: data sent on one must not arrive on the other.

@@ -11,6 +11,12 @@
 //! [`asc_isa::base_cycles`] cost and the kernel charges trap, handler, and
 //! verification costs through [`TrapContext::charge`].
 //!
+//! Instruction fetch goes through predecoded text: [`Memory`] decodes each
+//! instruction of the binary's executable, non-writable sections once, and
+//! drops a cached decode whenever a kernel write, a protection change or a
+//! load touches it. Caching never changes what executes or what it costs on
+//! the cycle clock.
+//!
 //! Page protection is deliberately period-accurate: section permissions are
 //! honoured (no writes to `.text`), but the *stack is executable*, because
 //! the paper's threat model includes classic stack-smashing shellcode and

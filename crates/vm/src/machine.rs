@@ -1,6 +1,6 @@
 //! The CPU interpreter.
 
-use asc_isa::{base_cycles, DecodeError, Instruction, Opcode, Reg};
+use asc_isa::{base_cycles, DecodeError, Opcode, Reg};
 use asc_object::Binary;
 
 use crate::memory::{MemFault, Memory};
@@ -218,15 +218,12 @@ impl<H: SyscallHandler> Machine<H> {
     /// Executes one instruction.
     pub fn step(&mut self) -> StepOutcome {
         use Opcode::*;
-        let raw = match self.mem.fetch(self.pc) {
-            Ok(b) => b,
-            Err(f) => return StepOutcome::Done(RunOutcome::Fault(f)),
-        };
-        let instr = match Instruction::decode(raw) {
-            Ok(i) => i,
-            Err(error) => {
+        let instr = match self.mem.fetch_decoded(self.pc) {
+            Ok(Ok(i)) => i,
+            Ok(Err(error)) => {
                 return StepOutcome::Done(RunOutcome::BadInstruction { pc: self.pc, error })
             }
+            Err(f) => return StepOutcome::Done(RunOutcome::Fault(f)),
         };
         self.cycles += base_cycles(instr.op);
         self.instret += 1;
@@ -571,6 +568,30 @@ mod tests {
             m.step(),
             StepOutcome::Done(RunOutcome::BadInstruction { .. })
         ));
+    }
+
+    #[test]
+    fn hostile_layout_is_out_of_range_not_a_panic() {
+        use asc_object::{Section, SectionFlags};
+        // The SOF parser accepts a section that wraps past 4 GiB.
+        let mut b = Binary::new(0xFFFF_F000);
+        b.push_section(Section::zeroed(
+            ".text",
+            0xFFFF_F000,
+            0x2000,
+            SectionFlags::RX,
+        ));
+        let b = Binary::from_bytes(&b.to_bytes()).unwrap();
+        assert_eq!(
+            Machine::load(&b, ToyKernel::default()).err(),
+            Some(MemFault::OutOfRange { addr: u32::MAX })
+        );
+        // A stack larger than memory.
+        let b = assemble("main: halt").unwrap();
+        assert_eq!(
+            Machine::load_with(&b, ToyKernel::default(), 0x4000, 0x8000).err(),
+            Some(MemFault::OutOfRange { addr: 0x4000 })
+        );
     }
 
     #[test]

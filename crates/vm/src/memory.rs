@@ -1,5 +1,7 @@
-//! Flat byte-addressable memory with page-granular protection.
+//! Flat byte-addressable memory with page-granular protection, and the
+//! predecoded text the interpreter fetches through.
 
+use asc_isa::{DecodeError, Instruction, INSTR_LEN};
 use asc_object::{Binary, SectionFlags};
 
 /// Page size for protection granularity.
@@ -100,6 +102,17 @@ impl std::error::Error for MemFault {}
 pub struct Memory {
     bytes: Vec<u8>,
     pages: Vec<PageFlags>,
+    /// Predecoded text: slot `i` caches the decode of the instruction at
+    /// `slot_base + 8 * i`, over the span of the loaded binary's
+    /// executable, non-writable sections. A slot is `Some` only while its
+    /// 8 bytes sit on a page that is executable and not writable, and
+    /// neither those bytes nor that page's flags have changed since it was
+    /// filled. Only [`Memory::kwrite`], [`Memory::protect`] and
+    /// [`Memory::load`] can change either on such a page, and each clears
+    /// the slots it touches.
+    slots: Vec<Option<Instruction>>,
+    /// Start of the slot span; a multiple of [`INSTR_LEN`].
+    slot_base: u32,
 }
 
 impl std::fmt::Debug for Memory {
@@ -120,6 +133,8 @@ impl Memory {
         Memory {
             bytes: vec![0; pages * PAGE_SIZE as usize],
             pages: vec![PageFlags::NONE; pages],
+            slots: Vec::new(),
+            slot_base: 0,
         }
     }
 
@@ -130,32 +145,44 @@ impl Memory {
 
     /// Loads a binary's sections and maps their pages; maps a stack of
     /// `stack_size` bytes (RWX — see crate docs) at the top of memory.
+    /// Sizes the predecoded text to the span of the binary's executable,
+    /// non-writable sections, every slot empty.
     ///
     /// # Errors
     ///
     /// Returns [`MemFault::OutOfRange`] if any section or the stack does not
-    /// fit.
+    /// fit. It carries the first address past the section, saturated at
+    /// `u32::MAX`, or the top of memory for the stack.
     pub fn load(&mut self, binary: &Binary, stack_size: u32) -> Result<(), MemFault> {
+        let mut text: Option<(u32, u32)> = None;
         for section in binary.sections() {
-            let end = section.addr + section.mem_size;
-            if end > self.size() {
-                return Err(MemFault::OutOfRange { addr: end });
+            let end = u64::from(section.addr) + u64::from(section.mem_size);
+            if end > u64::from(self.size()) {
+                return Err(MemFault::OutOfRange {
+                    addr: section.addr.saturating_add(section.mem_size),
+                });
             }
             let start = section.addr as usize;
             self.bytes[start..start + section.data.len()].copy_from_slice(&section.data);
             // Zero-fill the bss tail.
-            for b in &mut self.bytes[start + section.data.len()..start + section.mem_size as usize]
-            {
+            for b in &mut self.bytes[start + section.data.len()..end as usize] {
                 *b = 0;
             }
-            self.protect(
-                section.addr,
-                section.mem_size,
-                PageFlags::from_section(section.flags),
-            );
+            let flags = PageFlags::from_section(section.flags);
+            self.protect(section.addr, section.mem_size, flags);
+            if flags.executable() && !flags.writable() {
+                let (lo, hi) = text.unwrap_or((section.addr, section.end()));
+                text = Some((lo.min(section.addr), hi.max(section.end())));
+            }
         }
-        let stack_base = self.size() - stack_size;
+        let stack_base = self
+            .size()
+            .checked_sub(stack_size)
+            .ok_or(MemFault::OutOfRange { addr: self.size() })?;
         self.protect(stack_base, stack_size, PageFlags::RWX);
+        let (lo, hi) = text.unwrap_or_default();
+        self.slot_base = lo - lo % INSTR_LEN as u32;
+        self.slots = vec![None; (hi - self.slot_base).div_ceil(INSTR_LEN as u32) as usize];
         Ok(())
     }
 
@@ -164,15 +191,35 @@ impl Memory {
         self.size() & !0xf
     }
 
-    /// Sets protection for the pages covering `[addr, addr+len)`.
+    /// Sets protection for the pages covering `[addr, addr+len)`, clamped
+    /// to the last page of memory.
     pub fn protect(&mut self, addr: u32, len: u32, flags: PageFlags) {
         if len == 0 {
             return;
         }
-        let first = (addr / PAGE_SIZE) as usize;
-        let last = ((addr + len - 1) / PAGE_SIZE) as usize;
-        for p in first..=last.min(self.pages.len() - 1) {
-            self.pages[p] = flags;
+        let page = u64::from(PAGE_SIZE);
+        let first = u64::from(addr) / page;
+        let end = ((u64::from(addr) + u64::from(len) - 1) / page + 1).min(self.pages.len() as u64);
+        if let Some(pages) = self.pages.get_mut(first as usize..end as usize) {
+            pages.fill(flags);
+            // New flags can make a page writable or non-executable, so every
+            // slot on a touched page goes, not just those in the range.
+            self.forget(first * page, end * page);
+        }
+    }
+
+    /// Clears the predecoded slots whose instruction bytes overlap
+    /// `[start, end)`.
+    fn forget(&mut self, start: u64, end: u64) {
+        let base = u64::from(self.slot_base);
+        let len = INSTR_LEN as u64;
+        let first = start.saturating_sub(base) / len;
+        let end = end
+            .saturating_sub(base)
+            .div_ceil(len)
+            .min(self.slots.len() as u64);
+        if let Some(slots) = self.slots.get_mut(first as usize..end as usize) {
+            slots.fill(None);
         }
     }
 
@@ -247,10 +294,45 @@ impl Memory {
 
     /// Instruction fetch: returns the 8 instruction bytes at `pc`.
     pub fn fetch(&self, pc: u32) -> Result<&[u8], MemFault> {
-        self.check(pc, asc_isa::INSTR_LEN as u32, PageFlags::executable, |a| {
+        self.check(pc, INSTR_LEN as u32, PageFlags::executable, |a| {
             MemFault::NoExec { addr: a }
         })?;
-        Ok(&self.bytes[pc as usize..pc as usize + asc_isa::INSTR_LEN])
+        Ok(&self.bytes[pc as usize..pc as usize + INSTR_LEN])
+    }
+
+    /// [`Memory::fetch`] followed by [`Instruction::decode`], with the same
+    /// result, answered from the predecoded slot when it is filled.
+    // `Machine::step` is generic, so it is compiled in the caller's crate;
+    // `#[inline]` lets it inline this hit path, and the miss stays a call.
+    #[inline]
+    pub(crate) fn fetch_decoded(
+        &mut self,
+        pc: u32,
+    ) -> Result<Result<Instruction, DecodeError>, MemFault> {
+        let offset = pc.wrapping_sub(self.slot_base);
+        if offset.is_multiple_of(INSTR_LEN as u32) {
+            if let Some(&Some(instr)) = self.slots.get((offset / INSTR_LEN as u32) as usize) {
+                return Ok(Ok(instr));
+            }
+        }
+        self.decode_and_fill(pc)
+    }
+
+    /// The miss path of [`Memory::fetch_decoded`]. It fills the slot only
+    /// for an aligned `pc` inside the span whose page is not writable: the
+    /// RWX stack and misaligned entry points into text are decoded on
+    /// every fetch.
+    fn decode_and_fill(&mut self, pc: u32) -> Result<Result<Instruction, DecodeError>, MemFault> {
+        let decoded = Instruction::decode(self.fetch(pc)?);
+        let offset = pc.wrapping_sub(self.slot_base);
+        if let Ok(instr) = decoded {
+            if offset.is_multiple_of(INSTR_LEN as u32) && !self.flags_at(pc).writable() {
+                if let Some(slot) = self.slots.get_mut((offset / INSTR_LEN as u32) as usize) {
+                    *slot = Some(instr);
+                }
+            }
+        }
+        Ok(decoded)
     }
 
     /// Kernel-mode read: bounds-checked but ignores page protection
@@ -276,6 +358,7 @@ impl Memory {
             MemFault::NoWrite { addr: a }
         })?;
         self.bytes[addr as usize..addr as usize + data.len()].copy_from_slice(data);
+        self.forget(u64::from(addr), u64::from(addr) + data.len() as u64);
         Ok(())
     }
 
@@ -392,6 +475,18 @@ mod tests {
         let mut m = mem_with_binary();
         m.write_u32(0x2001, 0xdead_beef).unwrap();
         assert_eq!(m.read_u32(0x2001).unwrap(), 0xdead_beef);
+    }
+
+    #[test]
+    fn protect_past_4gib_clamps_to_the_last_page() {
+        let mut m = mem_with_binary();
+        let last = m.size() - PAGE_SIZE;
+        m.protect(last, u32::MAX, PageFlags::R);
+        assert_eq!(m.flags_at(last), PageFlags::R);
+        assert_eq!(m.flags_at(last - PAGE_SIZE), PageFlags::RWX);
+        let before = m.pages.clone();
+        m.protect(u32::MAX, 2, PageFlags::R);
+        assert_eq!(m.pages, before);
     }
 
     #[test]
