@@ -4,8 +4,9 @@ use asc_core::json::Value;
 use asc_core::{pid_shard, CacheStats};
 use asc_kernel::KernelStats;
 use asc_sched::{AuditLog, Pid, Scheduler};
+use asc_workloads::{Guest, ProgramSpec};
 
-use crate::scenario::{FleetScenario, Scenario, SoloParams, SoloRun};
+use crate::scenario::{FleetScenario, Scenario, SoloRun};
 use crate::{
     event_to_value, field, fnv64_bytes, fnv64_pids, hex64, num, run_solo, str_field, u64_field,
     BUNDLE_SPAN_CAPACITY,
@@ -421,15 +422,16 @@ macro_rules! expect_eq {
     };
 }
 
-/// Replays a solo bundle against already-prepared artifacts (the fault
-/// campaign holds one build per workload and replays many kills against
-/// it). [`crate::replay`] prepares from the scenario seeds and lands
-/// here.
-pub fn replay_solo_in(bundle: &Bundle, params: &SoloParams<'_>) -> ReplayVerdict {
+/// Replays a solo bundle against an already-built guest of its workload
+/// (the fault campaign holds one guest per workload and replays many
+/// kills against it). The tier, the weakened check and the fault come
+/// from the bundle's scenario. [`crate::replay`] prepares the guest from
+/// the scenario seeds and lands here.
+pub fn replay_solo_in(bundle: &Bundle, spec: &ProgramSpec, guest: &Guest) -> ReplayVerdict {
     let Scenario::Solo(solo) = &bundle.scenario else {
         return ReplayVerdict::diverged("bundle scenario is not solo".into());
     };
-    let run = run_solo(params, solo.fault.as_ref());
+    let run = run_solo(spec, guest, solo.options(), solo.fault.as_ref());
     if !run.outcome.is_killed() {
         return ReplayVerdict::diverged(format!("replay did not kill: outcome {:?}", run.outcome));
     }

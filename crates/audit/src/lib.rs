@@ -28,7 +28,7 @@ mod scenario;
 
 pub use bundle::{replay_solo_in, Bundle, KillRecord, ReplayVerdict, BUNDLE_SCHEMA};
 pub use scenario::{
-    run_solo, AuditFault, FleetScenario, PreparedSolo, Scenario, SoloParams, SoloRun, SoloScenario,
+    run_solo, scenario_options, AuditFault, FleetScenario, Scenario, SoloRun, SoloScenario,
     BUNDLE_SPAN_CAPACITY,
 };
 
@@ -172,8 +172,8 @@ pub fn event_to_value(at: u64, event: &asc_trace::Event) -> Value {
 pub fn replay(bundle: &Bundle) -> ReplayVerdict {
     match &bundle.scenario {
         Scenario::Solo(solo) => {
-            let prepared = solo.prepare();
-            bundle::replay_solo_in(bundle, &prepared.params())
+            let (spec, guest) = solo.prepare();
+            bundle::replay_solo_in(bundle, spec, &guest)
         }
         Scenario::Fleet(fleet) => bundle::replay_fleet(bundle, fleet),
     }

@@ -9,19 +9,17 @@
 //! audit benchmark capture bundles through them, and [`crate::replay`]
 //! re-runs them, so capture and replay cannot drift apart.
 
-use asc_core::{CacheStats, FlowGraph};
+use asc_core::CacheStats;
 use asc_crypto::MacKey;
 use asc_installer::{Installer, InstallerOptions};
 use asc_kernel::FaultAction;
 use asc_kernel::{
-    Alert, FileSystem, Kernel, KernelOptions, KernelStats, Personality, TraceEntry, TrapFault,
-    VerifyTier,
+    Alert, KernelOptions, KernelStats, Personality, TraceEntry, TrapFault, VerifyTier,
 };
-use asc_object::Binary;
 use asc_sched::{Pid, RecorderConfig, SchedConfig, SchedPolicy, Scheduler};
 use asc_trace::{Event, RingSink};
-use asc_vm::{Machine, RunOutcome, StepOutcome};
-use asc_workloads::{build, flow_graph_of, program, ProgramSpec, RUN_BUDGET};
+use asc_vm::{RunOutcome, StepOutcome};
+use asc_workloads::{build, program, Guest, ProgramSpec, RUN_BUDGET};
 
 use asc_core::json::Value;
 
@@ -250,6 +248,12 @@ impl SoloScenario {
         })
     }
 
+    /// The kernel options of the run: [`scenario_options`] for this
+    /// scenario's personality, tier and weakened check.
+    pub fn options(&self) -> KernelOptions {
+        scenario_options(self.personality, self.tier, self.weakened)
+    }
+
     /// Builds and installs the workload, reproducing the artifacts the
     /// scenario originally ran (same key seed, program id, personality ⇒
     /// same authenticated binary, bit for bit).
@@ -258,7 +262,7 @@ impl SoloScenario {
     ///
     /// Panics on harness preconditions: unknown workload, build or
     /// install failure.
-    pub fn prepare(&self) -> PreparedSolo {
+    pub fn prepare(&self) -> (&'static ProgramSpec, Guest) {
         let spec =
             program(&self.workload).unwrap_or_else(|| panic!("unknown workload {}", self.workload));
         let plain =
@@ -271,72 +275,34 @@ impl SoloScenario {
         let (auth, _) = installer
             .install(&plain, spec.name)
             .unwrap_or_else(|e| panic!("{}: {e}", self.workload));
-        let flow = self.tier.checks_flow().then(|| flow_graph_of(&auth, &key));
-        PreparedSolo {
-            scenario: self.clone(),
-            spec,
-            auth,
-            key,
-            flow,
-        }
+        (spec, Guest::installed(auth, &key))
     }
 
     /// Prepares and runs the scenario once (replay path; harnesses that
-    /// run many faults against one binary use [`SoloScenario::prepare`] +
-    /// [`PreparedSolo::run`]).
+    /// run many faults against one binary hold its [`Guest`] and call
+    /// [`run_solo`]).
     pub fn run(&self) -> SoloRun {
-        self.prepare().run(self.fault.as_ref())
+        let (spec, guest) = self.prepare();
+        run_solo(spec, &guest, self.options(), self.fault.as_ref())
     }
 }
 
-/// A built-and-installed solo scenario, ready to run faults against.
-pub struct PreparedSolo {
-    scenario: SoloScenario,
-    spec: &'static ProgramSpec,
-    auth: Binary,
-    key: MacKey,
-    flow: Option<FlowGraph>,
-}
-
-impl PreparedSolo {
-    /// Borrowed runner parameters for [`run_solo`].
-    pub fn params(&self) -> SoloParams<'_> {
-        SoloParams {
-            spec: self.spec,
-            auth: &self.auth,
-            personality: self.scenario.personality,
-            tier: self.scenario.tier,
-            weakened: self.scenario.weakened,
-            key: &self.key,
-            flow: self.flow.as_ref(),
-        }
+/// The kernel options of every scenario run, captured or replayed:
+/// enforcing under `tier` with the verified-call cache, and the
+/// (test-only) weakened string check when `weakened`.
+pub fn scenario_options(
+    personality: Personality,
+    tier: VerifyTier,
+    weakened: bool,
+) -> KernelOptions {
+    let opts = KernelOptions::enforcing(personality)
+        .with_verify_cache()
+        .with_tier(tier);
+    if weakened {
+        opts.with_weakened_string_check()
+    } else {
+        opts
     }
-
-    /// Runs the prepared scenario with `fault` armed.
-    pub fn run(&self, fault: Option<&AuditFault>) -> SoloRun {
-        run_solo(&self.params(), fault)
-    }
-}
-
-/// Borrowed inputs to [`run_solo`]: a built workload plus kernel options.
-/// Harnesses that already hold the artifacts (the fault campaign builds
-/// and installs once per workload) construct this directly; replay goes
-/// through [`SoloScenario::prepare`].
-pub struct SoloParams<'a> {
-    /// The workload spec (filesystem setup, stdin).
-    pub spec: &'a ProgramSpec,
-    /// The installed (authenticated) binary.
-    pub auth: &'a Binary,
-    /// OS personality.
-    pub personality: Personality,
-    /// Verification tier.
-    pub tier: VerifyTier,
-    /// Weakened string check (test-only).
-    pub weakened: bool,
-    /// Installation key.
-    pub key: &'a MacKey,
-    /// The binary's flow digraph (required by flow tiers).
-    pub flow: Option<&'a FlowGraph>,
 }
 
 /// Everything observable about one solo run, as captured for bundles and
@@ -372,32 +338,23 @@ pub struct SoloRun {
     pub ring_dropped: u64,
 }
 
-/// The canonical solo runner: an enforcing cache-enabled kernel with a
-/// bounded span ring attached, an optional armed fault, and full
-/// observable capture. Bundle capture (`asc-faults`) and [`crate::replay`]
-/// both run through here, so they cannot diverge.
-pub fn run_solo(params: &SoloParams<'_>, fault: Option<&AuditFault>) -> SoloRun {
-    let mut fs = FileSystem::new();
-    (params.spec.setup_fs)(&mut fs);
-    let mut opts = KernelOptions::enforcing(params.personality)
-        .with_verify_cache()
-        .with_tier(params.tier);
-    if params.weakened {
-        opts = opts.with_weakened_string_check();
-    }
-    let mut kernel = Kernel::with_fs(opts, fs);
-    if params.tier.checks_flow() {
-        let flow = params.flow.expect("flow tiers need the binary's digraph");
-        kernel.set_flow_graph(flow.clone());
-    }
-    if let Some(sites) = asc_workloads::site_registry_for(params.auth, params.key) {
-        kernel.set_site_registry(sites);
-    }
-    kernel.set_stdin(params.spec.stdin.to_vec());
-    kernel.set_key(params.key.clone());
-    kernel.set_brk(params.auth.highest_addr());
-    kernel.set_trace_sink(Box::new(RingSink::new(BUNDLE_SPAN_CAPACITY)));
-    let mut machine = Machine::load(params.auth, kernel).expect("workload fits in memory");
+/// The canonical solo runner: `guest` booted for `spec` under `opts` (in
+/// practice [`scenario_options`]) with a bounded span ring attached, an
+/// optional armed fault, and full observable capture. Bundle capture
+/// (`asc-faults`) and [`crate::replay`] both run through here, so they
+/// cannot diverge.
+pub fn run_solo(
+    spec: &ProgramSpec,
+    guest: &Guest,
+    opts: KernelOptions,
+    fault: Option<&AuditFault>,
+) -> SoloRun {
+    let mut machine = guest
+        .boot(opts, spec.fs(), spec.stdin)
+        .expect("workload fits in memory");
+    machine
+        .handler_mut()
+        .set_trace_sink(Box::new(RingSink::new(BUNDLE_SPAN_CAPACITY)));
     let mut mem_fault = None;
     match fault {
         Some(AuditFault::Trap(tf)) => machine.handler_mut().arm_fault(*tf),
@@ -565,8 +522,8 @@ impl FleetScenario {
     /// Panics on harness preconditions: unknown workload, build/install
     /// failure, fault pid out of range.
     pub fn build(&self) -> Scheduler {
-        let key = MacKey::from_seed(self.key_seed).shared_schedule();
-        let mut built: Vec<(String, &'static ProgramSpec, Binary, Option<FlowGraph>)> = Vec::new();
+        let key = MacKey::from_seed(self.key_seed);
+        let mut built: Vec<(&str, &'static ProgramSpec, Guest)> = Vec::new();
         for name in &self.procs {
             if built.iter().any(|(n, ..)| n == name) {
                 continue;
@@ -581,8 +538,7 @@ impl FleetScenario {
             let (auth, _) = installer
                 .install(&plain, spec.name)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
-            let flow = self.tier.checks_flow().then(|| flow_graph_of(&auth, &key));
-            built.push((name.clone(), spec, auth, flow));
+            built.push((name, spec, Guest::installed(auth, &key)));
         }
         let mut sched = Scheduler::with_shared_cache(SchedConfig {
             policy: SchedPolicy::SeededRandom(self.sched_seed),
@@ -590,27 +546,12 @@ impl FleetScenario {
             budget_cycles: self.budget_cycles,
             batch_depth: self.batch_depth,
         });
+        let opts = scenario_options(self.personality, self.tier, false);
         for name in &self.procs {
-            let (_, spec, auth, flow) =
-                built.iter().find(|(n, ..)| n == name).expect("built above");
-            let mut fs = FileSystem::new();
-            (spec.setup_fs)(&mut fs);
-            let mut kernel = Kernel::with_fs(
-                KernelOptions::enforcing(self.personality)
-                    .with_verify_cache()
-                    .with_tier(self.tier),
-                fs,
-            );
-            if self.tier.checks_flow() {
-                kernel.set_flow_graph(flow.clone().expect("flow built for flow tiers"));
-            }
-            if let Some(sites) = asc_workloads::site_registry_for(auth, &key) {
-                kernel.set_site_registry(sites);
-            }
-            kernel.set_stdin(spec.stdin.to_vec());
-            kernel.set_key(key.clone());
-            kernel.set_brk(auth.highest_addr());
-            let machine = Machine::load(auth, kernel).expect("workload fits in memory");
+            let (_, spec, guest) = built.iter().find(|(n, ..)| n == name).expect("built above");
+            let machine = guest
+                .boot(opts.clone(), spec.fs(), spec.stdin)
+                .expect("workload fits in memory");
             sched.spawn(name, machine);
         }
         if let Some((pid, tf)) = &self.fault {

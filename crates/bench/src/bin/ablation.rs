@@ -7,32 +7,34 @@
 //! claim: ASC's total overhead is below both alternatives even though it
 //! checks *every* call.
 
-use asc_bench::{bench_key, build_and_install};
-use asc_kernel::Personality;
+use asc_bench::build_and_install;
+use asc_kernel::{Kernel, KernelOptions, Personality};
 use asc_monitors::{train, InKernelMonitor, MonitoredKernel, UserSpaceMonitor};
 use asc_vm::Machine;
-use asc_workloads::{kernel_for, measure, measure_cached, program};
+use asc_workloads::{program, Guest};
 
 const PERSONALITY: Personality = Personality::Linux;
 
 fn run_monitored(
     name: &str,
-    make: fn(asc_kernel::Kernel, asc_monitors::SystracePolicy) -> MonitoredKernel,
+    plain: &Guest,
+    make: fn(Kernel, asc_monitors::SystracePolicy) -> MonitoredKernel,
 ) -> u64 {
     let spec = program(name).expect("name appears in the asc_workloads program registry");
-    let binary = asc_workloads::build(spec, PERSONALITY)
-        .expect("registered workload source compiles and links");
     // Train the monitor on one observation run.
-    let (outcome, kernel) = asc_workloads::run_plain(spec, &binary, PERSONALITY);
-    assert!(outcome.is_success());
-    let policy = train(name, [asc_monitors::trace_names(&kernel)]);
-    // Enforced run under the wrapped kernel.
-    let mut inner = kernel_for(spec, PERSONALITY, false);
+    let training = plain.run(spec, KernelOptions::plain(PERSONALITY));
+    assert!(training.outcome.is_success());
+    let policy = train(name, [asc_monitors::trace_names(&training.kernel)]);
+    // Enforced run under the wrapped kernel: a plain kernel inside
+    // another handler, so it cannot come from `Guest::boot`.
+    let binary = plain.binary();
+    let mut inner = Kernel::with_fs(KernelOptions::plain(PERSONALITY), spec.fs());
+    inner.set_stdin(spec.stdin);
     inner.set_brk(binary.highest_addr());
     let mut handler = make(inner, policy);
     handler.set_personality(PERSONALITY);
     let mut machine =
-        Machine::load(&binary, handler).expect("authenticated binary fits in guest memory");
+        Machine::load(binary, handler).expect("authenticated binary fits in guest memory");
     let outcome = machine.run(asc_workloads::RUN_BUDGET);
     assert!(
         outcome.is_success(),
@@ -52,19 +54,20 @@ fn main() {
     );
     for (i, name) in ["gzip", "pyramid", "vortex"].iter().enumerate() {
         let spec = program(name).expect("name appears in the asc_workloads program registry");
-        let (plain, auth, _) = build_and_install(spec, PERSONALITY, 300 + i as u16);
-        let base = measure(spec, &plain, PERSONALITY, None);
+        let (plain, auth) = build_and_install(spec, PERSONALITY, 300 + i as u16);
+        let base = plain.run(spec, KernelOptions::plain(PERSONALITY));
         assert!(base.outcome.is_success());
-        let asc = measure(spec, &auth, PERSONALITY, Some(bench_key()));
+        let cold = KernelOptions::enforcing(PERSONALITY);
+        let asc = auth.run(spec, cold.clone());
         assert!(asc.outcome.is_success());
-        let warm = measure_cached(spec, &auth, PERSONALITY, bench_key());
+        let warm = auth.run(spec, cold.with_verify_cache());
         assert!(warm.outcome.is_success());
         assert!(
             warm.cycles <= asc.cycles,
             "warm run must not cost more than cold"
         );
-        let in_kernel = run_monitored(name, InKernelMonitor::new);
-        let user_space = run_monitored(name, UserSpaceMonitor::new);
+        let in_kernel = run_monitored(name, &plain, InKernelMonitor::new);
+        let user_space = run_monitored(name, &plain, UserSpaceMonitor::new);
         let pct = |c: u64| (c as f64 - base.cycles as f64) / base.cycles as f64 * 100.0;
         println!(
             "{:<10} {:>12} {:>11.2} {:>11.2} {:>11.2} {:>11.2}",

@@ -7,87 +7,28 @@
 //! The paper reports ≈12,000 system calls per iteration and a 0.96%
 //! execution-time increase (259.66s → 262.14s).
 
-use std::collections::HashMap;
-
-use asc_bench::{bench_key, sim_seconds};
-use asc_installer::{Installer, InstallerOptions};
-use asc_kernel::{FileSystem, Kernel, KernelOptions, Personality};
-use asc_object::Binary;
-use asc_vm::Machine;
-use asc_workloads::tools::{iteration_plan, setup_corpus, tool_source, TOOLS};
+use asc_bench::perf::{andrew_iteration, andrew_tools};
+use asc_bench::sim_seconds;
+use asc_kernel::{FileSystem, KernelOptions, Personality};
+use asc_workloads::tools::setup_corpus;
 
 const PERSONALITY: Personality = Personality::Linux;
 
-fn build_tools(authenticated: bool) -> HashMap<&'static str, Binary> {
-    TOOLS
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            let src = tool_source(t.name).expect("tool name appears in the Andrew tool registry");
-            let plain = asc_workloads::build_source(&src, PERSONALITY)
-                .expect("registered tool source compiles and links");
-            let binary = if authenticated {
-                let installer = Installer::new(
-                    bench_key(),
-                    InstallerOptions::new(PERSONALITY).with_program_id(200 + i as u16),
-                );
-                installer
-                    .install(&plain, t.name)
-                    .expect("installer authenticates the plain tool binary")
-                    .0
-            } else {
-                plain
-            };
-            (t.name, binary)
-        })
-        .collect()
-}
-
-/// Runs one full iteration over `fs`; returns (cycles, syscalls, fs).
-fn run_iteration(
-    tools: &HashMap<&'static str, Binary>,
-    mut fs: FileSystem,
-    authenticated: bool,
-) -> (u64, u64, FileSystem) {
-    let mut cycles = 0u64;
-    let mut syscalls = 0u64;
-    for step in iteration_plan() {
-        let binary = &tools[step.tool];
-        let opts = if authenticated {
-            KernelOptions::enforcing(PERSONALITY)
-        } else {
-            KernelOptions::plain(PERSONALITY)
-        };
-        let mut kernel = Kernel::with_fs(opts, fs);
-        if authenticated {
-            kernel.set_key(bench_key());
-        }
-        kernel.set_stdin(step.stdin.clone().into_bytes());
-        kernel.set_brk(binary.highest_addr());
-        let mut machine = Machine::load(binary, kernel).expect("tool binary fits in guest memory");
-        let outcome = machine.run(10_000_000_000);
-        assert!(
-            outcome.is_success(),
-            "step `{}` failed: {outcome:?} (alerts: {:?}, stderr: {:?})",
-            step.tool,
-            machine.handler().alerts(),
-            String::from_utf8_lossy(machine.handler().stderr()),
-        );
-        cycles += machine.cycles();
-        syscalls += machine.handler().stats().syscalls;
-        fs = machine.into_handler().into_fs();
-    }
-    (cycles, syscalls, fs)
-}
-
+/// Runs `iterations` iterations over one shared filesystem; returns
+/// (cycles, syscalls).
 fn measure(iterations: u32, authenticated: bool) -> (u64, u64) {
-    let tools = build_tools(authenticated);
+    let tools = andrew_tools(authenticated);
+    let opts = if authenticated {
+        KernelOptions::enforcing(PERSONALITY)
+    } else {
+        KernelOptions::plain(PERSONALITY)
+    };
     let mut fs = FileSystem::new();
     setup_corpus(&mut fs);
     let mut total_cycles = 0;
     let mut total_syscalls = 0;
     for _ in 0..iterations {
-        let (c, s, next_fs) = run_iteration(&tools, fs, authenticated);
+        let (c, s, _, next_fs) = andrew_iteration(&tools, fs, &opts);
         total_cycles += c;
         total_syscalls += s;
         fs = next_fs;

@@ -25,10 +25,10 @@
 
 use asc_bench::bench_key;
 use asc_installer::{Installer, InstallerOptions};
-use asc_kernel::{Kernel, KernelOptions, Personality, VerifyTier};
-use asc_object::Binary;
-use asc_vm::{Machine, RunOutcome};
+use asc_kernel::{FileSystem, KernelOptions, Personality, VerifyTier};
+use asc_vm::RunOutcome;
 use asc_workloads::hostile::{build_hostile, HOSTILE};
+use asc_workloads::Guest;
 
 const PERSONALITY: Personality = Personality::Linux;
 
@@ -51,7 +51,7 @@ fn main() {
         "pred-s",
         "over"
     );
-    let mut guests: Vec<(&str, Binary)> = Vec::new();
+    let mut guests: Vec<(&str, Guest)> = Vec::new();
     for (i, spec) in HOSTILE.iter().enumerate() {
         let plain = build_hostile(spec).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
         let installer = Installer::new(
@@ -77,7 +77,7 @@ fn main() {
             p.pred_sites,
             p.pred_over_approx(),
         );
-        guests.push((spec.name, auth));
+        guests.push((spec.name, Guest::installed(auth, &bench_key())));
     }
 
     println!();
@@ -123,16 +123,11 @@ fn main() {
 
 /// Runs one installed guest under `tier` with its `.ascsites` registry
 /// loaded and renders how the run ended.
-fn verdict(auth: &Binary, tier: VerifyTier) -> String {
-    let key = bench_key();
-    let mut kernel = Kernel::new(KernelOptions::enforcing(PERSONALITY).with_tier(tier));
-    kernel.set_key(key.clone());
-    if tier.checks_flow() {
-        kernel.set_flow_graph(asc_workloads::flow_graph_of(auth, &key));
-    }
-    kernel.set_site_registry(asc_workloads::sites_of(auth, &key));
-    kernel.set_brk(auth.highest_addr());
-    let mut m = Machine::load(auth, kernel).expect("guest fits");
+fn verdict(guest: &Guest, tier: VerifyTier) -> String {
+    let opts = KernelOptions::enforcing(PERSONALITY).with_tier(tier);
+    let mut m = guest
+        .boot(opts, FileSystem::new(), &[])
+        .expect("guest fits");
     let outcome = m.run(100_000_000);
     let kernel = m.into_handler();
     match &outcome {

@@ -5,9 +5,9 @@
 
 use asc_bench::bench_key;
 use asc_installer::{Installer, InstallerOptions};
-use asc_kernel::Personality;
+use asc_kernel::{KernelOptions, Personality};
 use asc_monitors::{trace_names, train};
-use asc_workloads::{build, program, run_plain};
+use asc_workloads::{build, program, Guest};
 
 const PROGRAMS: &[(&str, (usize, usize, usize))] = &[
     // (name, (paper ASC Linux, paper ASC OpenBSD, paper Systrace OpenBSD))
@@ -32,12 +32,13 @@ fn systrace_policy_count(name: &str, personality: Personality) -> usize {
     // Training: observe the canonical run (the published policies came
     // from repeated ordinary runs; our workloads are deterministic, so one
     // run sees everything training would).
-    let (outcome, kernel) = run_plain(spec, &binary, personality);
+    let run = Guest::plain(binary).run(spec, KernelOptions::plain(personality));
     assert!(
-        outcome.is_success(),
-        "{name} training run failed: {outcome:?}"
+        run.outcome.is_success(),
+        "{name} training run failed: {:?}",
+        run.outcome
     );
-    let policy = train(name, [trace_names(&kernel)]);
+    let policy = train(name, [trace_names(&run.kernel)]);
     policy.entry_count()
 }
 

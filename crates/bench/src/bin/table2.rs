@@ -6,9 +6,9 @@ use std::collections::BTreeSet;
 
 use asc_bench::bench_key;
 use asc_installer::{Installer, InstallerOptions};
-use asc_kernel::Personality;
+use asc_kernel::{KernelOptions, Personality};
 use asc_monitors::{trace_names, train};
-use asc_workloads::{build, program, run_plain};
+use asc_workloads::{build, program, Guest};
 
 /// The paper's Table 2 rows, for the comparison column.
 fn paper_row(name: &str) -> Option<(&'static str, &'static str)> {
@@ -56,9 +56,13 @@ fn main() {
         .collect();
 
     // Systrace policy via training.
-    let (outcome, kernel) = run_plain(spec, &binary, personality);
-    assert!(outcome.is_success(), "training run failed: {outcome:?}");
-    let systrace = train("bison", [trace_names(&kernel)]);
+    let run = Guest::plain(binary).run(spec, KernelOptions::plain(personality));
+    assert!(
+        run.outcome.is_success(),
+        "training run failed: {:?}",
+        run.outcome
+    );
+    let systrace = train("bison", [trace_names(&run.kernel)]);
     let systrace_permitted = systrace.permitted();
 
     println!("Table 2: Comparison of policies for bison (OpenBSD)");

@@ -10,8 +10,8 @@
 
 use asc_bench::bench_key;
 use asc_installer::{Installer, InstallerOptions};
-use asc_kernel::{FileSystem, Kernel, KernelOptions, Personality};
-use asc_vm::Machine;
+use asc_kernel::{FileSystem, KernelOptions, Personality};
+use asc_workloads::Guest;
 
 const N: u32 = 1000;
 
@@ -156,7 +156,7 @@ fn fixture_fs() -> FileSystem {
 /// `cache` additionally enables the verified-call cache (warm fast path).
 fn run_measured(src: &str, authenticated: bool, cache: bool) -> (u64, asc_kernel::KernelStats) {
     let binary = asc_asm::assemble(src).expect("micro-benchmark source assembles");
-    let (binary, enforce) = if authenticated {
+    let (guest, opts) = if authenticated {
         let installer = Installer::new(
             bench_key(),
             // Per the paper: microbenchmarks measure authenticated calls
@@ -166,27 +166,20 @@ fn run_measured(src: &str, authenticated: bool, cache: bool) -> (u64, asc_kernel
         let (auth, _) = installer
             .install(&binary, "micro")
             .expect("installer authenticates the plain binary");
-        (auth, true)
+        let opts = KernelOptions {
+            verify_cache: cache,
+            ..KernelOptions::enforcing(Personality::Linux)
+        };
+        (Guest::installed(auth, &bench_key()), opts)
     } else {
-        (binary, false)
+        (
+            Guest::plain(binary),
+            KernelOptions::plain(Personality::Linux),
+        )
     };
-    let opts = if enforce {
-        let opts = KernelOptions::enforcing(Personality::Linux);
-        if cache {
-            opts.with_verify_cache()
-        } else {
-            opts
-        }
-    } else {
-        KernelOptions::plain(Personality::Linux)
-    };
-    let mut kernel = Kernel::with_fs(opts, fixture_fs());
-    if enforce {
-        kernel.set_key(bench_key());
-    }
-    kernel.set_brk(binary.highest_addr());
-    let mut machine =
-        Machine::load(&binary, kernel).expect("authenticated binary fits in guest memory");
+    let mut machine = guest
+        .boot(opts, fixture_fs(), &[])
+        .expect("authenticated binary fits in guest memory");
     let outcome = machine.run(10_000_000_000);
     assert!(
         outcome.is_success(),

@@ -14,10 +14,10 @@
 //! Deterministic end to end — `cargo test` diffs the output against
 //! `crates/bench/golden/tiers.txt` (`golden_tables.rs`).
 
-use asc_bench::{bench_key, build_and_install};
+use asc_bench::build_and_install;
 use asc_faults::{run_tier_matrix, TierMatrixConfig};
-use asc_kernel::{Personality, VerifyTier};
-use asc_workloads::{measure, measure_tier, program};
+use asc_kernel::{KernelOptions, Personality, VerifyTier};
+use asc_workloads::program;
 
 const PERSONALITY: Personality = Personality::Linux;
 
@@ -35,15 +35,15 @@ fn main() {
     );
     for (i, name) in ["bison", "calc", "tar"].iter().enumerate() {
         let spec = program(name).expect("name appears in the asc_workloads program registry");
-        let (plain, auth, _) = build_and_install(spec, PERSONALITY, 0x0F60 + i as u16);
-        let base = measure(spec, &plain, PERSONALITY, None);
+        let (plain, auth) = build_and_install(spec, PERSONALITY, 0x0F60 + i as u16);
+        let base = plain.run(spec, KernelOptions::plain(PERSONALITY));
         assert!(base.outcome.is_success());
         println!(
             "{:<10} {:<10} {:>12} {:>8} {:>12} {:>11}",
             name, "none", base.cycles, "-", "-", "-"
         );
         for tier in VerifyTier::ALL {
-            let run = measure_tier(spec, &auth, PERSONALITY, bench_key(), tier);
+            let run = auth.run(spec, KernelOptions::enforcing(PERSONALITY).with_tier(tier));
             assert!(
                 run.outcome.is_success(),
                 "{name} under {} failed: {:?} (alerts: {:?})",

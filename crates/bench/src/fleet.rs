@@ -32,17 +32,12 @@ use std::collections::BTreeMap;
 
 use asc_core::json::Value;
 use asc_core::pid_shard;
-use asc_crypto::MacKey;
-use asc_kernel::{
-    BatchStats, FileSystem, Kernel, KernelMetrics, KernelOptions, KernelStats, Personality,
-};
+use asc_kernel::{BatchStats, KernelMetrics, KernelStats};
 use asc_metrics::{Histogram, MetricValue, Snapshot};
-use asc_object::Binary;
 use asc_sched::{Pid, ProcState, SchedConfig, SchedPolicy, Scheduler};
-use asc_vm::Machine;
-use asc_workloads::ProgramSpec;
+use asc_workloads::{Guest, ProgramSpec};
 
-use crate::server::{fnv64, server_binaries, server_specs, ServerMode, DEFAULT_SEED};
+use crate::server::{fnv64, server_guests, server_specs, ServerMode, DEFAULT_SEED};
 use crate::{bench_key, sim_seconds};
 
 /// Shard count the fleet's cache family and metric labels use (the
@@ -132,7 +127,7 @@ pub struct FleetRun {
     /// (0 in base mode, which installs no key).
     pub aes_block_ops: u64,
     /// Subkey-derivation block operations avoided by handing kernels
-    /// [`MacKey::shared_schedule`] handles instead of fresh keys: one per
+    /// [`asc_crypto::MacKey::shared_schedule`] handles instead of fresh keys: one per
     /// spawn beyond the first.
     pub key_setups_saved: u64,
     /// Per-shard metrics snapshots merged into one (every entry carries a
@@ -187,32 +182,20 @@ fn workload_index(pid: Pid, specs: &[&ProgramSpec]) -> usize {
 fn spawn_fleet_proc(
     sched: &mut Scheduler,
     specs: &[&ProgramSpec],
-    binaries: &[Binary],
+    guests: &[Guest],
     mode: ServerMode,
-    fleet_key: &MacKey,
 ) -> Pid {
     // Pids are assigned in spawn order; predict the next one to pick the
     // workload before the kernel exists.
     let pid = (sched.processes().len() + 1) as Pid;
     let i = workload_index(pid, specs);
     let spec = specs[i];
-    let mut fs = FileSystem::new();
-    (spec.setup_fs)(&mut fs);
-    let opts = match mode {
-        ServerMode::Base => KernelOptions::plain(Personality::Linux),
-        ServerMode::Cold => KernelOptions::enforcing(Personality::Linux),
-        ServerMode::Warm => KernelOptions::enforcing(Personality::Linux).with_verify_cache(),
-    };
-    let mut kernel = Kernel::with_fs(opts, fs);
-    if mode != ServerMode::Base {
-        // A handle to the fleet's one expanded schedule: no per-spawn
-        // subkey derivation, and every kernel meters into one counter.
-        kernel.set_key(fleet_key.shared_schedule());
-    }
-    kernel.set_stdin(spec.stdin.to_vec());
-    kernel.set_brk(binaries[i].highest_addr());
-    let machine =
-        Machine::load(&binaries[i], kernel).expect("workload binary fits in guest memory");
+    // An installed guest hands each kernel a handle to the fleet's one
+    // expanded schedule: no per-spawn subkey derivation, and every kernel
+    // meters into one counter.
+    let machine = guests[i]
+        .boot(mode.options(), spec.fs(), spec.stdin)
+        .expect("workload binary fits in guest memory");
     let spawned = sched.spawn(spec.name, machine);
     debug_assert_eq!(spawned, pid);
     sched
@@ -244,8 +227,10 @@ fn shard_verify_histogram(snap: &Snapshot, shard: usize) -> Histogram {
 pub fn run_fleet(config: &FleetConfig, mode: ServerMode) -> FleetRun {
     assert!(config.procs >= 1, "at least one process");
     let specs = server_specs();
-    let binaries = server_binaries(&specs, mode);
     let fleet_key = bench_key();
+    // The guests parse their artifacts on the fleet's meter, so they are
+    // built before it is read at rest.
+    let guests = server_guests(&specs, mode, &fleet_key);
     let key_ops_at_rest = fleet_key.block_ops();
 
     let sched_config = SchedConfig {
@@ -261,7 +246,7 @@ pub fn run_fleet(config: &FleetConfig, mode: ServerMode) -> FleetRun {
     };
 
     for _ in 0..config.procs {
-        spawn_fleet_proc(&mut sched, &specs, &binaries, mode, &fleet_key);
+        spawn_fleet_proc(&mut sched, &specs, &guests, mode);
     }
 
     // Churn driver: every observed exit spawns one replacement until the
@@ -269,7 +254,7 @@ pub fn run_fleet(config: &FleetConfig, mode: ServerMode) -> FleetRun {
     let mut churn_left = config.churn_spawns;
     while let Some(pid) = sched.step() {
         if churn_left > 0 && !sched.process(pid).state().is_runnable() {
-            spawn_fleet_proc(&mut sched, &specs, &binaries, mode, &fleet_key);
+            spawn_fleet_proc(&mut sched, &specs, &guests, mode);
             churn_left -= 1;
         }
     }

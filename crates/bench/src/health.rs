@@ -22,14 +22,12 @@
 
 use asc_core::json::Value;
 use asc_faults::{run_latency_campaign, LatencyConfig, LatencyReport};
-use asc_installer::{Installer, InstallerOptions};
-use asc_kernel::{FileSystem, Kernel, KernelMetrics, KernelOptions, Personality, VerifyTier};
+use asc_kernel::{KernelMetrics, KernelOptions, Personality, VerifyTier};
 use asc_sched::{SchedConfig, SchedPolicy, Scheduler};
 use asc_sentinel::{HealthReport, Sentinel, SentinelConfig, Series, WindowSample};
-use asc_vm::Machine;
-use asc_workloads::{build, flow_graph_of, program, RUN_BUDGET};
+use asc_workloads::{program, RUN_BUDGET};
 
-use crate::bench_key;
+use crate::build_and_install;
 
 /// Workloads the monitored dashboard fleet runs (two kernels each).
 const HEALTH_WORKLOADS: [&str; 3] = ["bison", "calc", "tar"];
@@ -96,25 +94,16 @@ fn spawn_monitored_fleet(config: &HealthConfig) -> Scheduler {
     for copy in 0..2u16 {
         for (i, name) in HEALTH_WORKLOADS.iter().enumerate() {
             let spec = program(name).expect("health workload is registered");
-            let plain = build(spec, personality).expect("health workload builds");
-            let installer = Installer::new(
-                bench_key(),
-                InstallerOptions::new(personality).with_program_id(0x4EA0 + copy * 0x10 + i as u16),
-            );
-            let (auth, _) = installer.install(&plain, spec.name).expect("installs");
-            let mut fs = FileSystem::new();
-            (spec.setup_fs)(&mut fs);
+            let (_, auth) = build_and_install(spec, personality, 0x4EA0 + copy * 0x10 + i as u16);
             let opts = KernelOptions::enforcing(personality)
                 .with_verify_cache()
                 .with_tier(VerifyTier::MacPlusFlow);
-            let mut kernel = Kernel::with_fs(opts, fs);
-            kernel.set_key(bench_key());
-            kernel.set_flow_graph(flow_graph_of(&auth, &bench_key()));
-            kernel.set_stdin(spec.stdin.to_vec());
-            kernel.set_brk(auth.highest_addr());
-            kernel.set_metrics(Box::new(KernelMetrics::new()));
-            let machine =
-                Machine::load(&auth, kernel).expect("workload binary fits in guest memory");
+            let mut machine = auth
+                .boot(opts, spec.fs(), spec.stdin)
+                .expect("workload binary fits in guest memory");
+            machine
+                .handler_mut()
+                .set_metrics(Box::new(KernelMetrics::new()));
             sched.spawn(spec.name, machine);
         }
     }

@@ -7,17 +7,14 @@ pub mod health;
 pub mod perf;
 pub mod server;
 
-use std::collections::HashMap;
-
 use asc_core::json::Value;
 use asc_crypto::MacKey;
-use asc_installer::{InstallReport, Installer, InstallerOptions};
-use asc_kernel::{FileSystem, Kernel, KernelOptions, KernelStats, Personality};
+use asc_installer::{Installer, InstallerOptions};
+use asc_kernel::{FileSystem, KernelOptions, KernelStats, Personality};
 use asc_object::Binary;
 use asc_trace::{CheckKind, Profile, ProfileTotals, SiteProfile, CHECK_FAMILIES};
-use asc_vm::Machine;
-use asc_workloads::tools::{iteration_plan, setup_corpus, tool_source, TOOLS};
-use asc_workloads::{measure, program, ProgramSpec, RunReport};
+use asc_workloads::tools::{iteration_plan, setup_corpus};
+use asc_workloads::{program, Guest, ProgramSpec, RunReport};
 
 /// The fixed experiment key (the security administrator's secret).
 pub fn bench_key() -> MacKey {
@@ -28,22 +25,33 @@ pub fn bench_key() -> MacKey {
 /// keeps the magnitudes readable; only ratios matter).
 pub const CLOCK_HZ: f64 = 100_000_000.0;
 
-/// Builds and installs one registered program, returning both binaries.
+/// Installs `plain` under [`bench_key`] with the given program id.
+pub(crate) fn install(
+    plain: &Binary,
+    name: &str,
+    personality: Personality,
+    program_id: u16,
+) -> Binary {
+    Installer::new(
+        bench_key(),
+        InstallerOptions::new(personality).with_program_id(program_id),
+    )
+    .install(plain, name)
+    .unwrap_or_else(|e| panic!("{name}: {e}"))
+    .0
+}
+
+/// Builds and installs one registered program, returning the plain and
+/// the installed guest.
 pub fn build_and_install(
     spec: &ProgramSpec,
     personality: Personality,
     program_id: u16,
-) -> (Binary, Binary, InstallReport) {
+) -> (Guest, Guest) {
     let plain =
         asc_workloads::build(spec, personality).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-    let installer = Installer::new(
-        bench_key(),
-        InstallerOptions::new(personality).with_program_id(program_id),
-    );
-    let (auth, report) = installer
-        .install(&plain, spec.name)
-        .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-    (plain, auth, report)
+    let auth = install(&plain, spec.name, personality, program_id);
+    (Guest::plain(plain), Guest::installed(auth, &bench_key()))
 }
 
 /// One row of the Table 6 experiment.
@@ -102,9 +110,9 @@ pub fn paper_overhead(name: &str) -> Option<f64> {
 pub fn measure_program(name: &str, program_id: u16) -> PerfRow {
     let spec = program(name).expect("name appears in the asc_workloads program registry");
     let personality = Personality::Linux;
-    let (plain, auth, _) = build_and_install(spec, personality, program_id);
-    let base = expect_ok(spec, measure(spec, &plain, personality, None));
-    let with = expect_ok(spec, measure(spec, &auth, personality, Some(bench_key())));
+    let (plain, auth) = build_and_install(spec, personality, program_id);
+    let base = expect_ok(spec, plain.run(spec, KernelOptions::plain(personality)));
+    let with = expect_ok(spec, auth.run(spec, KernelOptions::enforcing(personality)));
     let overhead_pct = (with.cycles as f64 - base.cycles as f64) / base.cycles as f64 * 100.0;
     PerfRow {
         name: name.to_string(),
@@ -174,17 +182,14 @@ pub fn profile_workload(name: &str) -> ProfiledRun {
         .install_traced(&plain, spec.name, &mut profile)
         .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
 
-    let mut fs = FileSystem::new();
-    (spec.setup_fs)(&mut fs);
-    let mut kernel = Kernel::with_fs(
-        KernelOptions::enforcing(personality).with_verify_cache(),
-        fs,
-    );
-    kernel.set_key(bench_key());
-    kernel.set_stdin(spec.stdin.to_vec());
-    kernel.set_brk(auth.highest_addr());
-    kernel.set_trace_sink(Box::new(profile));
-    let mut machine = Machine::load(&auth, kernel).expect("workload binary fits in guest memory");
+    let mut machine = Guest::installed(auth, &bench_key())
+        .boot(
+            KernelOptions::enforcing(personality).with_verify_cache(),
+            spec.fs(),
+            spec.stdin,
+        )
+        .expect("workload binary fits in guest memory");
+    machine.handler_mut().set_trace_sink(Box::new(profile));
     let outcome = machine.run(asc_workloads::RUN_BUDGET);
     let mut kernel = machine.into_handler();
     assert!(
@@ -217,42 +222,22 @@ pub fn profile_workload(name: &str) -> ProfiledRun {
 /// call sites of different tools do not merge).
 pub fn profile_andrew() -> ProfiledRun {
     let personality = Personality::Linux;
-    let tools: HashMap<&'static str, Binary> = TOOLS
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            let src = tool_source(t.name).expect("tool name appears in the Andrew tool registry");
-            let plain = asc_workloads::build_source(&src, personality)
-                .expect("registered tool source compiles and links");
-            let installer = Installer::new(
-                bench_key(),
-                InstallerOptions::new(personality).with_program_id(200 + i as u16),
-            );
-            let auth = installer
-                .install(&plain, t.name)
-                .expect("installer authenticates the plain tool binary")
-                .0;
-            (t.name, auth)
-        })
-        .collect();
-
+    let tools = perf::andrew_tools(true);
     let mut fs = FileSystem::new();
     setup_corpus(&mut fs);
     let mut profile = Box::new(Profile::new());
     let mut stats = KernelStats::default();
     let mut ring_dropped = 0u64;
     for step in iteration_plan() {
-        let binary = &tools[step.tool];
-        let mut kernel = Kernel::with_fs(
-            KernelOptions::enforcing(personality).with_verify_cache(),
-            fs,
-        );
-        kernel.set_key(bench_key());
-        kernel.set_stdin(step.stdin.clone().into_bytes());
-        kernel.set_brk(binary.highest_addr());
+        let mut machine = tools[step.tool]
+            .boot(
+                KernelOptions::enforcing(personality).with_verify_cache(),
+                fs,
+                step.stdin.as_bytes(),
+            )
+            .expect("tool binary fits in guest memory");
         profile.set_context(step.tool);
-        kernel.set_trace_sink(profile);
-        let mut machine = Machine::load(binary, kernel).expect("tool binary fits in guest memory");
+        machine.handler_mut().set_trace_sink(profile);
         let outcome = machine.run(10_000_000_000);
         let mut kernel = machine.into_handler();
         assert!(

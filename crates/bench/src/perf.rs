@@ -19,15 +19,12 @@
 use std::collections::HashMap;
 
 use asc_core::json::Value;
-use asc_installer::{Installer, InstallerOptions};
-use asc_kernel::{FileSystem, Kernel, KernelOptions, Personality};
+use asc_kernel::{FileSystem, KernelOptions, Personality};
 use asc_metrics::{MetricValue, Snapshot};
-use asc_object::Binary;
-use asc_vm::Machine;
 use asc_workloads::tools::{iteration_plan, setup_corpus, tool_source, TOOLS};
-use asc_workloads::ProgramSpec;
+use asc_workloads::{Guest, ProgramSpec};
 
-use crate::{bench_key, sim_seconds};
+use crate::{bench_key, build_and_install, install, sim_seconds};
 
 /// Report schema name (`BENCH_4.json` carries it so future readers can
 /// reject reports they do not understand).
@@ -205,20 +202,15 @@ fn overhead_pct(base: u64, with: u64) -> f64 {
 }
 
 /// Enforcing run of one registered workload with metrics attached.
-fn metered_run(spec: &ProgramSpec, auth: &Binary, cached: bool) -> (u64, Snapshot) {
-    let mut fs = FileSystem::new();
-    (spec.setup_fs)(&mut fs);
-    let opts = if cached {
-        KernelOptions::enforcing(PERSONALITY).with_verify_cache()
-    } else {
-        KernelOptions::enforcing(PERSONALITY)
+fn metered_run(spec: &ProgramSpec, auth: &Guest, cached: bool) -> (u64, Snapshot) {
+    let opts = KernelOptions {
+        verify_cache: cached,
+        ..KernelOptions::enforcing(PERSONALITY)
     };
-    let mut kernel = Kernel::with_fs(opts, fs);
-    kernel.set_stdin(spec.stdin.to_vec());
-    kernel.set_key(bench_key());
-    kernel.set_brk(auth.highest_addr());
-    kernel.attach_metrics();
-    let mut machine = Machine::load(auth, kernel).expect("workload binary fits in guest memory");
+    let mut machine = auth
+        .boot(opts, spec.fs(), spec.stdin)
+        .expect("workload binary fits in guest memory");
+    machine.handler_mut().attach_metrics();
     let outcome = machine.run(asc_workloads::RUN_BUDGET);
     let cycles = machine.cycles();
     let mut kernel = machine.into_handler();
@@ -238,17 +230,8 @@ fn metered_run(spec: &ProgramSpec, auth: &Binary, cached: bool) -> (u64, Snapsho
 
 /// Measures one registered workload base/cold/warm.
 pub fn measure_workload(spec: &ProgramSpec, program_id: u16) -> WorkloadPerf {
-    let plain =
-        asc_workloads::build(spec, PERSONALITY).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-    let installer = Installer::new(
-        bench_key(),
-        InstallerOptions::new(PERSONALITY).with_program_id(program_id),
-    );
-    let (auth, _) = installer
-        .install(&plain, spec.name)
-        .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-
-    let base = asc_workloads::measure(spec, &plain, PERSONALITY, None);
+    let (plain, auth) = build_and_install(spec, PERSONALITY, program_id);
+    let base = plain.run(spec, KernelOptions::plain(PERSONALITY));
     assert!(
         base.outcome.is_success(),
         "{} base run failed: {:?}",
@@ -272,32 +255,21 @@ pub fn measure_workload(spec: &ProgramSpec, program_id: u16) -> WorkloadPerf {
     }
 }
 
-/// One Andrew iteration, optionally enforcing/cached, with a merged metrics
-/// snapshot across the per-tool kernels.
-fn andrew_iteration(
-    tools: &HashMap<&'static str, Binary>,
+/// One Andrew iteration under `opts`, with a merged metrics snapshot
+/// across the per-tool kernels. Returns (cycles, syscalls, metrics, fs).
+pub fn andrew_iteration(
+    tools: &HashMap<&'static str, Guest>,
     mut fs: FileSystem,
-    enforcing: bool,
-    cached: bool,
+    opts: &KernelOptions,
 ) -> (u64, u64, Snapshot, FileSystem) {
     let mut cycles = 0u64;
     let mut syscalls = 0u64;
     let mut merged = Snapshot::default();
     for step in iteration_plan() {
-        let binary = &tools[step.tool];
-        let opts = match (enforcing, cached) {
-            (false, _) => KernelOptions::plain(PERSONALITY),
-            (true, false) => KernelOptions::enforcing(PERSONALITY),
-            (true, true) => KernelOptions::enforcing(PERSONALITY).with_verify_cache(),
-        };
-        let mut kernel = Kernel::with_fs(opts, fs);
-        if enforcing {
-            kernel.set_key(bench_key());
-        }
-        kernel.set_stdin(step.stdin.clone().into_bytes());
-        kernel.set_brk(binary.highest_addr());
-        kernel.attach_metrics();
-        let mut machine = Machine::load(binary, kernel).expect("tool binary fits in guest memory");
+        let mut machine = tools[step.tool]
+            .boot(opts.clone(), fs, step.stdin.as_bytes())
+            .expect("tool binary fits in guest memory");
+        machine.handler_mut().attach_metrics();
         let outcome = machine.run(10_000_000_000);
         let step_cycles = machine.cycles();
         let mut kernel = machine.into_handler();
@@ -321,7 +293,8 @@ fn andrew_iteration(
     (cycles, syscalls, merged, fs)
 }
 
-fn andrew_tools(authenticated: bool) -> HashMap<&'static str, Binary> {
+/// The Andrew tools, plain or installed under [`bench_key`].
+pub fn andrew_tools(authenticated: bool) -> HashMap<&'static str, Guest> {
     TOOLS
         .iter()
         .enumerate()
@@ -329,19 +302,13 @@ fn andrew_tools(authenticated: bool) -> HashMap<&'static str, Binary> {
             let src = tool_source(t.name).expect("tool name appears in the Andrew tool registry");
             let plain = asc_workloads::build_source(&src, PERSONALITY)
                 .expect("registered tool source compiles and links");
-            let binary = if authenticated {
-                let installer = Installer::new(
-                    bench_key(),
-                    InstallerOptions::new(PERSONALITY).with_program_id(200 + i as u16),
-                );
-                installer
-                    .install(&plain, t.name)
-                    .expect("installer authenticates the plain tool binary")
-                    .0
+            let guest = if authenticated {
+                let auth = install(&plain, t.name, PERSONALITY, 200 + i as u16);
+                Guest::installed(auth, &bench_key())
             } else {
-                plain
+                Guest::plain(plain)
             };
-            (t.name, binary)
+            (t.name, guest)
         })
         .collect()
 }
@@ -356,9 +323,12 @@ pub fn measure_andrew() -> WorkloadPerf {
         setup_corpus(&mut fs);
         fs
     };
-    let (base_cycles, syscalls, _, _) = andrew_iteration(&plain_tools, fresh(), false, false);
-    let (cold_cycles, _, cold_snap, _) = andrew_iteration(&auth_tools, fresh(), true, false);
-    let (warm_cycles, _, warm_snap, _) = andrew_iteration(&auth_tools, fresh(), true, true);
+    let cold = KernelOptions::enforcing(PERSONALITY);
+    let (base_cycles, syscalls, _, _) =
+        andrew_iteration(&plain_tools, fresh(), &KernelOptions::plain(PERSONALITY));
+    let (cold_cycles, _, cold_snap, _) = andrew_iteration(&auth_tools, fresh(), &cold);
+    let (warm_cycles, _, warm_snap, _) =
+        andrew_iteration(&auth_tools, fresh(), &cold.with_verify_cache());
 
     let mut metrics = summarize_snapshot("cold", &cold_snap);
     metrics.extend(summarize_snapshot("warm", &warm_snap));
@@ -542,16 +512,8 @@ pub fn measure_tiers() -> WorkloadPerf {
     let mut aes_blocks = [0u64; 3];
     for (i, name) in WORKLOADS.iter().enumerate() {
         let spec = asc_workloads::program(name).expect("tier workload registered");
-        let plain =
-            asc_workloads::build(spec, PERSONALITY).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let installer = Installer::new(
-            bench_key(),
-            InstallerOptions::new(PERSONALITY).with_program_id(0x0F50 + i as u16),
-        );
-        let (auth, _) = installer
-            .install(&plain, spec.name)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let base = asc_workloads::measure(spec, &plain, PERSONALITY, None);
+        let (plain, auth) = build_and_install(spec, PERSONALITY, 0x0F50 + i as u16);
+        let base = plain.run(spec, KernelOptions::plain(PERSONALITY));
         assert!(
             base.outcome.is_success(),
             "{name} base run failed: {:?}",
@@ -560,7 +522,7 @@ pub fn measure_tiers() -> WorkloadPerf {
         base_cycles += base.cycles;
         syscalls += base.kernel.stats().syscalls;
         for (ti, &tier) in VerifyTier::ALL.iter().enumerate() {
-            let run = asc_workloads::measure_tier(spec, &auth, PERSONALITY, bench_key(), tier);
+            let run = auth.run(spec, KernelOptions::enforcing(PERSONALITY).with_tier(tier));
             assert!(
                 run.outcome.is_success(),
                 "{name} {} run failed: {:?} (alerts: {:?})",

@@ -16,12 +16,11 @@
 //! (`crates/bench/golden/server.txt`) and a fixed-seed run is diffed in CI.
 
 use asc_core::json::Value;
-use asc_kernel::{FileSystem, Kernel, KernelMetrics, KernelOptions, KernelStats, Personality};
+use asc_crypto::MacKey;
+use asc_kernel::{KernelMetrics, KernelOptions, KernelStats, Personality};
 use asc_metrics::Snapshot;
-use asc_object::Binary;
 use asc_sched::{Pid, ProcState, SchedConfig, SchedPolicy, Scheduler};
-use asc_vm::Machine;
-use asc_workloads::{program, ProgramSpec};
+use asc_workloads::{program, Guest, ProgramSpec};
 
 use crate::{bench_key, sim_seconds};
 
@@ -52,6 +51,16 @@ impl ServerMode {
             ServerMode::Base => "base",
             ServerMode::Cold => "cold",
             ServerMode::Warm => "warm",
+        }
+    }
+
+    /// The kernel options every process runs under in this mode.
+    pub(crate) fn options(self) -> KernelOptions {
+        let enforcing = KernelOptions::enforcing(Personality::Linux);
+        match self {
+            ServerMode::Base => KernelOptions::plain(Personality::Linux),
+            ServerMode::Cold => enforcing,
+            ServerMode::Warm => enforcing.with_verify_cache(),
         }
     }
 }
@@ -157,16 +166,20 @@ pub(crate) fn server_specs() -> Vec<&'static ProgramSpec> {
         .collect()
 }
 
-pub(crate) fn server_binaries(specs: &[&ProgramSpec], mode: ServerMode) -> Vec<Binary> {
+/// Builds the server workloads, installed under `key` unless `mode` is
+/// the plain baseline.
+pub(crate) fn server_guests(specs: &[&ProgramSpec], mode: ServerMode, key: &MacKey) -> Vec<Guest> {
     specs
         .iter()
         .enumerate()
         .map(|(i, spec)| {
+            let plain = asc_workloads::build(spec, Personality::Linux)
+                .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
             if mode == ServerMode::Base {
-                asc_workloads::build(spec, Personality::Linux)
-                    .unwrap_or_else(|e| panic!("{}: {e}", spec.name))
+                Guest::plain(plain)
             } else {
-                crate::build_and_install(spec, Personality::Linux, 40 + i as u16).1
+                let auth = crate::install(&plain, spec.name, Personality::Linux, 40 + i as u16);
+                Guest::installed(auth, key)
             }
         })
         .collect()
@@ -176,9 +189,8 @@ pub(crate) fn server_binaries(specs: &[&ProgramSpec], mode: ServerMode) -> Vec<B
 /// and aggregate results. Fully deterministic for a given config.
 pub fn run_server(config: &ServerConfig, mode: ServerMode) -> ServerRun {
     assert!(config.procs >= 1, "at least one process");
-    let personality = Personality::Linux;
     let specs = server_specs();
-    let binaries = server_binaries(&specs, mode);
+    let guests = server_guests(&specs, mode, &bench_key());
 
     let policy = if config.round_robin {
         SchedPolicy::RoundRobin
@@ -200,21 +212,9 @@ pub fn run_server(config: &ServerConfig, mode: ServerMode) -> ServerRun {
     for m in 0..config.procs {
         let i = m % specs.len();
         let spec = specs[i];
-        let mut fs = FileSystem::new();
-        (spec.setup_fs)(&mut fs);
-        let opts = match mode {
-            ServerMode::Base => KernelOptions::plain(personality),
-            ServerMode::Cold => KernelOptions::enforcing(personality),
-            ServerMode::Warm => KernelOptions::enforcing(personality).with_verify_cache(),
-        };
-        let mut kernel = Kernel::with_fs(opts, fs);
-        if mode != ServerMode::Base {
-            kernel.set_key(bench_key());
-        }
-        kernel.set_stdin(spec.stdin.to_vec());
-        kernel.set_brk(binaries[i].highest_addr());
-        let machine =
-            Machine::load(&binaries[i], kernel).expect("workload binary fits in guest memory");
+        let machine = guests[i]
+            .boot(mode.options(), spec.fs(), spec.stdin)
+            .expect("workload binary fits in guest memory");
         let pid = sched.spawn(spec.name, machine);
         // Per-pid registry: every metric carries a pid label, so the
         // merged snapshot keeps the processes' distributions apart.

@@ -2,8 +2,8 @@
 //! with the kernel's own counters *exactly*, and attaching any sink must
 //! not change the cycles a run is charged.
 
-use asc_bench::{bench_key, build_and_install, profile_workload};
-use asc_kernel::{FileSystem, Kernel, KernelOptions, KernelStats, Personality};
+use asc_bench::{build_and_install, profile_workload};
+use asc_kernel::{Kernel, KernelOptions, KernelStats, Personality};
 use asc_trace::{NullSink, RingSink, TraceSink};
 use asc_vm::Machine;
 use asc_workloads::{program, RUN_BUDGET};
@@ -42,22 +42,19 @@ fn profile_totals_match_kernel_stats_exactly() {
     }
 }
 
-fn run_calc(sink: Option<Box<dyn TraceSink>>) -> (u64, KernelStats) {
+/// Boots calc on an enforcing, cache-enabled kernel.
+fn calc_machine() -> Machine<Kernel> {
     let spec = program("calc").expect("registered");
-    let (_, auth, _) = build_and_install(spec, Personality::Linux, 9);
-    let mut fs = FileSystem::new();
-    (spec.setup_fs)(&mut fs);
-    let mut kernel = Kernel::with_fs(
-        KernelOptions::enforcing(Personality::Linux).with_verify_cache(),
-        fs,
-    );
-    kernel.set_key(bench_key());
-    kernel.set_stdin(spec.stdin.to_vec());
-    kernel.set_brk(auth.highest_addr());
+    let (_, auth) = build_and_install(spec, Personality::Linux, 9);
+    let opts = KernelOptions::enforcing(Personality::Linux).with_verify_cache();
+    auth.boot(opts, spec.fs(), spec.stdin).expect("loads")
+}
+
+fn run_calc(sink: Option<Box<dyn TraceSink>>) -> (u64, KernelStats) {
+    let mut machine = calc_machine();
     if let Some(sink) = sink {
-        kernel.set_trace_sink(sink);
+        machine.handler_mut().set_trace_sink(sink);
     }
-    let mut machine = Machine::load(&auth, kernel).expect("loads");
     let outcome = machine.run(RUN_BUDGET);
     assert!(outcome.is_success(), "{outcome:?}");
     let cycles = machine.cycles();
@@ -82,19 +79,10 @@ fn sinks_do_not_perturb_charged_cycles() {
 
 #[test]
 fn ring_sink_bounds_kernel_event_stream() {
-    let spec = program("calc").expect("registered");
-    let (_, auth, _) = build_and_install(spec, Personality::Linux, 9);
-    let mut fs = FileSystem::new();
-    (spec.setup_fs)(&mut fs);
-    let mut kernel = Kernel::with_fs(
-        KernelOptions::enforcing(Personality::Linux).with_verify_cache(),
-        fs,
-    );
-    kernel.set_key(bench_key());
-    kernel.set_stdin(spec.stdin.to_vec());
-    kernel.set_brk(auth.highest_addr());
-    kernel.set_trace_sink(Box::new(RingSink::new(32)));
-    let mut machine = Machine::load(&auth, kernel).expect("loads");
+    let mut machine = calc_machine();
+    machine
+        .handler_mut()
+        .set_trace_sink(Box::new(RingSink::new(32)));
     assert!(machine.run(RUN_BUDGET).is_success());
     let mut kernel = machine.into_handler();
     let ring = kernel

@@ -9,20 +9,19 @@
 //! observable behaviour). Anything else is **silent corruption**, the
 //! failure the paper's design promises cannot happen.
 
-use asc_audit::{replay_solo_in, run_solo, AuditFault, Bundle, SoloParams, SoloRun, SoloScenario};
-use asc_installer::{Installer, InstallerOptions};
-use asc_kernel::{
-    Alert, FaultAction, FlowGraph, Personality, ReasonCode, TraceEntry, TrapFault, VerifyTier,
+use asc_audit::{
+    replay_solo_in, run_solo, scenario_options, AuditFault, Bundle, SoloRun, SoloScenario,
 };
-use asc_object::Binary;
+use asc_kernel::{
+    Alert, FaultAction, KernelOptions, Personality, ReasonCode, TraceEntry, TrapFault, VerifyTier,
+};
 use asc_testkit::Rng;
 use asc_vm::RunOutcome;
-use asc_workloads::{build, program, ProgramSpec};
+use asc_workloads::{Guest, ProgramSpec};
 
-use crate::campaign_key;
 use crate::inventory::{scan, Inventory};
 
-/// Seed of [`campaign_key`], recorded in forensic bundles so replay can
+/// Seed of [`crate::campaign_key`], recorded in forensic bundles so replay can
 /// rebuild the identical installation.
 pub(crate) const CAMPAIGN_KEY_SEED: u64 = 0xFA17_1A7E;
 
@@ -185,70 +184,47 @@ pub struct RunRecord {
 }
 
 /// Runs one (possibly perturbed) enforcing execution of an installed
-/// workload and captures the oracle's observables.
+/// workload under `opts` and captures the oracle's observables.
 ///
-/// `mem_fault` is `(at_instret, addr, mask)`: once `at_instret` guest
-/// instructions have retired, the byte at `addr` is XORed with `mask`
-/// (via the kernel's physical access path, so page protections do not
-/// interfere) and the run resumes. `trap_fault` is armed on the kernel
-/// before the run starts.
-fn run_instrumented(
-    spec: &ProgramSpec,
-    auth: &Binary,
-    personality: Personality,
-    weakened: bool,
-    mem_fault: Option<(u64, u32, u8)>,
-    trap_fault: Option<TrapFault>,
-) -> RunRecord {
-    run_instrumented_tier(
-        spec,
-        auth,
-        personality,
-        weakened,
-        VerifyTier::Mac,
-        None,
-        mem_fault,
-        trap_fault,
-    )
-}
-
-/// [`run_instrumented`] under an explicit verification tier; the flow
-/// tiers require the binary's `.ascflow` digraph.
+/// A memory fault XORs `mask` into the byte at `addr` once `at_instret`
+/// guest instructions have retired (via the kernel's physical access
+/// path, so page protections do not interfere) and resumes the run; a
+/// trap fault is armed on the kernel before the run starts.
 ///
 /// Delegates to the forensic runner [`asc_audit::run_solo`] — the same
 /// code path bundle replay re-executes — so the campaign's observables
 /// and a replayed bundle's observables cannot drift apart.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_instrumented_tier(
+pub(crate) fn run_planned(
     spec: &ProgramSpec,
-    auth: &Binary,
-    personality: Personality,
-    weakened: bool,
-    tier: VerifyTier,
-    flow: Option<&FlowGraph>,
-    mem_fault: Option<(u64, u32, u8)>,
-    trap_fault: Option<TrapFault>,
+    guest: &Guest,
+    opts: KernelOptions,
+    fault: Option<PlannedFault>,
 ) -> RunRecord {
-    let key = campaign_key();
-    let params = SoloParams {
+    record_of(&run_solo(
         spec,
-        auth,
+        guest,
+        opts,
+        fault.map(PlannedFault::audit).as_ref(),
+    ))
+}
+
+/// The scenario of a clean campaign run of `name`: installed under
+/// [`crate::campaign_key`] with `program_id`, enforcing under the MAC
+/// tier. [`SoloScenario::prepare`] builds its guest.
+pub(crate) fn campaign_scenario(
+    name: &str,
+    personality: Personality,
+    program_id: u16,
+) -> SoloScenario {
+    SoloScenario {
+        workload: name.to_string(),
         personality,
-        tier,
-        weakened,
-        key: &key,
-        flow,
-    };
-    let fault = match (mem_fault, trap_fault) {
-        (Some((at_instret, addr, mask)), _) => Some(AuditFault::Mem {
-            at_instret,
-            addr,
-            mask,
-        }),
-        (None, Some(tf)) => Some(AuditFault::Trap(tf)),
-        (None, None) => None,
-    };
-    record_of(&run_solo(&params, fault.as_ref()))
+        tier: VerifyTier::Mac,
+        weakened: false,
+        program_id,
+        key_seed: CAMPAIGN_KEY_SEED,
+        fault: None,
+    }
 }
 
 /// Projects a forensic [`SoloRun`] onto the oracle's observables.
@@ -761,30 +737,13 @@ impl Report {
 /// or if its *clean* enforcing run does not succeed — those are
 /// harness preconditions, not campaign findings.
 pub fn run_campaign(cfg: &CampaignConfig) -> Report {
-    let key = campaign_key();
     let mut rows = Vec::new();
     for (wi, name) in cfg.workloads.iter().enumerate() {
-        let spec = program(name).unwrap_or_else(|| panic!("unknown workload {name}"));
-        let plain = build(spec, cfg.personality).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let installer = Installer::new(
-            key.clone(),
-            InstallerOptions::new(cfg.personality).with_program_id(0x0FA0 + wi as u16),
-        );
-        let (auth, _) = installer
-            .install(&plain, spec.name)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let inv = scan(&auth);
+        let scenario = campaign_scenario(name, cfg.personality, 0x0FA0 + wi as u16);
+        let (spec, guest) = scenario.prepare();
+        let inv = scan(guest.binary());
         assert!(inv.sites > 0, "{name}: no authenticated sites found");
-        let params = SoloParams {
-            spec,
-            auth: &auth,
-            personality: cfg.personality,
-            tier: VerifyTier::Mac,
-            weakened: false,
-            key: &key,
-            flow: None,
-        };
-        let clean = record_of(&run_solo(&params, None));
+        let clean = record_of(&run_solo(spec, &guest, scenario.options(), None));
         assert!(
             clean.outcome.is_success(),
             "{name}: clean enforcing run failed: {:?} (alerts: {:?})",
@@ -805,7 +764,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Report {
                     break;
                 };
                 let audit_fault = fault.audit();
-                let solo = run_solo(&params, Some(&audit_fault));
+                let solo = run_solo(spec, &guest, scenario.options(), Some(&audit_fault));
                 let run = record_of(&solo);
                 row.cache_fallbacks += run.cache_fallbacks;
                 row.cache_scrubs += run.cache_scrubs;
@@ -828,17 +787,12 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Report {
                         // kill. A divergence is a determinism bug, not a
                         // verifier bug — reported as its own row class.
                         let scenario = SoloScenario {
-                            workload: name.clone(),
-                            personality: cfg.personality,
-                            tier: VerifyTier::Mac,
-                            weakened: false,
-                            program_id: 0x0FA0 + wi as u16,
-                            key_seed: CAMPAIGN_KEY_SEED,
                             fault: Some(audit_fault),
+                            ..scenario.clone()
                         };
                         match Bundle::from_solo(scenario, &solo) {
                             Some(bundle) => {
-                                let verdict = replay_solo_in(&bundle, &params);
+                                let verdict = replay_solo_in(&bundle, spec, &guest);
                                 if !verdict.matched {
                                     row.irreproducible += 1;
                                     row.anomalies.push(format!(
@@ -907,18 +861,10 @@ pub struct DemoResult {
 /// Panics on harness precondition failures (unknown workload, build
 /// or install errors, failing clean run).
 pub fn run_weakened_demo(workload: &str, personality: Personality, max_trials: u32) -> DemoResult {
-    let key = campaign_key();
-    let spec = program(workload).unwrap_or_else(|| panic!("unknown workload {workload}"));
-    let plain = build(spec, personality).unwrap_or_else(|e| panic!("{workload}: {e}"));
-    let installer = Installer::new(
-        key,
-        InstallerOptions::new(personality).with_program_id(0x0FDE),
-    );
-    let (auth, _) = installer
-        .install(&plain, spec.name)
-        .unwrap_or_else(|e| panic!("{workload}: {e}"));
-    let inv = scan(&auth);
-    let clean = run_instrumented(spec, &auth, personality, true, None, None);
+    let (spec, guest) = campaign_scenario(workload, personality, 0x0FDE).prepare();
+    let inv = scan(guest.binary());
+    let weakened = scenario_options(personality, VerifyTier::Mac, true);
+    let clean = run_planned(spec, &guest, weakened.clone(), None);
     assert!(
         clean.outcome.is_success(),
         "{workload}: weakened clean run failed: {:?}",
@@ -931,11 +877,16 @@ pub fn run_weakened_demo(workload: &str, personality: Personality, max_trials: u
                 break;
             }
             scanned += 1;
-            let fault = Some((0, blob.contents_addr + offset, 0x01));
-            let run = run_instrumented(spec, &auth, personality, true, fault, None);
+            let fault = Some(PlannedFault::Mem {
+                at_instret: 0,
+                addr: blob.contents_addr + offset,
+                mask: 0x01,
+            });
+            let run = run_planned(spec, &guest, weakened.clone(), fault);
             let (outcome, detail) = classify(&clean, &run);
             if outcome == Outcome::SilentCorruption {
-                let hardened = run_instrumented(spec, &auth, personality, false, fault, None);
+                let hardened = scenario_options(personality, VerifyTier::Mac, false);
+                let hardened = run_planned(spec, &guest, hardened, fault);
                 let (hardened_outcome, _) = classify(&clean, &hardened);
                 return DemoResult {
                     workload: workload.into(),

@@ -22,18 +22,14 @@
 
 use std::collections::BTreeMap;
 
-use asc_installer::{Installer, InstallerOptions};
-use asc_kernel::{
-    Alert, FaultAction, FileSystem, Kernel, KernelOptions, Personality, ReasonCode, TrapFault,
-};
-use asc_object::Binary;
+use asc_audit::scenario_options;
+use asc_kernel::{Alert, FaultAction, Personality, ReasonCode, TrapFault, VerifyTier};
 use asc_sched::{Pid, ProcState, SchedConfig, SchedPolicy, Scheduler};
 use asc_testkit::Rng;
-use asc_vm::{Machine, RunOutcome};
-use asc_workloads::{build, program, ProgramSpec, RUN_BUDGET};
+use asc_vm::RunOutcome;
+use asc_workloads::{Guest, ProgramSpec, RUN_BUDGET};
 
-use crate::campaign::{classify, Outcome, RunRecord};
-use crate::campaign_key;
+use crate::campaign::{campaign_scenario, classify, Outcome, RunRecord};
 
 /// A fault class that targets one process of a scheduled set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -274,33 +270,17 @@ impl CrossReport {
 /// Built artifacts shared by every trial.
 struct Fleet {
     specs: Vec<&'static ProgramSpec>,
-    binaries: Vec<Binary>,
+    guests: Vec<Guest>,
 }
 
 fn build_fleet(cfg: &CrossConfig) -> Fleet {
-    let specs: Vec<&'static ProgramSpec> = cfg
+    let (specs, guests) = cfg
         .workloads
         .iter()
-        .map(|name| program(name).unwrap_or_else(|| panic!("unknown workload {name}")))
-        .collect();
-    let key = campaign_key();
-    let binaries = specs
-        .iter()
         .enumerate()
-        .map(|(i, spec)| {
-            let plain =
-                build(spec, cfg.personality).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-            let installer = Installer::new(
-                key.clone(),
-                InstallerOptions::new(cfg.personality).with_program_id(0x0FB0 + i as u16),
-            );
-            installer
-                .install(&plain, spec.name)
-                .unwrap_or_else(|e| panic!("{}: {e}", spec.name))
-                .0
-        })
-        .collect();
-    Fleet { specs, binaries }
+        .map(|(i, name)| campaign_scenario(name, cfg.personality, 0x0FB0 + i as u16).prepare())
+        .unzip();
+    Fleet { specs, guests }
 }
 
 /// Spawns the fleet under a fresh shared-cache scheduler.
@@ -314,14 +294,9 @@ fn spawn_fleet(cfg: &CrossConfig, fleet: &Fleet, interleave_seed: u64) -> Schedu
     for m in 0..cfg.procs {
         let i = m % fleet.specs.len();
         let spec = fleet.specs[i];
-        let mut fs = FileSystem::new();
-        (spec.setup_fs)(&mut fs);
-        let opts = KernelOptions::enforcing(cfg.personality).with_verify_cache();
-        let mut kernel = Kernel::with_fs(opts, fs);
-        kernel.set_key(campaign_key());
-        kernel.set_stdin(spec.stdin.to_vec());
-        kernel.set_brk(fleet.binaries[i].highest_addr());
-        let machine = Machine::load(&fleet.binaries[i], kernel)
+        let opts = scenario_options(cfg.personality, VerifyTier::Mac, false);
+        let machine = fleet.guests[i]
+            .boot(opts, spec.fs(), spec.stdin)
             .expect("workload binary fits in guest memory");
         sched.spawn(spec.name, machine);
     }

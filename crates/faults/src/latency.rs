@@ -32,22 +32,18 @@
 //! the scheduler through shared references only, so the latencies are
 //! measurements of the *monitoring* layer, not artifacts of it.
 
+use asc_audit::scenario_options;
 use asc_core::json::Value;
-use asc_installer::{Installer, InstallerOptions};
-use asc_kernel::{FileSystem, Kernel, KernelOptions, Personality, VerifyTier};
-use asc_object::Binary;
+use asc_kernel::{Kernel, Personality, VerifyTier};
 use asc_sched::{Pid, SchedConfig, SchedPolicy, Scheduler};
 use asc_sentinel::{Detector, Sentinel, SentinelConfig};
 use asc_testkit::Rng;
 use asc_vm::Machine;
-use asc_workloads::{build, program, ProgramSpec, RUN_BUDGET};
+use asc_workloads::{Guest, ProgramSpec, RUN_BUDGET};
 
-use crate::campaign::{plan_fault, record_of, PlannedFault, RunRecord};
-use crate::campaign_key;
+use crate::campaign::{campaign_scenario, plan_fault, run_planned, PlannedFault, RunRecord};
 use crate::inventory::{scan, Inventory};
 use crate::FaultClass;
-
-use asc_audit::{run_solo, SoloParams};
 
 /// Workloads the monitored fleet cycles through (the victim is drawn
 /// from this list too — the first workload whose inventory has
@@ -270,44 +266,27 @@ impl LatencyReport {
 /// One built workload, reusable across trials.
 struct BuiltWorkload {
     spec: &'static ProgramSpec,
-    auth: Binary,
+    guest: Guest,
     inv: Inventory,
     clean: RunRecord,
 }
 
 fn build_workloads(personality: Personality) -> Vec<BuiltWorkload> {
-    let key = campaign_key();
     FLEET_WORKLOADS
         .iter()
         .enumerate()
         .map(|(i, name)| {
-            let spec = program(name).unwrap_or_else(|| panic!("unknown workload {name}"));
-            let plain = build(spec, personality).unwrap_or_else(|e| panic!("{name}: {e}"));
-            let installer = Installer::new(
-                key.clone(),
-                InstallerOptions::new(personality).with_program_id(0x1A7E + i as u16),
-            );
-            let (auth, _) = installer
-                .install(&plain, spec.name)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            let inv = scan(&auth);
-            let params = SoloParams {
-                spec,
-                auth: &auth,
-                personality,
-                tier: VerifyTier::Mac,
-                weakened: false,
-                key: &key,
-                flow: None,
-            };
-            let clean = record_of(&run_solo(&params, None));
+            let scenario = campaign_scenario(name, personality, 0x1A7E + i as u16);
+            let (spec, guest) = scenario.prepare();
+            let inv = scan(guest.binary());
+            let clean = run_planned(spec, &guest, scenario.options(), None);
             assert!(
                 clean.outcome.is_success(),
                 "{name}: clean enforcing run failed"
             );
             BuiltWorkload {
                 spec,
-                auth,
+                guest,
                 inv,
                 clean,
             }
@@ -316,16 +295,11 @@ fn build_workloads(personality: Personality) -> Vec<BuiltWorkload> {
 }
 
 fn fleet_machine(built: &BuiltWorkload, personality: Personality) -> Machine<Kernel> {
-    let mut fs = FileSystem::new();
-    (built.spec.setup_fs)(&mut fs);
-    let opts = KernelOptions::enforcing(personality)
-        .with_verify_cache()
-        .with_tier(VerifyTier::Mac);
-    let mut kernel = Kernel::with_fs(opts, fs);
-    kernel.set_key(campaign_key());
-    kernel.set_stdin(built.spec.stdin.to_vec());
-    kernel.set_brk(built.auth.highest_addr());
-    Machine::load(&built.auth, kernel).expect("workload fits in guest memory")
+    let opts = scenario_options(personality, VerifyTier::Mac, false);
+    built
+        .guest
+        .boot(opts, built.spec.fs(), built.spec.stdin)
+        .expect("workload fits in guest memory")
 }
 
 /// Spawns the monitored fleet: the victim workload first (pid 1), then

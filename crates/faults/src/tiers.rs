@@ -23,14 +23,13 @@
 //!   every class, and zero silent corruption everywhere.
 
 use asc_attacks::{AttackLab, AttackOutcome};
-use asc_installer::{Installer, InstallerOptions};
-use asc_kernel::{FlowGraph, Personality, ReasonCode, VerifyTier};
-use asc_object::Binary;
+use asc_audit::scenario_options;
+use asc_kernel::{Personality, ReasonCode, VerifyTier};
 use asc_testkit::Rng;
-use asc_workloads::{build, flow_graph_of, program, ProgramSpec};
+use asc_workloads::{Guest, ProgramSpec};
 
 use crate::campaign::{
-    classify, plan_fault, run_instrumented_tier, FaultClass, Outcome, PlannedFault, RunRecord,
+    campaign_scenario, classify, plan_fault, run_planned, FaultClass, Outcome, RunRecord,
 };
 use crate::campaign_key;
 use crate::inventory::{scan, Inventory};
@@ -151,13 +150,12 @@ pub struct TierReport {
     pub rows: Vec<TierRow>,
 }
 
-/// One prepared workload: installed binary, artifact inventory, flow
-/// digraph, and a per-tier clean record.
+/// One prepared workload: installed guest, artifact inventory, and a
+/// per-tier clean record.
 struct Prepared {
     spec: &'static ProgramSpec,
-    auth: Binary,
+    guest: Guest,
     inv: Inventory,
-    flow: FlowGraph,
     cleans: Vec<RunRecord>,
 }
 
@@ -353,33 +351,15 @@ impl TierReport {
 /// or install errors, a failing clean run under any tier, or clean
 /// runs that disagree across tiers.
 pub fn run_tier_matrix(cfg: &TierMatrixConfig) -> TierReport {
-    let key = campaign_key();
+    let tier_options = |tier| scenario_options(cfg.personality, tier, false);
     let mut prepared = Vec::new();
     for (wi, name) in cfg.workloads.iter().enumerate() {
-        let spec = program(name).unwrap_or_else(|| panic!("unknown workload {name}"));
-        let plain = build(spec, cfg.personality).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let installer = Installer::new(
-            key.clone(),
-            InstallerOptions::new(cfg.personality).with_program_id(0x0F10 + wi as u16),
-        );
-        let (auth, _) = installer
-            .install(&plain, spec.name)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let inv = scan(&auth);
-        let flow = flow_graph_of(&auth, &key);
+        let (spec, guest) = campaign_scenario(name, cfg.personality, 0x0F10 + wi as u16).prepare();
+        let inv = scan(guest.binary());
         let cleans: Vec<RunRecord> = VerifyTier::ALL
             .iter()
             .map(|&tier| {
-                let clean = run_instrumented_tier(
-                    spec,
-                    &auth,
-                    cfg.personality,
-                    false,
-                    tier,
-                    Some(&flow),
-                    None,
-                    None,
-                );
+                let clean = run_planned(spec, &guest, tier_options(tier), None);
                 assert!(
                     clean.outcome.is_success(),
                     "{name}: clean {} run failed: {:?} (alerts: {:?})",
@@ -399,13 +379,12 @@ pub fn run_tier_matrix(cfg: &TierMatrixConfig) -> TierReport {
         }
         prepared.push(Prepared {
             spec,
-            auth,
+            guest,
             inv,
-            flow,
             cleans,
         });
     }
-    let lab = AttackLab::new(key);
+    let lab = AttackLab::new(campaign_key());
     let mut rows = Vec::new();
     for (ti, &tier) in VerifyTier::ALL.iter().enumerate() {
         for (ci, class) in cfg.classes.iter().copied().enumerate() {
@@ -426,32 +405,7 @@ pub fn run_tier_matrix(cfg: &TierMatrixConfig) -> TierReport {
                     else {
                         break;
                     };
-                    let run = match fault {
-                        PlannedFault::Mem {
-                            at_instret,
-                            addr,
-                            mask,
-                        } => run_instrumented_tier(
-                            prep.spec,
-                            &prep.auth,
-                            cfg.personality,
-                            false,
-                            tier,
-                            Some(&prep.flow),
-                            Some((at_instret, addr, mask)),
-                            None,
-                        ),
-                        PlannedFault::Trap(tf) => run_instrumented_tier(
-                            prep.spec,
-                            &prep.auth,
-                            cfg.personality,
-                            false,
-                            tier,
-                            Some(&prep.flow),
-                            None,
-                            Some(tf),
-                        ),
-                    };
+                    let run = run_planned(prep.spec, &prep.guest, tier_options(tier), Some(fault));
                     let (outcome, detail) = classify(clean, &run);
                     let tag = format!("{}/{} trial {trial}", prep.spec.name, class.name());
                     row.tally(outcome, &detail, &run, &tag);
@@ -584,30 +538,18 @@ mod tests {
         const SEED: u64 = 0xACC3_97ED;
 
         // Prepare each workload once; the seeded cases only re-run.
-        let key = campaign_key();
         let mut prepared = Vec::new();
         for (wi, name) in ["bison", "calc", "tar"].iter().enumerate() {
-            let spec = program(name).expect("registered workload");
-            let plain = build(spec, PERSONALITY).expect("workload builds");
-            let installer = Installer::new(
-                key.clone(),
-                InstallerOptions::new(PERSONALITY).with_program_id(0x0F20 + wi as u16),
-            );
-            let (auth, _) = installer.install(&plain, spec.name).expect("installs");
-            let inv = scan(&auth);
-            let flow = flow_graph_of(&auth, &key);
-            let clean = run_instrumented_tier(
+            let (spec, guest) = campaign_scenario(name, PERSONALITY, 0x0F20 + wi as u16).prepare();
+            let inv = scan(guest.binary());
+            let clean = run_planned(
                 spec,
-                &auth,
-                PERSONALITY,
-                false,
-                VerifyTier::Mac,
-                Some(&flow),
-                None,
+                &guest,
+                scenario_options(PERSONALITY, VerifyTier::Mac, false),
                 None,
             );
             assert!(clean.outcome.is_success(), "{name}: clean run failed");
-            prepared.push((spec, auth, inv, flow, clean));
+            prepared.push((spec, guest, inv, clean));
         }
 
         let accept = |r: &RunRecord| !matches!(r.outcome, RunOutcome::Killed(_));
@@ -616,7 +558,7 @@ mod tests {
             _ => u64::MAX,
         };
 
-        for (spec, auth, inv, flow, clean) in &prepared {
+        for (spec, guest, inv, clean) in &prepared {
             asc_testkit::check(SEED, 32, |rng| {
                 // An arbitrary planned fault — or, one case in eight, no
                 // fault at all (the all-accept corner of the lattice).
@@ -634,41 +576,9 @@ mod tests {
                 // follows `VerifyTier::ALL` = [FlowOnly, Mac, MacPlusFlow].
                 let runs: Vec<RunRecord> = VerifyTier::ALL
                     .iter()
-                    .map(|&tier| match fault {
-                        None => run_instrumented_tier(
-                            spec,
-                            auth,
-                            PERSONALITY,
-                            false,
-                            tier,
-                            Some(flow),
-                            None,
-                            None,
-                        ),
-                        Some(PlannedFault::Mem {
-                            at_instret,
-                            addr,
-                            mask,
-                        }) => run_instrumented_tier(
-                            spec,
-                            auth,
-                            PERSONALITY,
-                            false,
-                            tier,
-                            Some(flow),
-                            Some((at_instret, addr, mask)),
-                            None,
-                        ),
-                        Some(PlannedFault::Trap(tf)) => run_instrumented_tier(
-                            spec,
-                            auth,
-                            PERSONALITY,
-                            false,
-                            tier,
-                            Some(flow),
-                            None,
-                            Some(tf),
-                        ),
+                    .map(|&tier| {
+                        let opts = scenario_options(PERSONALITY, tier, false);
+                        run_planned(spec, guest, opts, fault)
                     })
                     .collect();
                 let (flow_run, mac_run, both_run) = (&runs[0], &runs[1], &runs[2]);

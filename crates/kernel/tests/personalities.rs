@@ -135,10 +135,11 @@ fn bsd_close_quirk_still_works_at_runtime() {
     // quirk defeats static analysis, not execution).
     let spec = asc_workloads::program("bison").expect("registered");
     let binary = asc_workloads::build(spec, Personality::OpenBsd).expect("builds");
-    let (outcome, kernel) = asc_workloads::run_plain(spec, &binary, Personality::OpenBsd);
-    assert!(outcome.is_success());
+    let run =
+        asc_workloads::Guest::plain(binary).run(spec, KernelOptions::plain(Personality::OpenBsd));
+    assert!(run.outcome.is_success());
     assert!(
-        kernel.trace().iter().any(|t| t.id == SyscallId::Close),
+        run.kernel.trace().iter().any(|t| t.id == SyscallId::Close),
         "close executed at runtime despite being invisible to analysis"
     );
 }

@@ -88,9 +88,11 @@ impl Section {
         }
     }
 
-    /// Address one past the last byte.
+    /// Address one past the last byte, saturating at `u32::MAX` for a
+    /// section that reaches past 4 GiB (the loader rejects such a
+    /// section as out of range).
     pub fn end(&self) -> u32 {
-        self.addr + self.mem_size
+        self.addr.saturating_add(self.mem_size)
     }
 
     /// Whether `addr` falls inside this section.
@@ -310,7 +312,8 @@ impl Binary {
     /// non-overlapping, relocations in bounds, `mem_size >= data.len()`.
     pub fn validate(&self) -> Result<(), String> {
         for w in self.sections.windows(2) {
-            if w[1].addr < w[0].end() {
+            // In `u64`: a section reaching past 4 GiB overlaps any successor.
+            if u64::from(w[1].addr) < u64::from(w[0].addr) + u64::from(w[0].mem_size) {
                 return Err(format!(
                     "sections `{}` and `{}` overlap or are unsorted",
                     w[0].name, w[1].name

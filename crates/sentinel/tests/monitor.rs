@@ -3,11 +3,11 @@
 //! windowed p99.
 
 use asc_installer::{Installer, InstallerOptions};
-use asc_kernel::{FileSystem, Kernel, KernelMetrics, KernelOptions, Personality, VerifyTier};
+use asc_kernel::{Kernel, KernelMetrics, KernelOptions, Personality, VerifyTier};
 use asc_sched::{SchedConfig, SchedPolicy, Scheduler};
 use asc_sentinel::{Detector, Sentinel, SentinelConfig, Series};
 use asc_vm::Machine;
-use asc_workloads::{build, flow_graph_of, program, ProgramSpec, RUN_BUDGET};
+use asc_workloads::{build, program, Guest, ProgramSpec, RUN_BUDGET};
 
 use asc_crypto::MacKey;
 
@@ -25,20 +25,18 @@ fn machine_for(spec: &ProgramSpec, program_id: u16, with_metrics: bool) -> Machi
         InstallerOptions::new(PERSONALITY).with_program_id(program_id),
     );
     let (auth, _) = installer.install(&plain, spec.name).expect("installs");
-    let mut fs = FileSystem::new();
-    (spec.setup_fs)(&mut fs);
     let opts = KernelOptions::enforcing(PERSONALITY)
         .with_verify_cache()
         .with_tier(VerifyTier::MacPlusFlow);
-    let mut kernel = Kernel::with_fs(opts, fs);
-    kernel.set_key(key());
-    kernel.set_flow_graph(flow_graph_of(&auth, &key()));
-    kernel.set_stdin(spec.stdin.to_vec());
-    kernel.set_brk(auth.highest_addr());
+    let mut machine = Guest::installed(auth, &key())
+        .boot(opts, spec.fs(), spec.stdin)
+        .expect("workload fits in guest memory");
     if with_metrics {
-        kernel.set_metrics(Box::new(KernelMetrics::new()));
+        machine
+            .handler_mut()
+            .set_metrics(Box::new(KernelMetrics::new()));
     }
-    Machine::load(&auth, kernel).expect("workload fits in guest memory")
+    machine
 }
 
 fn spawn_fleet(with_metrics: bool) -> Scheduler {

@@ -11,13 +11,13 @@
 //! # Example
 //!
 //! ```
-//! use asc_kernel::Personality;
-//! use asc_workloads::{build, program, run_plain};
+//! use asc_kernel::{KernelOptions, Personality};
+//! use asc_workloads::{build, program, Guest};
 //!
 //! let spec = program("bison").expect("registered");
-//! let binary = build(spec, Personality::Linux)?;
-//! let (outcome, kernel) = run_plain(spec, &binary, Personality::Linux);
-//! assert!(outcome.is_success());
+//! let guest = Guest::plain(build(spec, Personality::Linux)?);
+//! let report = guest.run(spec, KernelOptions::plain(Personality::Linux));
+//! assert!(report.outcome.is_success());
 //! # Ok::<(), asc_workloads::BuildError>(())
 //! ```
 
@@ -28,12 +28,13 @@ pub mod tools;
 
 pub use programs::{program, programs, ProgramKind, ProgramSpec};
 
+use asc_crypto::MacKey;
 use asc_kernel::{
     FileSystem, FlowGraph, FlowParseError, Kernel, KernelOptions, Personality, SiteRegistry,
-    SitesParseError, VerifyTier,
+    SitesParseError,
 };
 use asc_object::{sections, Binary};
-use asc_vm::{Machine, RunOutcome};
+use asc_vm::{Machine, MemFault, RunOutcome};
 
 /// Errors building a workload.
 #[derive(Clone, Debug)]
@@ -82,35 +83,8 @@ pub fn build(spec: &ProgramSpec, personality: Personality) -> Result<Binary, Bui
     build_source(spec.source, personality)
 }
 
-/// Prepares a kernel for `spec`: training fixture files plus stdin.
-pub fn kernel_for(spec: &ProgramSpec, personality: Personality, enforce: bool) -> Kernel {
-    let mut fs = FileSystem::new();
-    (spec.setup_fs)(&mut fs);
-    let opts = if enforce {
-        KernelOptions::enforcing(personality)
-    } else {
-        KernelOptions::plain(personality)
-    };
-    let mut kernel = Kernel::with_fs(opts, fs);
-    kernel.set_stdin(spec.stdin.to_vec());
-    kernel
-}
-
 /// Cycle budget large enough for every workload.
 pub const RUN_BUDGET: u64 = 3_000_000_000;
-
-/// Runs a built workload on a plain (non-enforcing) kernel.
-pub fn run_plain(
-    spec: &ProgramSpec,
-    binary: &Binary,
-    personality: Personality,
-) -> (RunOutcome, Kernel) {
-    let mut kernel = kernel_for(spec, personality, false);
-    kernel.set_brk(binary.highest_addr());
-    let mut machine = Machine::load(binary, kernel).expect("workload fits in memory");
-    let outcome = machine.run(RUN_BUDGET);
-    (outcome, machine.into_handler())
-}
 
 /// Full measurement record from a run (the `rdtsc`-style numbers the
 /// performance tables consume).
@@ -125,44 +99,119 @@ pub struct RunReport {
     pub instret: u64,
 }
 
-/// Runs a built workload and reports cycle counts. `key` switches the
-/// kernel to enforcing mode.
-pub fn measure(
-    spec: &ProgramSpec,
-    binary: &Binary,
-    personality: Personality,
-    key: Option<asc_crypto::MacKey>,
-) -> RunReport {
-    let mut kernel = kernel_for(spec, personality, key.is_some());
-    if let Some(key) = key {
-        if let Some(sites) = site_registry_for(binary, &key) {
-            kernel.set_site_registry(sites);
-        }
-        kernel.set_key(key);
-    }
-    kernel.set_brk(binary.highest_addr());
-    let mut machine = Machine::load(binary, kernel).expect("workload fits in memory");
-    let outcome = machine.run(RUN_BUDGET);
-    let cycles = machine.cycles();
-    let instret = machine.instret();
-    RunReport {
-        outcome,
-        kernel: machine.into_handler(),
-        cycles,
-        instret,
-    }
+/// A binary ready to boot, and the one place a harness turns a binary
+/// into a running kernel (DESIGN.md §20).
+///
+/// An installed guest also holds a [`MacKey::shared_schedule`] handle to
+/// its installation key and the binary's `.ascsites` registry and
+/// `.ascflow` digraph, each parsed and MAC-checked once, here, rather
+/// than once per boot. A fleet therefore builds its guests before it
+/// reads its AES meter at rest, and every process it spawns shares them.
+pub struct Guest {
+    binary: Binary,
+    installed: Option<Installed>,
 }
 
-/// Like [`measure`] in enforcing mode, but with the kernel's verified-call
-/// cache enabled — the warm fast path the ablation and Table 4 report
-/// alongside the cold (paper-faithful) numbers.
-pub fn measure_cached(
-    spec: &ProgramSpec,
-    binary: &Binary,
-    personality: Personality,
-    key: asc_crypto::MacKey,
-) -> RunReport {
-    measure_tier_cached(spec, binary, personality, key, VerifyTier::Mac)
+/// What every enforcing kernel booted from one installed binary shares.
+struct Installed {
+    key: MacKey,
+    /// Fail-closed, as [`site_registry_for`] decides.
+    sites: Option<SiteRegistry>,
+    /// Only the flow tiers need it; they panic on the error.
+    flow: Result<FlowGraph, ArtifactError>,
+}
+
+impl Guest {
+    /// An unauthenticated binary; it boots only under plain options.
+    pub fn plain(binary: Binary) -> Guest {
+        Guest {
+            binary,
+            installed: None,
+        }
+    }
+
+    /// An installer-produced binary and the key it was installed under.
+    pub fn installed(binary: Binary, key: &MacKey) -> Guest {
+        let key = key.shared_schedule();
+        let installed = Installed {
+            sites: site_registry_for(&binary, &key),
+            flow: try_flow_graph_of(&binary, &key),
+            key,
+        };
+        Guest {
+            binary,
+            installed: Some(installed),
+        }
+    }
+
+    /// The binary this guest boots.
+    pub fn binary(&self) -> &Binary {
+        &self.binary
+    }
+
+    /// Builds a kernel over `fs` and `stdin` and loads the binary into a
+    /// machine. An enforcing boot installs a handle to the key, the site
+    /// registry when the binary carries `.ascsites`, and the digraph under
+    /// a flow tier. Observers and faults attach afterwards through
+    /// [`Machine::handler_mut`].
+    ///
+    /// # Errors
+    ///
+    /// The [`MemFault`] of a binary that does not fit in guest memory.
+    ///
+    /// # Panics
+    ///
+    /// On an enforcing boot of a plain guest, and on a flow tier for a
+    /// binary without an authentic `.ascflow` digraph.
+    pub fn boot(
+        &self,
+        opts: KernelOptions,
+        fs: FileSystem,
+        stdin: &[u8],
+    ) -> Result<Machine<Kernel>, MemFault> {
+        let (enforce, tier) = (opts.enforce, opts.verify_tier);
+        let mut kernel = Kernel::with_fs(opts, fs);
+        kernel.set_stdin(stdin);
+        if enforce {
+            let installed = self
+                .installed
+                .as_ref()
+                .expect("an enforcing boot needs an installed guest");
+            kernel.set_key(installed.key.shared_schedule());
+            if let Some(sites) = &installed.sites {
+                kernel.set_site_registry(sites.clone());
+            }
+            if tier.checks_flow() {
+                match &installed.flow {
+                    Ok(flow) => kernel.set_flow_graph(flow.clone()),
+                    Err(e) => panic!("authenticated binary has a sound flow digraph: {e}"),
+                }
+            }
+        }
+        // The break is set once the load has proved every section fits.
+        let mut machine = Machine::load(&self.binary, kernel)?;
+        machine.handler_mut().set_brk(self.binary.highest_addr());
+        Ok(machine)
+    }
+
+    /// Boots a registered workload over its fixture files and stdin and
+    /// runs it to completion within [`RUN_BUDGET`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Guest::boot`], and if the binary does not fit in memory.
+    pub fn run(&self, spec: &ProgramSpec, opts: KernelOptions) -> RunReport {
+        let mut machine = self
+            .boot(opts, spec.fs(), spec.stdin)
+            .expect("workload fits in memory");
+        let outcome = machine.run(RUN_BUDGET);
+        RunReport {
+            outcome,
+            cycles: machine.cycles(),
+            instret: machine.instret(),
+            kernel: machine.into_handler(),
+        }
+    }
 }
 
 /// Errors loading a policy-artifact section (`.ascflow` / `.ascsites`)
@@ -199,10 +248,7 @@ impl std::error::Error for ArtifactError {}
 ///
 /// [`ArtifactError`] when the section is missing, truncated, or rejected
 /// by its MAC under `key`.
-pub fn try_flow_graph_of(
-    binary: &Binary,
-    key: &asc_crypto::MacKey,
-) -> Result<FlowGraph, ArtifactError> {
+pub fn try_flow_graph_of(binary: &Binary, key: &MacKey) -> Result<FlowGraph, ArtifactError> {
     let section = binary
         .section_by_name(sections::ASCFLOW)
         .ok_or(ArtifactError::Missing(sections::ASCFLOW))?;
@@ -217,7 +263,7 @@ pub fn try_flow_graph_of(
 /// If the section is missing or its MAC does not verify under `key` —
 /// both mean the binary was not produced by this installer/key pair, so
 /// there is no sound digraph to enforce.
-pub fn flow_graph_of(binary: &Binary, key: &asc_crypto::MacKey) -> FlowGraph {
+pub fn flow_graph_of(binary: &Binary, key: &MacKey) -> FlowGraph {
     match try_flow_graph_of(binary, key) {
         Ok(flow) => flow,
         Err(e) => panic!("authenticated binary has a sound flow digraph: {e}"),
@@ -232,10 +278,7 @@ pub fn flow_graph_of(binary: &Binary, key: &asc_crypto::MacKey) -> FlowGraph {
 ///
 /// [`ArtifactError`] when the section is missing, truncated, or rejected
 /// by its MAC under `key`.
-pub fn try_sites_of(
-    binary: &Binary,
-    key: &asc_crypto::MacKey,
-) -> Result<SiteRegistry, ArtifactError> {
+pub fn try_sites_of(binary: &Binary, key: &MacKey) -> Result<SiteRegistry, ArtifactError> {
     let section = binary
         .section_by_name(sections::ASCSITES)
         .ok_or(ArtifactError::Missing(sections::ASCSITES))?;
@@ -248,7 +291,7 @@ pub fn try_sites_of(
 /// # Panics
 ///
 /// If the section is missing or its MAC does not verify under `key`.
-pub fn sites_of(binary: &Binary, key: &asc_crypto::MacKey) -> SiteRegistry {
+pub fn sites_of(binary: &Binary, key: &MacKey) -> SiteRegistry {
     match try_sites_of(binary, key) {
         Ok(sites) => sites,
         Err(e) => panic!("authenticated binary has a sound site registry: {e}"),
@@ -261,107 +304,10 @@ pub fn sites_of(binary: &Binary, key: &asc_crypto::MacKey) -> SiteRegistry {
 /// but truncated or MAC-rejected → an *empty* registry, so every trap
 /// fail-stops rather than silently dropping origin enforcement
 /// (fail-closed).
-pub fn site_registry_for(binary: &Binary, key: &asc_crypto::MacKey) -> Option<SiteRegistry> {
+pub fn site_registry_for(binary: &Binary, key: &MacKey) -> Option<SiteRegistry> {
     match try_sites_of(binary, key) {
         Ok(sites) => Some(sites),
         Err(ArtifactError::Missing(_)) => None,
         Err(_) => Some(SiteRegistry::new()),
     }
-}
-
-/// Like [`measure`] in enforcing mode, but running the given verification
-/// tier; the flow tiers additionally load the binary's `.ascflow` digraph
-/// into the kernel. `VerifyTier::Mac` is identical to
-/// `measure(spec, binary, personality, Some(key))`.
-pub fn measure_tier(
-    spec: &ProgramSpec,
-    binary: &Binary,
-    personality: Personality,
-    key: asc_crypto::MacKey,
-    tier: VerifyTier,
-) -> RunReport {
-    let opts = KernelOptions::enforcing(personality).with_tier(tier);
-    measure_with_opts(spec, binary, key, opts)
-}
-
-/// [`measure_tier`] with the verified-call cache enabled — the warm
-/// fast path, per tier. Under `VerifyTier::FlowOnly` the cache is
-/// inert (it only short-circuits MAC work), so warm equals cold.
-pub fn measure_tier_cached(
-    spec: &ProgramSpec,
-    binary: &Binary,
-    personality: Personality,
-    key: asc_crypto::MacKey,
-    tier: VerifyTier,
-) -> RunReport {
-    let opts = KernelOptions::enforcing(personality)
-        .with_verify_cache()
-        .with_tier(tier);
-    measure_with_opts(spec, binary, key, opts)
-}
-
-/// Shared body of the enforcing measurement entry points: the kernel is
-/// configured from `opts`, and the flow digraph is loaded whenever the
-/// selected tier checks transitions.
-fn measure_with_opts(
-    spec: &ProgramSpec,
-    binary: &Binary,
-    key: asc_crypto::MacKey,
-    opts: KernelOptions,
-) -> RunReport {
-    let mut fs = FileSystem::new();
-    (spec.setup_fs)(&mut fs);
-    let tier = opts.verify_tier;
-    let mut kernel = Kernel::with_fs(opts, fs);
-    kernel.set_stdin(spec.stdin.to_vec());
-    if tier.checks_flow() {
-        kernel.set_flow_graph(flow_graph_of(binary, &key));
-    }
-    if let Some(sites) = site_registry_for(binary, &key) {
-        kernel.set_site_registry(sites);
-    }
-    kernel.set_key(key);
-    kernel.set_brk(binary.highest_addr());
-    let mut machine = Machine::load(binary, kernel).expect("workload fits in memory");
-    let outcome = machine.run(RUN_BUDGET);
-    let cycles = machine.cycles();
-    let instret = machine.instret();
-    RunReport {
-        outcome,
-        kernel: machine.into_handler(),
-        cycles,
-        instret,
-    }
-}
-
-/// Runs a built (authenticated) workload under the given verification
-/// tier (see [`measure_tier`]).
-pub fn run_tier(
-    spec: &ProgramSpec,
-    binary: &Binary,
-    personality: Personality,
-    key: asc_crypto::MacKey,
-    tier: VerifyTier,
-) -> (RunOutcome, Kernel) {
-    let report = measure_tier(spec, binary, personality, key, tier);
-    (report.outcome, report.kernel)
-}
-
-/// Runs a built (authenticated) workload on an enforcing kernel with the
-/// given key.
-pub fn run_enforcing(
-    spec: &ProgramSpec,
-    binary: &Binary,
-    personality: Personality,
-    key: asc_crypto::MacKey,
-) -> (RunOutcome, Kernel) {
-    let mut kernel = kernel_for(spec, personality, true);
-    if let Some(sites) = site_registry_for(binary, &key) {
-        kernel.set_site_registry(sites);
-    }
-    kernel.set_key(key);
-    kernel.set_brk(binary.highest_addr());
-    let mut machine = Machine::load(binary, kernel).expect("workload fits in memory");
-    let outcome = machine.run(RUN_BUDGET);
-    (outcome, machine.into_handler())
 }

@@ -35,6 +35,15 @@ pub struct ProgramSpec {
     pub perf_experiment: bool,
 }
 
+impl ProgramSpec {
+    /// A fresh filesystem holding the fixture files the program reads.
+    pub fn fs(&self) -> FileSystem {
+        let mut fs = FileSystem::new();
+        (self.setup_fs)(&mut fs);
+        fs
+    }
+}
+
 impl std::fmt::Debug for ProgramSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProgramSpec")

@@ -6,15 +6,17 @@
 //! structured [`ArtifactError`], a truncated or MAC-rejected one either
 //! surfaces the parse error (`try_*`) or fails *closed* — the loader
 //! hands the kernel an empty registry and every subsequent trap is an
-//! `unrewritten-site` kill, not an unenforced run.
+//! `unrewritten-site` kill, not an unenforced run. The same holds for
+//! the SOF layout a guest boots from: a section that reaches past 4 GiB
+//! is a structured error, never an overflow.
 
 use asc_installer::{Installer, InstallerOptions};
-use asc_kernel::{Personality, ReasonCode, SitesParseError};
-use asc_object::{sections, Binary};
-use asc_vm::RunOutcome;
+use asc_kernel::{FileSystem, KernelOptions, Personality, ReasonCode, SitesParseError};
+use asc_object::{sections, Binary, Section, SectionFlags, SofError};
+use asc_vm::{MemFault, RunOutcome};
 use asc_workloads::{
-    build, program, run_enforcing, site_registry_for, try_flow_graph_of, try_sites_of,
-    ArtifactError, ProgramSpec,
+    build, program, site_registry_for, try_flow_graph_of, try_sites_of, ArtifactError, Guest,
+    ProgramSpec,
 };
 
 const PERSONALITY: Personality = Personality::Linux;
@@ -160,7 +162,8 @@ fn mac_tampered_registry_fails_closed_to_a_kill() {
         let registry = site_registry_for(&forged, &key()).expect("fail-closed registry");
         assert!(registry.is_empty(), "flip={flip}");
 
-        let (outcome, kernel) = run_enforcing(spec, &forged, PERSONALITY, key());
+        let run = Guest::installed(forged, &key()).run(spec, KernelOptions::enforcing(PERSONALITY));
+        let (outcome, kernel) = (run.outcome, run.kernel);
         assert!(
             matches!(outcome, RunOutcome::Killed(_)),
             "flip={flip}: tampered registry must kill, got {outcome:?}"
@@ -189,4 +192,38 @@ fn mac_tampered_flow_digraph_is_a_structured_error() {
         );
         assert!(!err.to_string().is_empty());
     }
+}
+
+/// A section that reaches past 4 GiB overlaps any section after it, so
+/// such a SOF is malformed rather than an overflow panic in `validate`.
+#[test]
+fn section_past_4_gib_followed_by_another_is_malformed() {
+    let mut b = Binary::new(0xFFFF_F000);
+    b.push_section(Section::zeroed(
+        ".text",
+        0xFFFF_F000,
+        0x2000,
+        SectionFlags::RX,
+    ));
+    b.push_section(Section::zeroed(".bss", 0xFFFF_F800, 0x10, SectionFlags::RW));
+    assert!(matches!(
+        Binary::from_bytes(&b.to_bytes()),
+        Err(SofError::Malformed(_))
+    ));
+}
+
+/// A lone section that reaches past 4 GiB parses, and booting it is a
+/// structured out-of-range fault rather than an overflow panic.
+#[test]
+fn section_past_4_gib_boots_to_out_of_range() {
+    let mut b = Binary::new(0xFFFF_F000);
+    b.push_section(Section::zeroed(
+        ".text",
+        0xFFFF_F000,
+        0x2000,
+        SectionFlags::RX,
+    ));
+    let b = Binary::from_bytes(&b.to_bytes()).expect("a lone section parses");
+    let booted = Guest::plain(b).boot(KernelOptions::plain(PERSONALITY), FileSystem::new(), &[]);
+    assert_eq!(booted.err(), Some(MemFault::OutOfRange { addr: u32::MAX }));
 }

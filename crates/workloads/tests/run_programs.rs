@@ -2,14 +2,15 @@
 //! on the personalities it targets — these are the paper's benchmark
 //! inputs, so a crash here invalidates every downstream experiment.
 
-use asc_kernel::Personality;
+use asc_kernel::{KernelOptions, Personality};
 use asc_vm::RunOutcome;
-use asc_workloads::{build, program, programs, run_plain};
+use asc_workloads::{build, program, programs, Guest};
 
 fn run_ok(name: &str, personality: Personality) -> asc_kernel::Kernel {
     let spec = program(name).expect("registered");
     let binary = build(spec, personality).unwrap_or_else(|e| panic!("{name}: {e}"));
-    let (outcome, kernel) = run_plain(spec, &binary, personality);
+    let run = Guest::plain(binary).run(spec, KernelOptions::plain(personality));
+    let (outcome, kernel) = (run.outcome, run.kernel);
     assert_eq!(
         outcome,
         RunOutcome::Exited(0),

@@ -14,9 +14,9 @@ use std::process::ExitCode;
 
 use asc::crypto::MacKey;
 use asc::installer::{Installer, InstallerOptions};
-use asc::kernel::{Kernel, KernelOptions, Personality};
+use asc::kernel::{FileSystem, KernelOptions, Personality};
 use asc::object::Binary;
-use asc::vm::Machine;
+use asc::workloads::Guest;
 
 struct Args {
     positional: Vec<String>,
@@ -198,21 +198,22 @@ fn run_command(cmd: &str, args: &Args) -> Result<ExitCode, String> {
             let in_path = args.positional.first().ok_or("missing input binary")?;
             let binary = load_binary(in_path)?;
             let enforce = args.flag("enforce") || binary.is_authenticated();
-            let opts = if enforce {
-                KernelOptions::enforcing(args.personality())
+            let (guest, opts) = if enforce {
+                let opts = KernelOptions::enforcing(args.personality());
+                (Guest::installed(binary, &args.key()), opts)
             } else {
-                KernelOptions::plain(args.personality())
+                (
+                    Guest::plain(binary),
+                    KernelOptions::plain(args.personality()),
+                )
             };
-            let mut kernel = Kernel::new(opts);
-            if enforce {
-                kernel.set_key(args.key());
-            }
-            if let Some(stdin_path) = args.value("stdin") {
-                let bytes = std::fs::read(stdin_path).map_err(|e| format!("{stdin_path}: {e}"))?;
-                kernel.set_stdin(bytes);
-            }
-            kernel.set_brk(binary.highest_addr());
-            let mut machine = Machine::load(&binary, kernel).map_err(|e| e.to_string())?;
+            let stdin = match args.value("stdin") {
+                Some(path) => std::fs::read(path).map_err(|e| format!("{path}: {e}"))?,
+                None => Vec::new(),
+            };
+            let mut machine = guest
+                .boot(opts, FileSystem::new(), &stdin)
+                .map_err(|e| e.to_string())?;
             let budget = args
                 .value("budget")
                 .and_then(|s| s.parse().ok())

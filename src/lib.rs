@@ -42,8 +42,8 @@
 //! ```
 //! use asc::crypto::MacKey;
 //! use asc::installer::{Installer, InstallerOptions};
-//! use asc::kernel::{Kernel, KernelOptions, Personality};
-//! use asc::vm::Machine;
+//! use asc::kernel::{FileSystem, KernelOptions, Personality};
+//! use asc::workloads::Guest;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let binary = asc::workloads::build_source(
@@ -53,10 +53,9 @@
 //! let key = MacKey::from_seed(2005);
 //! let installer = Installer::new(key.clone(), InstallerOptions::new(Personality::Linux));
 //! let (authenticated, _report) = installer.install(&binary, "hi")?;
-//! let mut kernel = Kernel::new(KernelOptions::enforcing(Personality::Linux));
-//! kernel.set_key(key);
-//! kernel.set_brk(authenticated.highest_addr());
-//! let mut machine = Machine::load(&authenticated, kernel)?;
+//! let guest = Guest::installed(authenticated, &key);
+//! let opts = KernelOptions::enforcing(Personality::Linux);
+//! let mut machine = guest.boot(opts, FileSystem::new(), b"")?;
 //! assert!(machine.run(10_000_000).is_success());
 //! assert_eq!(machine.handler().stdout(), b"hi\n");
 //! # Ok(()) }

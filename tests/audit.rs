@@ -23,13 +23,13 @@ use asc::audit::{replay, AuditFault, Bundle, SoloScenario};
 use asc::crypto::MacKey;
 use asc::installer::{Installer, InstallerOptions};
 use asc::kernel::{
-    FaultAction, FileSystem, Kernel, KernelOptions, KernelStats, Personality, TrapFault, VerifyTier,
+    FaultAction, Kernel, KernelOptions, KernelStats, Personality, TrapFault, VerifyTier,
 };
 use asc::object::Binary;
 use asc::sched::{Pid, ProcState, RecorderConfig, SchedConfig, SchedPolicy, Scheduler, SliceEnd};
 use asc::trace::EventKind;
 use asc::vm::Machine;
-use asc::workloads::{build, flow_graph_of, program, ProgramSpec, RUN_BUDGET};
+use asc::workloads::{build, program, Guest, ProgramSpec, RUN_BUDGET};
 use asc_testkit::Rng;
 
 const PERSONALITY: Personality = Personality::Linux;
@@ -65,20 +65,13 @@ fn fleet() -> &'static [Built] {
     })
 }
 
-fn machine_for_tier(spec: &ProgramSpec, auth: &Binary, tier: VerifyTier) -> Machine<Kernel> {
-    let mut fs = FileSystem::new();
-    (spec.setup_fs)(&mut fs);
+fn machine_for_tier(spec: &ProgramSpec, guest: &Guest, tier: VerifyTier) -> Machine<Kernel> {
     let opts = KernelOptions::enforcing(PERSONALITY)
         .with_verify_cache()
         .with_tier(tier);
-    let mut kernel = Kernel::with_fs(opts, fs);
-    kernel.set_key(key());
-    if tier.checks_flow() {
-        kernel.set_flow_graph(flow_graph_of(auth, &key()));
-    }
-    kernel.set_stdin(spec.stdin.to_vec());
-    kernel.set_brk(auth.highest_addr());
-    Machine::load(auth, kernel).expect("workload fits in guest memory")
+    guest
+        .boot(opts, spec.fs(), spec.stdin)
+        .expect("workload fits in guest memory")
 }
 
 fn spawn_n_tier(
@@ -89,6 +82,11 @@ fn spawn_n_tier(
     tier: VerifyTier,
 ) -> Scheduler {
     let fleet = fleet();
+    // One guest per binary: each parses its artifacts once, not per spawn.
+    let guests: Vec<Guest> = fleet
+        .iter()
+        .map(|b| Guest::installed(b.auth.clone(), &key()))
+        .collect();
     let mut sched = Scheduler::with_shared_cache(SchedConfig {
         policy,
         slice_instrs,
@@ -97,10 +95,8 @@ fn spawn_n_tier(
     });
     for m in 0..n {
         let built = &fleet[m % fleet.len()];
-        sched.spawn(
-            built.spec.name,
-            machine_for_tier(built.spec, &built.auth, tier),
-        );
+        let guest = &guests[m % fleet.len()];
+        sched.spawn(built.spec.name, machine_for_tier(built.spec, guest, tier));
     }
     sched
 }

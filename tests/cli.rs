@@ -80,6 +80,41 @@ fn compile_install_run_roundtrip() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("ALERT"));
 }
 
+/// `asc run` boots an installed binary with its `.ascsites` registry, so
+/// a raw `SYSCALL` gadget the installer never rewrote dies on the origin
+/// check before its write lands.
+#[test]
+fn run_enforces_the_origin_check() {
+    use asc::crypto::MacKey;
+    use asc::installer::{Installer, InstallerOptions};
+    use asc::kernel::Personality;
+    use asc::workloads::hostile::{build_hostile, hostile};
+
+    let spec = hostile("gadget").expect("gadget in the corpus");
+    let plain = build_hostile(spec).expect("gadget assembles");
+    let installer = Installer::new(
+        MacKey::from_seed(91),
+        InstallerOptions::new(Personality::Linux),
+    );
+    let (auth, _) = installer
+        .install(&plain, spec.name)
+        .expect("gadget installs");
+    let path = tmp("gadget.asc.sof");
+    std::fs::write(&path, auth.to_bytes()).expect("write binary");
+
+    let out = asc()
+        .args(["run", path.to_str().unwrap(), "--key-seed", "91"])
+        .output()
+        .expect("runs");
+    assert!(!out.status.success(), "the gadget must not exit cleanly");
+    assert!(
+        !String::from_utf8_lossy(&out.stdout).contains("pwned"),
+        "the smuggled write landed"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unrewritten site"), "{stderr}");
+}
+
 #[test]
 fn policy_and_disasm_outputs() {
     let src = tmp("p2.scl");

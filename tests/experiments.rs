@@ -4,9 +4,10 @@
 
 use asc::crypto::MacKey;
 use asc::installer::{Installer, InstallerOptions};
-use asc::kernel::Personality;
-use asc::monitors::{trace_names, train};
-use asc::workloads::{build, measure, program, run_plain};
+use asc::kernel::{KernelOptions, Personality};
+use asc::monitors::{trace_names, train, SystracePolicy};
+use asc::object::Binary;
+use asc::workloads::{build, program, Guest, ProgramSpec};
 
 fn key() -> MacKey {
     MacKey::from_seed(0x0DD5_EED5)
@@ -20,12 +21,17 @@ fn asc_count(name: &str, personality: Personality) -> usize {
     policy.distinct_syscalls().len()
 }
 
+/// Trains a Systrace policy on one plain OpenBSD run of `binary`.
+fn trained(spec: &ProgramSpec, binary: Binary) -> SystracePolicy {
+    let run = Guest::plain(binary).run(spec, KernelOptions::plain(Personality::OpenBsd));
+    assert!(run.outcome.is_success());
+    train(spec.name, [trace_names(&run.kernel)])
+}
+
 fn systrace_count(name: &str) -> usize {
     let spec = program(name).expect("registered");
     let binary = build(spec, Personality::OpenBsd).expect("builds");
-    let (outcome, kernel) = run_plain(spec, &binary, Personality::OpenBsd);
-    assert!(outcome.is_success());
-    train(name, [trace_names(&kernel)]).entry_count()
+    trained(spec, binary).entry_count()
 }
 
 #[test]
@@ -74,9 +80,7 @@ fn table2_key_rows_hold() {
 
     // Systrace-side: the trained policy's aliases cover never-executed
     // path-based calls (the over-permission the paper calls out).
-    let (outcome, kernel) = run_plain(spec, &binary, Personality::OpenBsd);
-    assert!(outcome.is_success());
-    let st = train("bison", [trace_names(&kernel)]);
+    let st = trained(spec, binary);
     for alias_covered in ["mkdir", "rmdir", "unlink", "readlink"] {
         assert!(st.permits(alias_covered), "{alias_covered}");
         assert!(st.permit_reason(alias_covered).unwrap().starts_with("fs"));
@@ -116,9 +120,10 @@ fn table6_overhead_shape() {
             InstallerOptions::new(Personality::Linux).with_program_id(pid),
         );
         let (auth, _) = installer.install(&plain, name).expect("installs");
-        let base = measure(spec, &plain, Personality::Linux, None);
+        let base = Guest::plain(plain).run(spec, KernelOptions::plain(Personality::Linux));
         assert!(base.outcome.is_success());
-        let with = measure(spec, &auth, Personality::Linux, Some(key()));
+        let with =
+            Guest::installed(auth, &key()).run(spec, KernelOptions::enforcing(Personality::Linux));
         assert!(
             with.outcome.is_success(),
             "{name}: {:?}",

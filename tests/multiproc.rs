@@ -26,7 +26,7 @@ use asc::kernel::{
 use asc::object::Binary;
 use asc::sched::{ProcState, Process, SchedConfig, SchedPolicy, Scheduler};
 use asc::vm::Machine;
-use asc::workloads::{build, flow_graph_of, program, ProgramSpec, RUN_BUDGET};
+use asc::workloads::{build, program, Guest, ProgramSpec, RUN_BUDGET};
 
 const PERSONALITY: Personality = Personality::Linux;
 const WORKLOADS: [&str; 3] = ["bison", "calc", "tar"];
@@ -66,39 +66,42 @@ fn fleet() -> &'static [Built] {
                     InstallerOptions::new(PERSONALITY).with_program_id(0x0AB0 + i as u16),
                 );
                 let (auth, _) = installer.install(&plain, spec.name).expect("installs");
-                let solo = solo_run(spec, &auth);
+                let solo = solo_run(spec, &Guest::installed(auth.clone(), &key()));
                 Built { spec, auth, solo }
             })
             .collect()
     })
 }
 
-fn machine_for(spec: &ProgramSpec, auth: &Binary) -> Machine<Kernel> {
-    machine_for_tier(spec, auth, VerifyTier::Mac)
+/// One guest per fleet binary, each parsing its artifacts once. A guest
+/// holds a key handle that cannot cross threads, so tests build their
+/// own from the shared binaries.
+fn guests() -> Vec<Guest> {
+    fleet()
+        .iter()
+        .map(|b| Guest::installed(b.auth.clone(), &key()))
+        .collect()
+}
+
+fn machine_for(spec: &ProgramSpec, guest: &Guest) -> Machine<Kernel> {
+    machine_for_tier(spec, guest, VerifyTier::Mac)
 }
 
 /// [`machine_for`] under an explicit verification tier; the flow tiers
 /// get the binary's installed digraph.
-fn machine_for_tier(spec: &ProgramSpec, auth: &Binary, tier: VerifyTier) -> Machine<Kernel> {
-    let mut fs = FileSystem::new();
-    (spec.setup_fs)(&mut fs);
+fn machine_for_tier(spec: &ProgramSpec, guest: &Guest, tier: VerifyTier) -> Machine<Kernel> {
     let opts = KernelOptions::enforcing(PERSONALITY)
         .with_verify_cache()
         .with_tier(tier);
-    let mut kernel = Kernel::with_fs(opts, fs);
-    kernel.set_key(key());
-    if tier.checks_flow() {
-        kernel.set_flow_graph(flow_graph_of(auth, &key()));
-    }
-    kernel.set_stdin(spec.stdin.to_vec());
-    kernel.set_brk(auth.highest_addr());
-    Machine::load(auth, kernel).expect("workload fits in guest memory")
+    guest
+        .boot(opts, spec.fs(), spec.stdin)
+        .expect("workload fits in guest memory")
 }
 
 /// Solo observables under an explicit tier (per-tier `stats` differ:
 /// the flow tiers charge different verification cycles).
-fn solo_tier(spec: &ProgramSpec, auth: &Binary, tier: VerifyTier) -> Solo {
-    let mut machine = machine_for_tier(spec, auth, tier);
+fn solo_tier(spec: &ProgramSpec, guest: &Guest, tier: VerifyTier) -> Solo {
+    let mut machine = machine_for_tier(spec, guest, tier);
     let outcome = machine.run(RUN_BUDGET);
     let exit = match outcome {
         asc::vm::RunOutcome::Exited(code) => code,
@@ -119,8 +122,8 @@ fn solo_tier(spec: &ProgramSpec, auth: &Binary, tier: VerifyTier) -> Solo {
     }
 }
 
-fn solo_run(spec: &ProgramSpec, auth: &Binary) -> Solo {
-    let mut machine = machine_for(spec, auth);
+fn solo_run(spec: &ProgramSpec, guest: &Guest) -> Solo {
+    let mut machine = machine_for(spec, guest);
     let outcome = machine.run(RUN_BUDGET);
     let exit = match outcome {
         asc::vm::RunOutcome::Exited(code) => code,
@@ -162,6 +165,7 @@ fn spawn_n_tier(
     tier: VerifyTier,
 ) -> Scheduler {
     let fleet = fleet();
+    let guests = guests();
     let mut sched = Scheduler::with_shared_cache(SchedConfig {
         policy,
         slice_instrs,
@@ -170,10 +174,8 @@ fn spawn_n_tier(
     });
     for m in 0..n {
         let built = &fleet[m % fleet.len()];
-        sched.spawn(
-            built.spec.name,
-            machine_for_tier(built.spec, &built.auth, tier),
-        );
+        let guest = &guests[m % fleet.len()];
+        sched.spawn(built.spec.name, machine_for_tier(built.spec, guest, tier));
     }
     sched
 }
@@ -306,11 +308,13 @@ fn external_kill_leaves_peers_untouched() {
 #[test]
 fn policy_state_replayed_across_pids_is_rejected() {
     let fleet = fleet();
+    let guests = guests();
     // Pick a workload whose runs actually carry policy state.
-    let built = fleet
+    let (built, guest) = fleet
         .iter()
-        .find(|b| {
-            let mut machine = machine_for(b.spec, &b.auth);
+        .zip(&guests)
+        .find(|(b, g)| {
+            let mut machine = machine_for(b.spec, g);
             machine.run(RUN_BUDGET);
             machine.into_handler().last_policy_cell().is_some()
         })
@@ -322,8 +326,8 @@ fn policy_state_replayed_across_pids_is_rejected() {
         budget_cycles: RUN_BUDGET,
         batch_depth: None,
     });
-    let a = sched.spawn(built.spec.name, machine_for(built.spec, &built.auth));
-    let b = sched.spawn(built.spec.name, machine_for(built.spec, &built.auth));
+    let a = sched.spawn(built.spec.name, machine_for(built.spec, guest));
+    let b = sched.spawn(built.spec.name, machine_for(built.spec, guest));
 
     // Run A alone until it has verified a policy-state call and its
     // counter has pulled ahead of B's (B has not run at all).
@@ -694,7 +698,8 @@ fn flow_state_is_per_pid_and_kills_do_not_leak() {
     {
         let solos: Vec<Solo> = fleet
             .iter()
-            .map(|b| solo_tier(b.spec, &b.auth, tier))
+            .zip(&guests())
+            .map(|(b, g)| solo_tier(b.spec, g, tier))
             .collect();
         let mut sched = spawn_n_tier(
             3,
@@ -834,20 +839,16 @@ fn gadget_pid_dies_alone_with_an_attributed_origin_kill() {
     let (auth, _) = installer
         .install(&plain, spec.name)
         .expect("gadget installs");
+    let gadget_guest = Guest::installed(auth, &key());
 
     for &n in &[2usize, 8, 64] {
         let mut sched = spawn_n(n, SchedPolicy::SeededRandom(0x0619_0AD6 ^ n as u64), 2_000);
-        let mut kernel = Kernel::new(
-            KernelOptions::enforcing(PERSONALITY)
-                .with_verify_cache()
-                .with_tier(VerifyTier::Mac),
-        );
-        kernel.set_key(key());
-        kernel.set_site_registry(asc::workloads::sites_of(&auth, &key()));
-        kernel.set_brk(auth.highest_addr());
+        let opts = KernelOptions::enforcing(PERSONALITY).with_verify_cache();
         let gadget = sched.spawn(
             spec.name,
-            Machine::load(&auth, kernel).expect("gadget fits"),
+            gadget_guest
+                .boot(opts, FileSystem::new(), &[])
+                .expect("gadget fits"),
         );
         sched.run();
 

@@ -19,15 +19,10 @@
 use asc::crypto::MacKey;
 use asc::installer::{Installer, InstallerOptions};
 use asc::isa::Opcode;
-use asc::kernel::{
-    FileSystem, Kernel, KernelOptions, Personality, ReasonCode, SiteRegistry, VerifyTier,
-};
+use asc::kernel::{Kernel, KernelOptions, Personality, ReasonCode, SiteRegistry, VerifyTier};
 use asc::object::Binary;
 use asc::vm::{Machine, RunOutcome};
-use asc::workloads::{
-    build, flow_graph_of, measure_tier, measure_tier_cached, program, sites_of, ProgramSpec,
-    RUN_BUDGET,
-};
+use asc::workloads::{build, flow_graph_of, program, sites_of, Guest, ProgramSpec, RUN_BUDGET};
 use asc_testkit::{check, Rng};
 
 const PERSONALITY: Personality = Personality::Linux;
@@ -44,8 +39,8 @@ fn install(name: &str, key: &MacKey, program_id: u16) -> (&'static ProgramSpec, 
     (spec, auth, report.precision.rewritten)
 }
 
-/// Runs `auth` under an explicit registry (instead of the one the
-/// measurement helpers load from `.ascsites`), mirroring the enforcing
+/// Runs `auth` under an explicit registry (instead of the one
+/// [`Guest::boot`] loads from `.ascsites`), mirroring the enforcing
 /// kernel configuration of the measurement path.
 fn run_with_registry(
     spec: &ProgramSpec,
@@ -55,15 +50,7 @@ fn run_with_registry(
     cached: bool,
     registry: SiteRegistry,
 ) -> (RunOutcome, Kernel) {
-    let mut fs = FileSystem::new();
-    (spec.setup_fs)(&mut fs);
-    let opts = KernelOptions::enforcing(PERSONALITY).with_tier(tier);
-    let opts = if cached {
-        opts.with_verify_cache()
-    } else {
-        opts
-    };
-    let mut kernel = Kernel::with_fs(opts, fs);
+    let mut kernel = Kernel::with_fs(options(tier, cached), spec.fs());
     kernel.set_stdin(spec.stdin.to_vec());
     if tier.checks_flow() {
         kernel.set_flow_graph(flow_graph_of(auth, key));
@@ -74,6 +61,15 @@ fn run_with_registry(
     let mut machine = Machine::load(auth, kernel).expect("workload fits in memory");
     let outcome = machine.run(RUN_BUDGET);
     (outcome, machine.into_handler())
+}
+
+fn options(tier: VerifyTier, cached: bool) -> KernelOptions {
+    let opts = KernelOptions::enforcing(PERSONALITY).with_tier(tier);
+    if cached {
+        opts.with_verify_cache()
+    } else {
+        opts
+    }
 }
 
 /// Every benign trap comes from a registered site, under every tier and
@@ -112,11 +108,7 @@ fn benign_traps_all_originate_from_registered_sites() {
             );
         }
 
-        let report = if cached {
-            measure_tier_cached(spec, &auth, PERSONALITY, key.clone(), tier)
-        } else {
-            measure_tier(spec, &auth, PERSONALITY, key.clone(), tier)
-        };
+        let report = Guest::installed(auth, &key).run(spec, options(tier, cached));
         assert_eq!(
             report.outcome,
             RunOutcome::Exited(0),
@@ -154,7 +146,7 @@ fn removing_a_hit_site_turns_the_clean_run_into_an_origin_kill() {
 
         // A clean run's trace tells us which sites are actually hit.
         let full = sites_of(&auth, &key);
-        let report = measure_tier(spec, &auth, PERSONALITY, key.clone(), tier);
+        let report = Guest::installed(auth.clone(), &key).run(spec, options(tier, false));
         assert_eq!(report.outcome, RunOutcome::Exited(0), "{name}: clean run");
         let hit: Vec<u32> = {
             let mut pcs: Vec<u32> = report.kernel.trace().iter().map(|t| t.site).collect();
@@ -191,11 +183,7 @@ fn empty_registry_kills_the_first_trap_before_any_side_effect() {
         let key = MacKey::from_seed(0x0819_FA11);
         let (spec, auth, _) = install(name, &key, 0x0F11);
         for &tier in &VerifyTier::ALL {
-            let pristine = {
-                let mut fs = FileSystem::new();
-                (spec.setup_fs)(&mut fs);
-                fs.digest()
-            };
+            let pristine = spec.fs().digest();
             let (outcome, kernel) =
                 run_with_registry(spec, &auth, &key, tier, false, SiteRegistry::new());
             assert!(

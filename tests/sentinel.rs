@@ -17,14 +17,12 @@ use std::sync::OnceLock;
 
 use asc::crypto::MacKey;
 use asc::installer::{Installer, InstallerOptions};
-use asc::kernel::{
-    FileSystem, Kernel, KernelMetrics, KernelOptions, KernelStats, Personality, VerifyTier,
-};
+use asc::kernel::{Kernel, KernelMetrics, KernelOptions, KernelStats, Personality, VerifyTier};
 use asc::object::Binary;
 use asc::sched::{Pid, ProcState, SchedConfig, SchedPolicy, Scheduler};
 use asc::sentinel::{Sentinel, SentinelConfig};
 use asc::vm::Machine;
-use asc::workloads::{build, flow_graph_of, program, ProgramSpec, RUN_BUDGET};
+use asc::workloads::{build, program, Guest, ProgramSpec, RUN_BUDGET};
 
 const PERSONALITY: Personality = Personality::Linux;
 const WORKLOADS: [&str; 3] = ["bison", "calc", "tar"];
@@ -61,26 +59,22 @@ fn fleet() -> &'static [Built] {
 
 fn machine_for_tier(
     spec: &ProgramSpec,
-    auth: &Binary,
+    guest: &Guest,
     tier: VerifyTier,
     with_metrics: bool,
 ) -> Machine<Kernel> {
-    let mut fs = FileSystem::new();
-    (spec.setup_fs)(&mut fs);
     let opts = KernelOptions::enforcing(PERSONALITY)
         .with_verify_cache()
         .with_tier(tier);
-    let mut kernel = Kernel::with_fs(opts, fs);
-    kernel.set_key(key());
-    if tier.checks_flow() {
-        kernel.set_flow_graph(flow_graph_of(auth, &key()));
-    }
-    kernel.set_stdin(spec.stdin.to_vec());
-    kernel.set_brk(auth.highest_addr());
+    let mut machine = guest
+        .boot(opts, spec.fs(), spec.stdin)
+        .expect("workload fits in guest memory");
     if with_metrics {
-        kernel.set_metrics(Box::new(KernelMetrics::new()));
+        machine
+            .handler_mut()
+            .set_metrics(Box::new(KernelMetrics::new()));
     }
-    Machine::load(auth, kernel).expect("workload fits in guest memory")
+    machine
 }
 
 fn spawn_n_tier(
@@ -91,6 +85,11 @@ fn spawn_n_tier(
     with_metrics: bool,
 ) -> Scheduler {
     let fleet = fleet();
+    // One guest per binary: each parses its artifacts once, not per spawn.
+    let guests: Vec<Guest> = fleet
+        .iter()
+        .map(|b| Guest::installed(b.auth.clone(), &key()))
+        .collect();
     let mut sched = Scheduler::with_shared_cache(SchedConfig {
         policy,
         slice_instrs: 2_000,
@@ -99,9 +98,10 @@ fn spawn_n_tier(
     });
     for m in 0..n {
         let built = &fleet[m % fleet.len()];
+        let guest = &guests[m % fleet.len()];
         sched.spawn(
             built.spec.name,
-            machine_for_tier(built.spec, &built.auth, tier, with_metrics),
+            machine_for_tier(built.spec, guest, tier, with_metrics),
         );
     }
     sched
