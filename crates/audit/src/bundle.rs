@@ -493,3 +493,16 @@ pub(crate) fn replay_fleet(bundle: &Bundle, scenario: &FleetScenario) -> ReplayV
     }
     ReplayVerdict::matched(kill)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        for doc in ["[".repeat(100_000), r#"{"a":"#.repeat(100_000)] {
+            let err = Bundle::from_json(&doc).unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
+    }
+}

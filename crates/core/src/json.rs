@@ -10,6 +10,12 @@ use std::collections::BTreeMap;
 
 use crate::policy::{ArgPolicy, ProgramPolicy, SyscallPolicy, MAX_ARGS};
 
+/// How deeply arrays and objects may nest in a parsed document. The
+/// parser recurses once per level, so without a bound a hostile document
+/// of a few kilobytes of `[` overflows the stack. The deepest JSON file
+/// checked into the repository nests 5 levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
@@ -75,11 +81,13 @@ impl Value {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the byte offset of the first syntax error.
+    /// Returns a message naming the byte offset of the first syntax
+    /// error, or of the first array or object nested deeper than
+    /// [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Value, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, MAX_DEPTH)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -116,9 +124,13 @@ fn expect(bytes: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parses one value; `depth` is how many more arrays or objects may open.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
+        Some(b'[' | b'{') if depth == 0 => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+        }
         Some(b'n') => parse_lit(bytes, pos, "null", Value::Null),
         Some(b't') => parse_lit(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Value::Bool(false)),
@@ -132,7 +144,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth - 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -157,7 +169,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth - 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -575,6 +587,51 @@ mod tests {
         assert!(Value::parse("tru").is_err());
         assert!(Value::parse("1 2").is_err());
         assert!(Value::parse(r#""\x""#).is_err());
+    }
+
+    /// `n` arrays, each holding the next, around `0`.
+    fn nested_arrays(n: usize) -> String {
+        format!("{}0{}", "[".repeat(n), "]".repeat(n))
+    }
+
+    #[test]
+    fn nesting_at_the_bound_parses() {
+        let mut v = &Value::parse(&nested_arrays(MAX_DEPTH)).unwrap();
+        for _ in 0..MAX_DEPTH {
+            v = &v.as_array().unwrap()[0];
+        }
+        assert_eq!(v.as_u64(), Some(0));
+        let objects = format!("{}0{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Value::parse(&objects).is_ok());
+    }
+
+    #[test]
+    fn nesting_past_the_bound_names_its_offset() {
+        let err = Value::parse(&nested_arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        // Each `{"a":` is five bytes; the offending one opens at 5 * 128.
+        let objects = r#"{"a":"#.repeat(MAX_DEPTH + 1);
+        let err = Value::parse(&objects).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {}", 5 * MAX_DEPTH)
+        );
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        let arrays = "[".repeat(100_000);
+        let objects = r#"{"a":"#.repeat(100_000);
+        for doc in [&arrays, &objects] {
+            assert!(Value::parse(doc)
+                .unwrap_err()
+                .contains("nesting deeper than"));
+            assert!(ProgramPolicy::from_json(doc).is_err());
+            assert!(SyscallPolicy::from_json(doc).is_err());
+        }
     }
 
     #[test]

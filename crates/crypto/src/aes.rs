@@ -1,10 +1,20 @@
 //! AES-128 block cipher (encryption only — all MAC constructions in this
 //! crate only ever encrypt).
 //!
-//! This is a straightforward table-free implementation of FIPS-197 suitable
-//! for a simulator: `SubBytes` uses the S-box table, `MixColumns` uses
-//! `xtime` arithmetic. It is validated against the FIPS-197 appendix vectors
-//! in the unit tests below.
+//! The rounds are word-wise, in the table-driven style of the Gladman AES
+//! the paper's prototype linked (DESIGN.md §21). The state is four
+//! big-endian `u32` columns and the key schedule is 44 such words. In each
+//! of rounds 1–9 an output column is four lookups into `TE` XORed with the
+//! round key: the tables fold `SubBytes` and `MixColumns` together, and
+//! which input column each lookup reads is `ShiftRows`. The last round has
+//! no `MixColumns` and reads the S-box directly. The tables are computed
+//! at compile time from the S-box.
+//!
+//! Every block goes through one crate-private function,
+//! `Aes128::encrypt_words`, which is also where blocks are counted. The
+//! byte-wise FIPS-197 rounds live on only in this module's tests, as the
+//! reference that the FIPS-197 vectors and a differential test check the
+//! word-wise rounds against.
 
 /// The AES S-box.
 const SBOX: [u8; 256] = [
@@ -29,17 +39,31 @@ const SBOX: [u8; 256] = [
 /// Round constants for the AES-128 key schedule.
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
-#[inline]
-fn xtime(b: u8) -> u8 {
-    let hi = b & 0x80;
-    let mut r = b << 1;
-    if hi != 0 {
-        r ^= 0x1b;
+/// `TE[r][x]` is what a byte `x` in row `r` of a column contributes to
+/// that column after `SubBytes` and `MixColumns`: for `s = SBOX[x]`,
+/// `TE[0][x]` is the big-endian word `(2·s, s, s, 3·s)` and `TE[r]` is
+/// `TE[0]` rotated right by `8·r` bits. Four 1 KiB tables.
+static TE: [[u32; 256]; 4] = te_tables();
+
+const fn te_tables() -> [[u32; 256]; 4] {
+    let mut te = [[0u32; 256]; 4];
+    let mut x = 0;
+    while x < 256 {
+        let s = SBOX[x];
+        // Doubling in GF(2^8), reducing by x^8 + x^4 + x^3 + x + 1.
+        let s2 = (s << 1) ^ if s & 0x80 != 0 { 0x1b } else { 0 };
+        let word = u32::from_be_bytes([s2, s, s, s2 ^ s]);
+        let mut r = 0;
+        while r < 4 {
+            te[r][x] = word.rotate_right(8 * r as u32);
+            r += 1;
+        }
+        x += 1;
     }
-    r
+    te
 }
 
-/// An expanded AES-128 key (11 round keys).
+/// An expanded AES-128 key (44 schedule words, four per round key).
 ///
 /// Construct once with [`Aes128::new`] and reuse; key expansion is the
 /// expensive part of short-message MACs, so the schedule is precomputed here
@@ -50,7 +74,7 @@ fn xtime(b: u8) -> u8 {
 /// from *measured* block operations rather than from per-call-site estimates,
 /// which keeps the cycle model honest when a cached fast path skips work.
 pub struct Aes128 {
-    round_keys: [[u8; 16]; 11],
+    round_keys: [u32; 44],
     blocks: std::rc::Rc<std::cell::Cell<u64>>,
 }
 
@@ -79,31 +103,17 @@ impl std::fmt::Debug for Aes128 {
 impl Aes128 {
     /// Expands `key` into the 11 round keys of AES-128.
     pub fn new(key: &[u8; 16]) -> Self {
-        let mut w = [[0u8; 4]; 44];
-        for (i, chunk) in key.chunks_exact(4).enumerate() {
-            w[i].copy_from_slice(chunk);
-        }
+        let mut w = [0u32; 44];
+        w[..4].copy_from_slice(&load_block(key));
         for i in 4..44 {
             let mut temp = w[i - 1];
             if i % 4 == 0 {
-                temp.rotate_left(1);
-                for b in &mut temp {
-                    *b = SBOX[*b as usize];
-                }
-                temp[0] ^= RCON[i / 4 - 1];
+                temp = sub_word(temp.rotate_left(8)) ^ (u32::from(RCON[i / 4 - 1]) << 24);
             }
-            for j in 0..4 {
-                w[i][j] = w[i - 4][j] ^ temp[j];
-            }
-        }
-        let mut round_keys = [[0u8; 16]; 11];
-        for (r, rk) in round_keys.iter_mut().enumerate() {
-            for c in 0..4 {
-                rk[c * 4..c * 4 + 4].copy_from_slice(&w[r * 4 + c]);
-            }
+            w[i] = w[i - 4] ^ temp;
         }
         Aes128 {
-            round_keys,
+            round_keys: w,
             blocks: std::rc::Rc::new(std::cell::Cell::new(0)),
         }
     }
@@ -127,17 +137,7 @@ impl Aes128 {
 
     /// Encrypts one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        self.blocks.set(self.blocks.get().wrapping_add(1));
-        add_round_key(block, &self.round_keys[0]);
-        for round in 1..10 {
-            sub_bytes(block);
-            shift_rows(block);
-            mix_columns(block);
-            add_round_key(block, &self.round_keys[round]);
-        }
-        sub_bytes(block);
-        shift_rows(block);
-        add_round_key(block, &self.round_keys[10]);
+        *block = store_block(self.encrypt_words(load_block(block)));
     }
 
     /// Encrypts one block, returning the ciphertext.
@@ -145,6 +145,35 @@ impl Aes128 {
         let mut out = *block;
         self.encrypt_block(&mut out);
         out
+    }
+
+    /// Encrypts one block held as four big-endian column words (see
+    /// [`load_block`]). Every block of the crate goes through here, and
+    /// this is where it is counted, once.
+    pub(crate) fn encrypt_words(&self, block: [u32; 4]) -> [u32; 4] {
+        self.blocks.set(self.blocks.get().wrapping_add(1));
+        let rk = &self.round_keys;
+        let mut s = [
+            block[0] ^ rk[0],
+            block[1] ^ rk[1],
+            block[2] ^ rk[2],
+            block[3] ^ rk[3],
+        ];
+        for round in 1..10 {
+            let k = &rk[4 * round..4 * round + 4];
+            s = [
+                te_column(s[0], s[1], s[2], s[3]) ^ k[0],
+                te_column(s[1], s[2], s[3], s[0]) ^ k[1],
+                te_column(s[2], s[3], s[0], s[1]) ^ k[2],
+                te_column(s[3], s[0], s[1], s[2]) ^ k[3],
+            ];
+        }
+        [
+            last_column(s[0], s[1], s[2], s[3]) ^ rk[40],
+            last_column(s[1], s[2], s[3], s[0]) ^ rk[41],
+            last_column(s[2], s[3], s[0], s[1]) ^ rk[42],
+            last_column(s[3], s[0], s[1], s[2]) ^ rk[43],
+        ]
     }
 
     /// Total block-cipher invocations performed by this instance since
@@ -157,50 +186,159 @@ impl Aes128 {
     }
 }
 
-#[inline]
-fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-    for i in 0..16 {
-        state[i] ^= rk[i];
-    }
+/// A block as four big-endian column words: word `c` holds rows 0–3 of
+/// column `c`, row 0 in the most significant byte.
+pub(crate) fn load_block(block: &[u8; 16]) -> [u32; 4] {
+    let (columns, _) = block.as_chunks::<4>();
+    std::array::from_fn(|c| u32::from_be_bytes(columns[c]))
 }
 
-#[inline]
-fn sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = SBOX[*b as usize];
+/// The inverse of [`load_block`].
+pub(crate) fn store_block(words: [u32; 4]) -> [u8; 16] {
+    let mut block = [0u8; 16];
+    let (columns, _) = block.as_chunks_mut::<4>();
+    for (column, word) in columns.iter_mut().zip(words) {
+        *column = word.to_be_bytes();
     }
+    block
 }
 
-/// State is column-major: byte `state[c*4 + r]` is row `r`, column `c`.
-#[inline]
-fn shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[c * 4 + r] = s[((c + r) % 4) * 4 + r];
+/// The S-box applied to each byte of a word.
+fn sub_word(w: u32) -> u32 {
+    u32::from_be_bytes(w.to_be_bytes().map(|b| SBOX[b as usize]))
+}
+
+/// One output column of rounds 1–9 before its round key. `ShiftRows`
+/// takes row `r` from input column `c + r`, so the caller passes the
+/// columns starting at `c`: `a` supplies row 0, `b` row 1, and so on.
+#[inline(always)]
+fn te_column(a: u32, b: u32, c: u32, d: u32) -> u32 {
+    TE[0][(a >> 24) as usize]
+        ^ TE[1][(b >> 16) as u8 as usize]
+        ^ TE[2][(c >> 8) as u8 as usize]
+        ^ TE[3][d as u8 as usize]
+}
+
+/// One output column of the last round (no `MixColumns`) before its
+/// round key, with the same argument order as [`te_column`].
+#[inline(always)]
+fn last_column(a: u32, b: u32, c: u32, d: u32) -> u32 {
+    u32::from_be_bytes([
+        SBOX[(a >> 24) as usize],
+        SBOX[(b >> 16) as u8 as usize],
+        SBOX[(c >> 8) as u8 as usize],
+        SBOX[d as u8 as usize],
+    ])
+}
+
+/// The byte-wise FIPS-197 cipher the word-wise rounds replaced, kept as
+/// the reference the tests check them against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{RCON, SBOX};
+
+    /// AES-128 with the state as 16 bytes and the round keys as 11
+    /// 16-byte blocks.
+    pub(crate) struct ByteAes {
+        round_keys: [[u8; 16]; 11],
+    }
+
+    impl ByteAes {
+        pub(crate) fn new(key: &[u8; 16]) -> Self {
+            let mut w = [[0u8; 4]; 44];
+            for (i, chunk) in key.chunks_exact(4).enumerate() {
+                w[i].copy_from_slice(chunk);
+            }
+            for i in 4..44 {
+                let mut temp = w[i - 1];
+                if i % 4 == 0 {
+                    temp.rotate_left(1);
+                    for b in &mut temp {
+                        *b = SBOX[*b as usize];
+                    }
+                    temp[0] ^= RCON[i / 4 - 1];
+                }
+                for j in 0..4 {
+                    w[i][j] = w[i - 4][j] ^ temp[j];
+                }
+            }
+            let mut round_keys = [[0u8; 16]; 11];
+            for (r, rk) in round_keys.iter_mut().enumerate() {
+                for c in 0..4 {
+                    rk[c * 4..c * 4 + 4].copy_from_slice(&w[r * 4 + c]);
+                }
+            }
+            ByteAes { round_keys }
+        }
+
+        pub(crate) fn encrypt(&self, block: &[u8; 16]) -> [u8; 16] {
+            let mut state = *block;
+            add_round_key(&mut state, &self.round_keys[0]);
+            for round in 1..10 {
+                sub_bytes(&mut state);
+                shift_rows(&mut state);
+                mix_columns(&mut state);
+                add_round_key(&mut state, &self.round_keys[round]);
+            }
+            sub_bytes(&mut state);
+            shift_rows(&mut state);
+            add_round_key(&mut state, &self.round_keys[10]);
+            state
         }
     }
-}
 
-#[inline]
-fn mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [
-            state[c * 4],
-            state[c * 4 + 1],
-            state[c * 4 + 2],
-            state[c * 4 + 3],
-        ];
-        let t = col[0] ^ col[1] ^ col[2] ^ col[3];
-        for r in 0..4 {
-            state[c * 4 + r] = col[r] ^ t ^ xtime(col[r] ^ col[(r + 1) % 4]);
+    fn xtime(b: u8) -> u8 {
+        let hi = b & 0x80;
+        let mut r = b << 1;
+        if hi != 0 {
+            r ^= 0x1b;
+        }
+        r
+    }
+
+    fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
+        for i in 0..16 {
+            state[i] ^= rk[i];
+        }
+    }
+
+    fn sub_bytes(state: &mut [u8; 16]) {
+        for b in state.iter_mut() {
+            *b = SBOX[*b as usize];
+        }
+    }
+
+    /// State is column-major: byte `state[c*4 + r]` is row `r`, column `c`.
+    fn shift_rows(state: &mut [u8; 16]) {
+        let s = *state;
+        for r in 1..4 {
+            for c in 0..4 {
+                state[c * 4 + r] = s[((c + r) % 4) * 4 + r];
+            }
+        }
+    }
+
+    fn mix_columns(state: &mut [u8; 16]) {
+        for c in 0..4 {
+            let col = [
+                state[c * 4],
+                state[c * 4 + 1],
+                state[c * 4 + 2],
+                state[c * 4 + 3],
+            ];
+            let t = col[0] ^ col[1] ^ col[2] ^ col[3];
+            for r in 0..4 {
+                state[c * 4 + r] = col[r] ^ t ^ xtime(col[r] ^ col[(r + 1) % 4]);
+            }
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::ByteAes;
     use super::*;
+    use asc_testkit::Rng;
 
     fn hex(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -209,26 +347,58 @@ mod tests {
             .collect()
     }
 
+    fn block(s: &str) -> [u8; 16] {
+        hex(s).try_into().unwrap()
+    }
+
+    fn random_block(rng: &mut Rng) -> [u8; 16] {
+        std::array::from_fn(|_| rng.byte())
+    }
+
     #[test]
-    fn fips197_appendix_b() {
-        let key: [u8; 16] = hex("2b7e151628aed2a6abf7158809cf4f3c").try_into().unwrap();
-        let pt: [u8; 16] = hex("3243f6a8885a308d313198a2e0370734").try_into().unwrap();
-        let aes = Aes128::new(&key);
+    fn fips197_appendix_a1_key_expansion() {
+        let aes = Aes128::new(&block("2b7e151628aed2a6abf7158809cf4f3c"));
         assert_eq!(
-            aes.encrypt(&pt).to_vec(),
-            hex("3925841d02dc09fbdc118597196a0b32")
+            &aes.round_keys[..4],
+            &[0x2b7e1516, 0x28aed2a6, 0xabf71588, 0x09cf4f3c]
+        );
+        assert_eq!(aes.round_keys[4], 0xa0fafe17, "w[4]");
+        assert_eq!(
+            &aes.round_keys[40..],
+            &[0xd014f9a8, 0xc9ee2589, 0xe13f0cc8, 0xb6630ca6]
         );
     }
 
     #[test]
+    fn fips197_appendix_b() {
+        let key = block("2b7e151628aed2a6abf7158809cf4f3c");
+        let pt = block("3243f6a8885a308d313198a2e0370734");
+        let ct = block("3925841d02dc09fbdc118597196a0b32");
+        assert_eq!(Aes128::new(&key).encrypt(&pt), ct);
+        assert_eq!(ByteAes::new(&key).encrypt(&pt), ct, "reference");
+    }
+
+    #[test]
     fn fips197_appendix_c1() {
-        let key: [u8; 16] = hex("000102030405060708090a0b0c0d0e0f").try_into().unwrap();
-        let pt: [u8; 16] = hex("00112233445566778899aabbccddeeff").try_into().unwrap();
-        let aes = Aes128::new(&key);
-        assert_eq!(
-            aes.encrypt(&pt).to_vec(),
-            hex("69c4e0d86a7b0430d8cdb78070b4c55a")
-        );
+        let key = block("000102030405060708090a0b0c0d0e0f");
+        let pt = block("00112233445566778899aabbccddeeff");
+        let ct = block("69c4e0d86a7b0430d8cdb78070b4c55a");
+        assert_eq!(Aes128::new(&key).encrypt(&pt), ct);
+        assert_eq!(ByteAes::new(&key).encrypt(&pt), ct, "reference");
+    }
+
+    #[test]
+    fn word_rounds_match_the_byte_wise_reference() {
+        let mut rng = Rng::new(0xAE5_0128);
+        for pair in 0..10_000 {
+            let key = random_block(&mut rng);
+            let pt = random_block(&mut rng);
+            assert_eq!(
+                Aes128::new(&key).encrypt(&pt),
+                ByteAes::new(&key).encrypt(&pt),
+                "pair {pair}: key {key:02x?}, block {pt:02x?}"
+            );
+        }
     }
 
     #[test]
@@ -263,6 +433,8 @@ mod tests {
         aes.encrypt_block(&mut b);
         aes.encrypt_block(&mut b);
         assert_eq!(aes.block_ops(), 3);
+        aes.encrypt_words([0; 4]);
+        assert_eq!(aes.block_ops(), 4);
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! AES-CMAC (OMAC1), the one-key CBC MAC of Iwata–Kurosawa used by the
 //! paper's prototype ("AES-CBC-OMAC", producing a 128-bit code).
 //!
-//! Validated against the RFC 4493 test vectors.
+//! The chaining value and the K1/K2 subkeys stay in the cipher's word
+//! layout from the first block to the last; the tag becomes bytes once.
+//! Validated against the RFC 4493 test vectors, and in the tests below
+//! against a byte-wise CMAC over the byte-wise reference cipher.
 
-use crate::aes::Aes128;
+use crate::aes::{load_block, store_block, Aes128};
 
 /// Length in bytes of every MAC produced by this crate.
 pub const MAC_LEN: usize = 16;
@@ -19,62 +22,56 @@ pub type Mac = [u8; MAC_LEN];
 #[derive(Clone, Debug)]
 pub struct Cmac {
     aes: Aes128,
-    k1: [u8; 16],
-    k2: [u8; 16],
+    k1: [u32; 4],
+    k2: [u32; 4],
 }
 
-fn dbl(block: &[u8; 16]) -> [u8; 16] {
-    let mut out = [0u8; 16];
-    let carry = block[0] >> 7;
-    for i in 0..15 {
-        out[i] = (block[i] << 1) | (block[i + 1] >> 7);
-    }
-    out[15] = block[15] << 1;
-    if carry == 1 {
-        out[15] ^= 0x87;
-    }
-    out
+/// Doubling in GF(2^128): a one-bit left shift of the big-endian block,
+/// folding the carry back in as `0x87`.
+fn dbl(k: [u32; 4]) -> [u32; 4] {
+    let carry = k[0] >> 31;
+    [
+        (k[0] << 1) | (k[1] >> 31),
+        (k[1] << 1) | (k[2] >> 31),
+        (k[2] << 1) | (k[3] >> 31),
+        (k[3] << 1) ^ (0x87 * carry),
+    ]
+}
+
+fn xor(a: [u32; 4], b: [u32; 4]) -> [u32; 4] {
+    [a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2], a[3] ^ b[3]]
 }
 
 impl Cmac {
     /// Creates a CMAC instance for `key`, deriving the two subkeys.
     pub fn new(key: &[u8; 16]) -> Self {
         let aes = Aes128::new(key);
-        let l = aes.encrypt(&[0u8; 16]);
-        let k1 = dbl(&l);
-        let k2 = dbl(&k1);
+        let l = aes.encrypt_words([0; 4]);
+        let k1 = dbl(l);
+        let k2 = dbl(k1);
         Cmac { aes, k1, k2 }
     }
 
     /// Computes the CMAC of `msg`.
     pub fn mac(&self, msg: &[u8]) -> Mac {
-        let mut x = [0u8; 16];
-        let n = msg.len();
-        let full_blocks = if n == 0 { 0 } else { (n - 1) / 16 };
-        for i in 0..full_blocks {
-            for j in 0..16 {
-                x[j] ^= msg[i * 16 + j];
-            }
-            self.aes.encrypt_block(&mut x);
+        // Every block but the last chains as is; the last (possibly empty
+        // or partial) one is padded and masked with a subkey.
+        let full_blocks = msg.len().saturating_sub(1) / 16;
+        let (body, tail) = msg.split_at(full_blocks * 16);
+        let mut x = [0u32; 4];
+        for block in body.as_chunks::<16>().0 {
+            x = self.aes.encrypt_words(xor(x, load_block(block)));
         }
-        let tail = &msg[full_blocks * 16..];
         let mut last = [0u8; 16];
-        if tail.len() == 16 {
-            for j in 0..16 {
-                last[j] = tail[j] ^ self.k1[j];
-            }
+        last[..tail.len()].copy_from_slice(tail);
+        let subkey = if tail.len() == 16 {
+            self.k1
         } else {
-            last[..tail.len()].copy_from_slice(tail);
             last[tail.len()] = 0x80;
-            for j in 0..16 {
-                last[j] ^= self.k2[j];
-            }
-        }
-        for j in 0..16 {
-            x[j] ^= last[j];
-        }
-        self.aes.encrypt_block(&mut x);
-        x
+            self.k2
+        };
+        let x = xor(x, load_block(&last));
+        store_block(self.aes.encrypt_words(xor(x, subkey)))
     }
 
     /// Verifies `tag` against `msg` in constant shape (full comparison).
@@ -123,6 +120,53 @@ impl Cmac {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aes::reference::ByteAes;
+    use asc_testkit::Rng;
+
+    /// CMAC as RFC 4493 writes it, byte by byte over the byte-wise
+    /// reference cipher.
+    fn reference_cmac(key: &[u8; 16], msg: &[u8]) -> Mac {
+        fn dbl(block: &[u8; 16]) -> [u8; 16] {
+            let mut out = [0u8; 16];
+            for i in 0..15 {
+                out[i] = (block[i] << 1) | (block[i + 1] >> 7);
+            }
+            out[15] = block[15] << 1;
+            if block[0] >> 7 == 1 {
+                out[15] ^= 0x87;
+            }
+            out
+        }
+        let aes = ByteAes::new(key);
+        let k1 = dbl(&aes.encrypt(&[0u8; 16]));
+        let k2 = dbl(&k1);
+        let n = msg.len();
+        let full_blocks = if n == 0 { 0 } else { (n - 1) / 16 };
+        let mut x = [0u8; 16];
+        for i in 0..full_blocks {
+            for j in 0..16 {
+                x[j] ^= msg[i * 16 + j];
+            }
+            x = aes.encrypt(&x);
+        }
+        let tail = &msg[full_blocks * 16..];
+        let mut last = [0u8; 16];
+        if tail.len() == 16 {
+            for j in 0..16 {
+                last[j] = tail[j] ^ k1[j];
+            }
+        } else {
+            last[..tail.len()].copy_from_slice(tail);
+            last[tail.len()] = 0x80;
+            for j in 0..16 {
+                last[j] ^= k2[j];
+            }
+        }
+        for j in 0..16 {
+            x[j] ^= last[j];
+        }
+        aes.encrypt(&x)
+    }
 
     fn hex(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -139,8 +183,14 @@ mod tests {
     #[test]
     fn rfc4493_subkeys() {
         let c = rfc4493_cmac();
-        assert_eq!(c.k1.to_vec(), hex("fbeed618357133667c85e08f7236a8de"));
-        assert_eq!(c.k2.to_vec(), hex("f7ddac306ae266ccf90bc11ee46d513b"));
+        assert_eq!(
+            store_block(c.k1).to_vec(),
+            hex("fbeed618357133667c85e08f7236a8de")
+        );
+        assert_eq!(
+            store_block(c.k2).to_vec(),
+            hex("f7ddac306ae266ccf90bc11ee46d513b")
+        );
     }
 
     #[test]
@@ -211,6 +261,30 @@ mod tests {
                 Cmac::blocks_for_len(len),
                 "measured blocks disagree with the model for len {len}"
             );
+        }
+    }
+
+    #[test]
+    fn word_chaining_matches_the_byte_wise_reference_at_every_length() {
+        let mut rng = Rng::new(0xC3AC_4493);
+        for _ in 0..4 {
+            let key: [u8; 16] = std::array::from_fn(|_| rng.byte());
+            let c = Cmac::new(&key);
+            let msg: Vec<u8> = (0..256).map(|_| rng.byte()).collect();
+            for len in 0..=256 {
+                let before = c.block_ops();
+                let tag = c.mac(&msg[..len]);
+                assert_eq!(
+                    c.block_ops() - before,
+                    Cmac::blocks_for_len(len),
+                    "blocks metered at len {len}"
+                );
+                assert_eq!(
+                    tag,
+                    reference_cmac(&key, &msg[..len]),
+                    "key {key:02x?}, len {len}"
+                );
+            }
         }
     }
 

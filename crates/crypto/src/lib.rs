@@ -4,8 +4,9 @@
 //! AES-CBC-OMAC (OMAC1, a.k.a. CMAC) for every message authentication code.
 //! This crate reimplements that stack from scratch:
 //!
-//! * [`aes::Aes128`] — the block cipher (FIPS-197 vectors in tests);
-//! * [`cmac::Cmac`] — OMAC1 (RFC 4493 vectors in tests);
+//! * [`aes::Aes128`] — the block cipher, table-driven and word-wise like
+//!   Gladman's (FIPS-197 vectors and a byte-wise reference in tests);
+//! * [`cmac::Cmac`] — OMAC1, chained in words (RFC 4493 vectors in tests);
 //! * [`key::MacKey`] — the installation key shared by installer and kernel;
 //! * [`authstring::AuthenticatedString`] — the `{length, MAC, string}`
 //!   representation of string constants (§3.2);

@@ -162,7 +162,10 @@ impl KernelStats {
             self.warm_verify_cycles += rec.vc;
         }
         // The warm counters partition the totals; a violation here means
-        // warm work was double counted somewhere.
+        // warm work was double counted somewhere. Fallbacks are counted
+        // per check and on killed calls too, so one verified call can add
+        // both a hit and a fallback: only the hits are bounded by
+        // `verified`.
         debug_assert!(
             self.warm_aes_blocks <= self.verify_aes_blocks,
             "warm AES blocks exceed total"
@@ -172,8 +175,8 @@ impl KernelStats {
             "warm verify cycles exceed total"
         );
         debug_assert!(
-            self.cache_hits + self.cache_fallbacks <= self.verified,
-            "more cache outcomes than verified calls"
+            self.cache_hits <= self.verified,
+            "more cache hits than verified calls"
         );
     }
 }

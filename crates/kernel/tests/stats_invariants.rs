@@ -7,8 +7,9 @@
 
 use asc_crypto::MacKey;
 use asc_installer::{Installer, InstallerOptions};
-use asc_kernel::{Kernel, KernelOptions, KernelStats, Personality};
-use asc_vm::Machine;
+use asc_kernel::{FaultAction, Kernel, KernelOptions, KernelStats, Personality, TrapFault};
+use asc_vm::{Machine, RunOutcome, StepOutcome};
+use asc_workloads::{Guest, RUN_BUDGET};
 
 const PERSONALITY: Personality = Personality::Linux;
 
@@ -79,6 +80,8 @@ fn check_invariants(stats: &KernelStats, cached: bool, label: &str) {
         stats.warm_verify_cycles,
         stats.verify_cycles
     );
+    // Holds here only because nothing poisons the cache; see
+    // `poisoned_cache_hits_and_fallbacks_may_exceed_verified_calls`.
     assert!(
         stats.cache_hits + stats.cache_fallbacks <= stats.verified,
         "{label}: {} hits + {} fallbacks > {} verified",
@@ -180,4 +183,53 @@ fn absorb_sums_every_counter() {
     assert_eq!(a.warm_verify_cycles, 1000);
     assert_eq!(a.cache_fallbacks, 2);
     assert_eq!(a.cache_scrubs, 2);
+}
+
+/// A poisoned cache entry degrades to the cold path, and fallbacks are
+/// counted per check: one verified call can add both a hit (its call MAC)
+/// and a fallback (a stale blob or state entry). So hits plus fallbacks
+/// may exceed verified calls, and the kernel must not assert otherwise.
+/// One cache byte is poisoned before every trap from the second on.
+#[test]
+fn poisoned_cache_hits_and_fallbacks_may_exceed_verified_calls() {
+    let spec = asc_workloads::program("gzip-spec").expect("registered");
+    let key = MacKey::from_seed(0x57A7_51F7);
+    let plain = asc_workloads::build(spec, PERSONALITY).expect("builds");
+    let installer = Installer::new(key.clone(), InstallerOptions::new(PERSONALITY));
+    let (auth, _) = installer.install(&plain, spec.name).expect("installs");
+    let reference = Guest::plain(plain).run(spec, KernelOptions::plain(PERSONALITY));
+
+    let opts = KernelOptions::enforcing(PERSONALITY).with_verify_cache();
+    let mut machine = Guest::installed(auth, &key)
+        .boot(opts, spec.fs(), spec.stdin)
+        .expect("fits in memory");
+    let outcome = loop {
+        let traps = machine.handler().stats().syscalls;
+        if traps >= 1 {
+            machine.handler_mut().arm_fault(TrapFault {
+                at_trap: traps + 1,
+                action: FaultAction::CorruptCache {
+                    selector: traps.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                    mask: 1,
+                },
+            });
+        }
+        if let StepOutcome::Done(outcome) = machine.step() {
+            break outcome;
+        }
+        assert!(machine.cycles() < RUN_BUDGET, "run budget exhausted");
+    };
+    let kernel = machine.handler();
+    assert_eq!(
+        outcome,
+        RunOutcome::Exited(0),
+        "alerts: {:?}",
+        kernel.alerts()
+    );
+    assert_eq!(kernel.stdout(), reference.kernel.stdout());
+    let stats = kernel.stats();
+    assert!(
+        stats.cache_hits + stats.cache_fallbacks > stats.verified,
+        "the case is reached: {stats:?}"
+    );
 }
