@@ -160,11 +160,6 @@ impl Env {
         self.regs[r.index()].clone()
     }
 
-    /// Whether the expression-stack model is still in sync (diagnostics).
-    pub fn stack_in_sync(&self) -> bool {
-        self.stack_ok
-    }
-
     /// The tracked value of frame slot `[fp + off]`, if any.
     pub fn frame_slot(&self, off: i32) -> Value {
         self.frame.get(&off).cloned().unwrap_or(Value::Unknown)
@@ -462,65 +457,6 @@ pub fn propagate(unit: &Unit, cfg: &Cfg) -> ConstMap {
     }
 
     // Final pass: record the env before every item.
-    let mut envs = vec![Env::top(); unit.items.len()];
-    for block in cfg.blocks() {
-        let mut env = block_in[block.id as usize].clone();
-        for idx in block.start..block.end {
-            envs[idx] = env.clone();
-            transfer(&unit.items[idx], &mut env);
-        }
-    }
-    ConstMap { envs }
-}
-
-/// Debug hook: runs the fixpoint and reports, for one block, every join
-/// that changed its in-state (used by harness diagnostics; not part of the
-/// stable API).
-#[doc(hidden)]
-pub fn propagate_traced(unit: &Unit, cfg: &Cfg, watch: u32) -> ConstMap {
-    let nblocks = cfg.blocks().len();
-    let mut block_in: Vec<Env> = vec![Env::top(); nblocks + 1];
-    let mut block_out: Vec<Env> = vec![Env::top(); nblocks + 1];
-    if nblocks > 0 {
-        block_in[1] = Env::entry();
-    }
-    let mut worklist: Vec<u32> = (1..=nblocks as u32).collect();
-    while let Some(bid) = worklist.pop() {
-        // Never evaluate a block whose in-state no path has reached yet:
-        // a transfer over lattice-top would fabricate state (e.g. a wrong
-        // stack depth) that poisons successors permanently.
-        if bid != 1 && !block_in[bid as usize].seen {
-            continue;
-        }
-        let block = cfg.block(bid).expect("valid id");
-        let mut env = block_in[bid as usize].clone();
-        for idx in block.start..block.end {
-            transfer(&unit.items[idx], &mut env);
-        }
-        if env != block_out[bid as usize] {
-            block_out[bid as usize] = env.clone();
-            for (kind, succ) in cfg.succ_edges(bid) {
-                let edge_env = match kind {
-                    EdgeKind::Flow => env.clone(),
-                    EdgeKind::Call => env.for_call_edge(),
-                    EdgeKind::CallSummary => env.for_call_summary(),
-                    EdgeKind::Return => continue,
-                };
-                let before = block_in[succ as usize].stack_ok;
-                if block_in[succ as usize].join_with(&edge_env) && !worklist.contains(&succ) {
-                    worklist.push(succ);
-                }
-                if succ == watch && before && !block_in[succ as usize].stack_ok {
-                    eprintln!(
-                        "JOIN poisoned in({succ}) from block {bid} kind {kind:?}: \
-                         incoming ok={} len={} existing len was tracked",
-                        edge_env.stack_ok,
-                        edge_env.stack.len(),
-                    );
-                }
-            }
-        }
-    }
     let mut envs = vec![Env::top(); unit.items.len()];
     for block in cfg.blocks() {
         let mut env = block_in[block.id as usize].clone();

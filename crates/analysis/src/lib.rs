@@ -45,8 +45,6 @@ pub mod dataflow;
 pub mod ir;
 pub mod syscall_graph;
 
-use std::collections::BTreeMap;
-
 use cfg::{BlockId, Cfg};
 use dataflow::Value;
 use ir::Unit;
@@ -147,20 +145,6 @@ impl ProgramAnalysis {
     /// All discovered syscall sites.
     pub fn syscall_sites(&self) -> &[SyscallSite] {
         &self.sites
-    }
-
-    /// Sites grouped by their statically determined syscall number
-    /// (`None` key = undetermined).
-    pub fn sites_by_nr(&self) -> BTreeMap<Option<u32>, Vec<&SyscallSite>> {
-        let mut map: BTreeMap<Option<u32>, Vec<&SyscallSite>> = BTreeMap::new();
-        for s in &self.sites {
-            let key = match s.nr {
-                Value::Const(n) => Some(n),
-                _ => None,
-            };
-            map.entry(key).or_default().push(s);
-        }
-        map
     }
 
     /// Consumes the analysis, returning the unit for rewriting.

@@ -535,11 +535,6 @@ impl AttackLab {
         (result, kernel)
     }
 
-    /// [`AttackLab::reorder_attack_traced`] without the kernel.
-    pub fn reorder_attack(&self, tier: VerifyTier) -> AttackOutcome {
-        self.reorder_attack_traced(tier).0
-    }
-
     /// Builds and installs the raw-`SYSCALL`-gadget guest from the hostile
     /// corpus: a binary whose text hides a misaligned `syscall` inside an
     /// undisassemblable island, reached through a register jump. The

@@ -603,22 +603,6 @@ pub fn measure_tiers() -> WorkloadPerf {
     }
 }
 
-/// The names the sweep covers: every registered `perf_experiment` workload
-/// plus `andrew`, the multi-process `server` scenario, the fleet-scale
-/// `fleet` scenario, and the verification-tier ablation `tiers`.
-pub fn sweep_names() -> Vec<String> {
-    let mut names: Vec<String> = asc_workloads::programs()
-        .iter()
-        .filter(|p| p.perf_experiment)
-        .map(|p| p.name.to_string())
-        .collect();
-    names.push("andrew".to_string());
-    names.push("server".to_string());
-    names.push("fleet".to_string());
-    names.push("tiers".to_string());
-    names
-}
-
 /// Runs the full sweep. `progress` is called with each workload name before
 /// it runs (the bin prints these so a long sweep shows life).
 pub fn sweep(mut progress: impl FnMut(&str)) -> PerfReport {

@@ -56,17 +56,6 @@ pub struct Inventory {
     pub sites: usize,
 }
 
-impl Inventory {
-    /// Total count of distinct artifacts (for reporting).
-    pub fn total_targets(&self) -> usize {
-        self.mac_slots.len()
-            + self.string_blobs.len()
-            + self.pred_blobs.len()
-            + self.imm_fields.len()
-            + usize::from(self.state_cell.is_some())
-    }
-}
-
 /// Scans an installed binary's `.text` for authenticated call
 /// prologues and returns the artifact inventory.
 ///

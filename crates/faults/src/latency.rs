@@ -478,7 +478,7 @@ pub fn run_latency_campaign(cfg: &LatencyConfig) -> LatencyReport {
                     undetected.push((
                         class,
                         format!(
-                            "trial {trial}: kernel-visible effect at {effect_clock}                              produced no health event"
+                            "trial {trial}: kernel-visible effect at {effect_clock} produced no health event"
                         ),
                     ));
                     break;

@@ -285,33 +285,6 @@ impl Installer {
     }
 }
 
-/// Records `precision` as `asc_installer_precision{binary,metric}` gauges:
-/// the raw counters plus the derived rates. Kept separate from the
-/// per-pass coverage gauges of [`Installer::install_metered`] so the
-/// flight-recorder pass stream (and its goldens) is unchanged.
-pub fn record_precision(registry: &mut Registry, binary: &str, p: &PrecisionStats) {
-    let metrics: [(&str, f64); 11] = [
-        ("discovered", p.discovered as f64),
-        ("rewritten", p.rewritten as f64),
-        ("unknown_nr", p.unknown_nr as f64),
-        ("undisassembled_regions", p.undisassembled_regions as f64),
-        ("input_args", p.input_args as f64),
-        ("unknown_args", p.unknown_args as f64),
-        ("pred_entries", p.pred_entries as f64),
-        ("pred_sites", p.pred_sites as f64),
-        ("rewrite_rate", p.rewrite_rate()),
-        ("unknown_arg_rate", p.unknown_arg_rate()),
-        ("pred_over_approx", p.pred_over_approx()),
-    ];
-    for (metric, value) in metrics {
-        let gauge = registry.gauge(
-            "asc_installer_precision",
-            &[("binary", binary), ("metric", metric)],
-        );
-        registry.set(gauge, value);
-    }
-}
-
 /// One captured installer pass: name, coverage counters, and duration in
 /// microseconds.
 type CapturedPass = (String, Vec<(String, u64)>, u64);

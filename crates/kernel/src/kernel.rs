@@ -242,13 +242,6 @@ pub struct KernelOptions {
     /// §5.3 capability tracking: verify capability-bit arguments against
     /// the active-descriptor set and maintain it on open/close.
     pub capability_tracking: bool,
-    /// §5.4 file-name normalisation is always performed by the path
-    /// resolver (symlinks and dot components are canonicalised before
-    /// use); this flag is informational and reserved for policies that
-    /// would compare against pre-normalisation names.
-    pub normalize_paths: bool,
-    /// Charge deterministic cycle costs (disable for pure functional runs).
-    pub charge_costs: bool,
     /// Enable the verified-call cache (the warm fast path): repeated
     /// identical calls skip AES recomputation and are charged only for the
     /// cryptographic work actually performed. Off by default so the
@@ -274,8 +267,6 @@ impl KernelOptions {
             personality,
             enforce: false,
             capability_tracking: false,
-            normalize_paths: false,
-            charge_costs: true,
             verify_cache: false,
             weaken_string_check: false,
             verify_tier: VerifyTier::Mac,
@@ -654,11 +645,6 @@ impl Kernel {
         self.sites = Some(sites);
     }
 
-    /// The installed rewritten-site registry, if any.
-    pub fn site_registry(&self) -> Option<&SiteRegistry> {
-        self.sites.as_ref()
-    }
-
     /// The raw number of this process's most recent dispatched syscall
     /// (`None` until the first call dispatches) — the flow check's `from`
     /// node. Isolation tests assert this never leaks across pids.
@@ -671,11 +657,6 @@ impl Kernel {
     /// fault can be armed at a time (campaigns inject exactly one per run).
     pub fn arm_fault(&mut self, fault: TrapFault) {
         self.fault = Some(fault);
-    }
-
-    /// Replaces the cost model.
-    pub fn set_cost_model(&mut self, cost: CostModel) {
-        self.cost = cost;
     }
 
     /// Provides the process's standard input.
@@ -815,10 +796,7 @@ impl Kernel {
         if let Some(m) = self.metrics.as_mut() {
             m.count_syscall();
         }
-        let mut charged = 0u64;
-        if self.opts.charge_costs {
-            charged += self.cost.trap_base;
-        }
+        let mut charged = self.cost.trap_base;
 
         // --- The paper's kernel modification: verify before dispatch. ---
         if self.opts.enforce {
@@ -850,10 +828,8 @@ impl Kernel {
                 // enforcing kernel never reaches here with a forged number
                 // — the MAC check fails first.)
                 ctx.set_reg(Reg::R0, (-38i32) as u32);
-                if self.opts.charge_costs {
-                    ctx.charge(charged);
-                    self.stats.kernel_cycles += charged;
-                }
+                ctx.charge(charged);
+                self.stats.kernel_cycles += charged;
                 return TrapOutcome::Continue;
             }
         };
@@ -864,10 +840,8 @@ impl Kernel {
                 Some(inner) if inner != SyscallId::IndirectSyscall => inner,
                 _ => {
                     ctx.set_reg(Reg::R0, (-38i32) as u32);
-                    if self.opts.charge_costs {
-                        ctx.charge(charged);
-                        self.stats.kernel_cycles += charged;
-                    }
+                    ctx.charge(charged);
+                    self.stats.kernel_cycles += charged;
                     return TrapOutcome::Continue;
                 }
             };
@@ -881,12 +855,9 @@ impl Kernel {
         // --- Dispatch. ---
         let outcome = self.dispatch(id, args, ctx);
 
-        if self.opts.charge_costs {
-            let handler = self.cost.handler_cost(id, self.last_io_bytes);
-            charged += handler;
-            ctx.charge(charged);
-            self.stats.kernel_cycles += charged;
-        }
+        charged += self.cost.handler_cost(id, self.last_io_bytes);
+        ctx.charge(charged);
+        self.stats.kernel_cycles += charged;
 
         // --- Capability maintenance (§5.3). ---
         if self.opts.capability_tracking {
@@ -1046,7 +1017,7 @@ impl Kernel {
                 if tier.checks_mac() && regs.lb_ptr != 0 {
                     self.last_policy_cell = Some(regs.lb_ptr);
                 }
-                rec.pass(&outcome, self.opts.charge_costs.then_some(self.cost));
+                rec.pass(&outcome, self.cost);
             }
             Err(violation) => rec.violation = Some(violation),
         }
@@ -1102,10 +1073,8 @@ impl Kernel {
         let msg = alert.to_string();
         self.log.push(alert);
         self.sync_ring_gauge();
-        if self.opts.charge_costs {
-            ctx.charge(charged);
-            self.stats.kernel_cycles += charged;
-        }
+        ctx.charge(charged);
+        self.stats.kernel_cycles += charged;
         TrapOutcome::Kill(msg)
     }
 }

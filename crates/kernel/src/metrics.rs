@@ -3,10 +3,13 @@
 //! [`KernelMetrics`] wraps an [`asc_metrics::Registry`] with every handle
 //! the trap handler records into pre-resolved, so the per-syscall hot path
 //! is a handful of array-indexed histogram updates — no name lookups, no
-//! allocation. Like the flight recorder, metrics are **off by default**
-//! ([`crate::Kernel::attach_metrics`] opts in) and never feed back into the
-//! cost model: charged cycles and every `KernelStats` counter are identical
-//! with or without a registry attached.
+//! allocation. Readers use the same handles: [`KernelMetrics::verify_cycles`]
+//! lends the four per-path `asc_verify_cycles` histograms, all the fleet
+//! sentinel reads when it closes a window. Like the flight recorder,
+//! metrics are **off by default** ([`crate::Kernel::attach_metrics`] opts
+//! in) and never feed back into the cost model: charged cycles and every
+//! `KernelStats` counter are identical with or without a registry
+//! attached.
 //!
 //! The registry is one fold over each enforced trap's record — the same
 //! record `KernelStats` and the trace sink fold — so the reconstruction
@@ -36,7 +39,7 @@
 //!   `asc_cache_outcome_total{outcome}` — plain counters; the cache-outcome
 //!   counter is only incremented when the verified-call cache is enabled.
 
-use asc_metrics::{CounterId, GaugeId, HistogramId, Registry, Snapshot};
+use asc_metrics::{CounterId, GaugeId, Histogram, HistogramId, Registry, Snapshot};
 use asc_trace::{CheckKind, CHECK_FAMILIES};
 
 use crate::record::TrapRecord;
@@ -195,6 +198,13 @@ impl KernelMetrics {
     /// A mergeable copy of the current state.
     pub fn snapshot(&self) -> Snapshot {
         self.registry.snapshot()
+    }
+
+    /// The four `asc_verify_cycles{path}` histograms, in [`VERIFY_PATHS`]
+    /// order, read through the pre-resolved handles: no name lookup, no
+    /// copy, whatever extra labels the registry carries.
+    pub fn verify_cycles(&self) -> [&Histogram; 4] {
+        self.verify_cycles.map(|id| self.registry.histogram_at(id))
     }
 
     /// Counts one trapped system call, enforced or not.

@@ -40,8 +40,8 @@ pub(crate) struct TrapRecord {
     pub(crate) vc: u64,
     /// The fixed term of `vc`: a MAC-suite cost, so 0 under flow-only.
     pub(crate) fixed: u64,
-    /// The cost model that priced `vc`; `None` when nothing was charged
-    /// (a killed call, or costs off).
+    /// The cost model that priced `vc`; `None` for a killed call, which
+    /// is charged nothing.
     pub(crate) pricing: Option<CostModel>,
     /// Stale or poisoned cache entries the call's checks found and fell
     /// back from — counted on killed calls too.
@@ -54,16 +54,14 @@ pub(crate) struct TrapRecord {
 }
 
 impl TrapRecord {
-    /// Records a passed verification, charged under `cost` when costs are
-    /// on: the flow probe under the flow tiers plus the metered MAC cost
-    /// under the MAC tiers, so mac+flow is priced as exactly mac plus the
-    /// probe.
-    pub(crate) fn pass(&mut self, outcome: &VerifyOutcome, cost: Option<CostModel>) {
+    /// Records a passed verification, charged under `cost`: the flow
+    /// probe under the flow tiers plus the metered MAC cost under the MAC
+    /// tiers, so mac+flow is priced as exactly mac plus the probe.
+    pub(crate) fn pass(&mut self, outcome: &VerifyOutcome, cost: CostModel) {
         self.cache_hit = outcome.cache_hit;
         self.aes_blocks = outcome.aes_blocks;
         self.bytes = outcome.bytes_checked;
-        self.pricing = cost;
-        let Some(cost) = cost else { return };
+        self.pricing = Some(cost);
         if self.tier.checks_flow() {
             self.vc += cost.flow_check;
         }

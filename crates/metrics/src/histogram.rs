@@ -373,45 +373,59 @@ mod tests {
         assert_eq!(other.count(), 3);
     }
 
+    /// One draw from the windowed-telemetry value mix, with both edges
+    /// forced in one time in twenty each: 0 and a high octave (below sum
+    /// saturation, which makes a cumulative sum unrecoverable by design).
+    fn window_value(rng: &mut asc_testkit::Rng) -> u64 {
+        match rng.range_u32(0, 20) {
+            0 => 0,
+            1 => 1 << 52,
+            _ => rng.range_u64(0, 1 << 40),
+        }
+    }
+
     #[test]
     fn diff_recovers_the_window_exactly() {
         // earlier + window = later  ⇒  later.diff(earlier) == window on
-        // every exact field (count, sum, buckets).
-        let mut earlier = Histogram::new();
-        let mut window = Histogram::new();
-        let mut later = Histogram::new();
-        for i in 0..500u64 {
-            let v = i.wrapping_mul(0x9E37_79B9) % 1_000_000;
-            if i % 4 == 0 {
-                window.record(v);
-            } else {
-                earlier.record(v);
+        // every exact field (count, sum, buckets), for seeded random
+        // splits of one stream into consecutive windows.
+        asc_testkit::check(0xD1FF_5EED, 16, |rng| {
+            let mut later = Histogram::new();
+            for _ in 0..rng.range_usize(0, 200) {
+                later.record(window_value(rng));
             }
-        }
-        later.merge(&earlier);
-        later.merge(&window);
-        let delta = later.diff(&earlier);
-        assert_eq!(delta.count(), window.count());
-        assert_eq!(delta.sum(), window.sum());
-        assert_eq!(
-            delta.nonzero_buckets().collect::<Vec<_>>(),
-            window.nonzero_buckets().collect::<Vec<_>>()
-        );
-        // min/max are bucket-bound approximations: they bracket the exact
-        // window extremes within one bucket's width.
-        assert!(delta.min() <= window.min());
-        assert!(delta.max() >= window.max());
-        assert!(delta.max() <= later.max());
-        // Round trip: merging the delta back onto `earlier` reproduces
-        // `later` bucket for bucket.
-        let mut rebuilt = earlier.clone();
-        rebuilt.merge(&delta);
-        assert_eq!(rebuilt.count(), later.count());
-        assert_eq!(rebuilt.sum(), later.sum());
-        assert_eq!(
-            rebuilt.nonzero_buckets().collect::<Vec<_>>(),
-            later.nonzero_buckets().collect::<Vec<_>>()
-        );
+            for _ in 0..4 {
+                let earlier = later.clone();
+                let mut window = Histogram::new();
+                for _ in 0..rng.range_usize(0, 120) {
+                    let v = window_value(rng);
+                    window.record(v);
+                    later.record(v);
+                }
+                let delta = later.diff(&earlier);
+                assert_eq!(delta.count(), window.count());
+                assert_eq!(delta.sum(), window.sum());
+                assert_eq!(
+                    delta.nonzero_buckets().collect::<Vec<_>>(),
+                    window.nonzero_buckets().collect::<Vec<_>>()
+                );
+                // min/max are bucket-bound approximations: they bracket
+                // the exact window extremes within one bucket's width.
+                assert!(delta.min() <= window.min());
+                assert!(delta.max() >= window.max());
+                assert!(delta.max() <= later.max());
+                // Round trip: merging the delta back onto `earlier`
+                // reproduces `later` bucket for bucket.
+                let mut rebuilt = earlier.clone();
+                rebuilt.merge(&delta);
+                assert_eq!(rebuilt.count(), later.count());
+                assert_eq!(rebuilt.sum(), later.sum());
+                assert_eq!(
+                    rebuilt.nonzero_buckets().collect::<Vec<_>>(),
+                    later.nonzero_buckets().collect::<Vec<_>>()
+                );
+            }
+        });
     }
 
     #[test]

@@ -313,47 +313,6 @@ impl Snapshot {
         }
     }
 
-    /// What changed since `earlier`: the per-metric delta of two snapshots
-    /// of the same sources, the windowed-telemetry inverse of
-    /// [`Snapshot::merge`]. For every key in `self`:
-    ///
-    /// * counters subtract (saturating — monotone sources never go
-    ///   backwards, so a clamp only hides caller error, never data);
-    /// * histograms subtract element-wise via [`Histogram::diff`]
-    ///   (`count`/`sum`/buckets exact, `min`/`max` bucket-bound
-    ///   approximations);
-    /// * gauges are levels, not accumulations — the delta carries the
-    ///   *current* level unchanged, so a windowed report still shows the
-    ///   gauge's latest reading;
-    /// * keys absent from `earlier` (a source registered mid-window) are
-    ///   carried wholesale.
-    ///
-    /// Keys present only in `earlier` are dropped: a later snapshot of
-    /// the same sources always covers the earlier key set. Cost is one
-    /// ordered pass with lookups — cheap enough to run on every scheduler
-    /// window boundary.
-    pub fn diff(&self, earlier: &Snapshot) -> Snapshot {
-        let entries = self
-            .entries
-            .iter()
-            .map(|(key, value)| {
-                let delta = match (value, earlier.entries.get(key)) {
-                    (MetricValue::Counter(c), Some(MetricValue::Counter(e))) => {
-                        MetricValue::Counter(c.saturating_sub(*e))
-                    }
-                    (MetricValue::Histogram(h), Some(MetricValue::Histogram(e))) => {
-                        MetricValue::Histogram(h.diff(e))
-                    }
-                    // Gauges, and anything `earlier` never saw (or saw as
-                    // a different type), pass through at current value.
-                    (v, _) => v.clone(),
-                };
-                (key.clone(), delta)
-            })
-            .collect();
-        Snapshot { entries }
-    }
-
     fn merge_entry(&mut self, key: &MetricKey, value: &MetricValue) {
         match self.entries.get_mut(key) {
             None => {

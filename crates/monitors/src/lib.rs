@@ -231,11 +231,6 @@ impl MonitoredKernel {
     pub fn monitor_cycles(&self) -> u64 {
         self.monitor_cycles
     }
-
-    /// Consumes the wrapper, returning the kernel.
-    pub fn into_kernel(self) -> Kernel {
-        self.kernel
-    }
 }
 
 impl MonitoredKernel {

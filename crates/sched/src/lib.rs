@@ -492,11 +492,6 @@ impl Scheduler {
         total
     }
 
-    /// `(pid, stats)` for every process, in pid order.
-    pub fn per_pid_stats(&self) -> Vec<(Pid, KernelStats)> {
-        self.procs.iter().map(|p| (p.pid, p.stats())).collect()
-    }
-
     /// Batch-path counters summed over every kernel (all zero unless
     /// [`SchedConfig::batch_depth`] is set).
     pub fn batch_stats(&self) -> BatchStats {

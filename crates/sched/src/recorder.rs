@@ -39,8 +39,6 @@
 //! per-slice batch-window open/close and cache fallback/scrub deltas ride
 //! the same windows, giving one merged, causally-ordered timeline.
 
-use std::collections::BTreeMap;
-
 use asc_core::mix64;
 use asc_kernel::KernelStats;
 use asc_trace::{Event, RingSink};
@@ -303,17 +301,6 @@ impl AuditLog {
     /// The audit record for `pid`, if the pid exists.
     pub fn pid(&self, pid: Pid) -> Option<&PidAudit> {
         self.pids.iter().find(|p| p.pid == pid)
-    }
-
-    /// Exact event accounting per sampled pid: for every sampled pid,
-    /// `retained + dropped` (what the ring saw) — the seeded property
-    /// test asserts this equals the pid's total emitted events.
-    pub fn ring_accounting(&self) -> BTreeMap<Pid, (u64, u64)> {
-        self.pids
-            .iter()
-            .filter(|p| p.sampled)
-            .map(|p| (p.pid, (p.events.len() as u64, p.dropped)))
-            .collect()
     }
 }
 

@@ -6,9 +6,11 @@
 //! running [`Scheduler`] and, on slice boundaries, samples every
 //! cumulative counter the stack exposes — kernel statistics, per-reason
 //! alert counts, shared-cache behaviour and probe counters, batched
-//! trap-path counters, and any attached [`asc_metrics`] registries (via
-//! the cheap [`asc_metrics::Snapshot::diff`] delta) — into bounded
-//! per-window [`WindowSample`]s on the shared virtual clock. A
+//! trap-path counters, and the four per-path verify-cycles histograms
+//! of any attached [`asc_kernel::KernelMetrics`] (summed over the fleet
+//! per path and windowed with [`asc_metrics::Histogram::diff`], so the
+//! p99 does not depend on how the registries are labelled) — into
+//! bounded per-window [`WindowSample`]s on the shared virtual clock. A
 //! [`Detector`] suite ([`DetectorKind::Threshold`],
 //! [`DetectorKind::Ratio`] floors, seeded [`DetectorKind::Ewma`] drift)
 //! evaluates each window and emits structured [`HealthEvent`]s with
@@ -34,14 +36,10 @@ pub use window::{Series, WindowSample};
 use std::collections::BTreeMap;
 
 use asc_kernel::{BatchStats, KernelStats};
-use asc_metrics::Snapshot;
+use asc_metrics::Histogram;
 use asc_sched::Scheduler;
 
 use detector::DetectorState;
-
-/// The histogram family the windowed p99 is computed from (recorded by
-/// [`asc_kernel::KernelMetrics`] under `path` labels).
-const VERIFY_CYCLES_METRIC: &str = "asc_verify_cycles";
 
 /// Sentinel configuration: window geometry and the detector suite.
 #[derive(Clone, Debug)]
@@ -89,20 +87,24 @@ struct Cumulative {
     batch: BatchStats,
     probes: u64,
     alerts: BTreeMap<&'static str, u64>,
-    metrics: Snapshot,
+    /// Fleet-summed `asc_verify_cycles` histograms, one per cache path
+    /// (empty when no kernel has a metrics registry).
+    verify_cycles: [Histogram; 4],
 }
 
 impl Cumulative {
     /// Reads every cumulative counter through shared references only.
     fn read(sched: &Scheduler) -> Cumulative {
         let mut alerts: BTreeMap<&'static str, u64> = BTreeMap::new();
-        let mut metrics = Snapshot::new();
+        let mut verify_cycles: [Histogram; 4] = Default::default();
         for proc in sched.processes() {
             for alert in proc.kernel().alerts() {
                 *alerts.entry(alert.reason().code()).or_insert(0) += 1;
             }
             if let Some(m) = proc.kernel().metrics() {
-                metrics.absorb_registry(m.registry());
+                for (fleet, h) in verify_cycles.iter_mut().zip(m.verify_cycles()) {
+                    fleet.merge(h);
+                }
             }
         }
         let probes = sched
@@ -114,7 +116,7 @@ impl Cumulative {
             batch: sched.batch_stats(),
             probes,
             alerts,
-            metrics,
+            verify_cycles,
         }
     }
 
@@ -133,9 +135,11 @@ impl Cumulative {
             .collect();
         let alerts_total = alerts.iter().map(|(_, n)| n).sum();
         let verify_p99 = {
-            let window = self.metrics.diff(&earlier.metrics);
-            let h = window.histogram_across_labels(VERIFY_CYCLES_METRIC);
-            (h.count() > 0).then(|| h.quantile(0.99))
+            let mut window = Histogram::new();
+            for (now, was) in self.verify_cycles.iter().zip(&earlier.verify_cycles) {
+                window.merge(&now.diff(was));
+            }
+            (window.count() > 0).then(|| window.quantile(0.99))
         };
         WindowSample {
             index,

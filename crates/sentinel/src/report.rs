@@ -40,11 +40,6 @@ impl HealthReport {
         self.verdicts.iter().all(|v| v.pass)
     }
 
-    /// The last closed window, if any (what audit bundles embed).
-    pub fn last_window(&self) -> Option<&WindowSample> {
-        self.windows.last()
-    }
-
     /// Renders as an [`asc_core::json`] object.
     pub fn to_value(&self) -> Value {
         Value::Object(vec![

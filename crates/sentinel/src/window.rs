@@ -40,9 +40,10 @@ pub struct WindowSample {
     pub batch_windows: u64,
     /// Calls drained through batched verification this window.
     pub batch_drained: u64,
-    /// Windowed p99 of per-call verify cycles, from the attached metrics
-    /// registries' histogram delta; `None` when no registry is attached
-    /// or nothing verified this window.
+    /// Windowed p99 of per-call verify cycles: each cache path's
+    /// fleet-summed `asc_verify_cycles` histogram minus its reading at
+    /// the last close, merged over the four paths. `None` when no
+    /// registry is attached or nothing verified this window.
     pub verify_p99: Option<u64>,
     /// Runnable processes when the window closed (a level, not a delta).
     pub live: u64,

@@ -174,6 +174,42 @@ fn metrics_attachment_feeds_p99_without_changing_windows() {
     assert!(saw_p99, "no window verified anything");
 }
 
+/// The windowed p99 reads the fleet's verify-cycles distribution, not
+/// its registries' label sets: the same fleet with a pid-labelled
+/// registry on every kernel prints the same p99 in every window as with
+/// unlabelled ones, at every window length.
+#[test]
+fn verify_p99_does_not_depend_on_registry_labels() {
+    let p99s = |window_cycles: u64, registry: fn(u32) -> KernelMetrics| {
+        let mut sched = spawn_fleet(false);
+        let pids: Vec<u32> = sched.processes().iter().map(|p| p.pid()).collect();
+        for pid in pids {
+            sched
+                .process_mut(pid)
+                .kernel_mut()
+                .set_metrics(Box::new(registry(pid)));
+        }
+        let sentinel = Sentinel::drive(&mut sched, SentinelConfig::new(window_cycles));
+        sentinel
+            .windows()
+            .iter()
+            .map(|w| w.verify_p99)
+            .collect::<Vec<_>>()
+    };
+    for window_cycles in [20_000, 50_000, 200_000] {
+        let unlabelled = p99s(window_cycles, |_| KernelMetrics::new());
+        let by_pid = p99s(window_cycles, KernelMetrics::for_pid);
+        assert_eq!(unlabelled.len(), by_pid.len());
+        assert!(
+            unlabelled.iter().any(Option::is_some),
+            "no window had a p99"
+        );
+        for (i, (u, p)) in unlabelled.iter().zip(&by_pid).enumerate() {
+            assert_eq!(u, p, "window {i} at {window_cycles} cycles");
+        }
+    }
+}
+
 /// The retained tail is bounded while totals and events keep counting.
 #[test]
 fn retained_tail_is_bounded() {
