@@ -28,10 +28,26 @@
 //! epoch — replay still dies with `BadPolicyState` in the fallback path.
 //! A cached acceptance is therefore exactly the set of inputs the cold path
 //! accepts; the cache changes cycle accounting, never the accept set.
+//!
+//! # Storage
+//!
+//! Call and blob entries keep their bytes back to back in one arena per
+//! cache; an entry is a `(start, len)` span plus its tag. Recording
+//! appends, and dropping the whole cache truncates the arena without
+//! giving its memory back. Re-recording a key that is present leaves its
+//! old bytes behind as garbage, so the arena is bounded: an append that
+//! would take it past `capacity × MAX_AS_LEN` bytes clears the cache
+//! first, counted as evictions like a capacity clear. A live entry holds
+//! at most `MAX_AS_LEN` bytes (an encoded call at most
+//! [`MAX_ENCODING_LEN`](crate::encoding::MAX_ENCODING_LEN)), and fewer
+//! than `capacity` are live before any append, so only garbage can reach
+//! the bound.
 
 use std::collections::{BTreeMap, HashMap};
 
-use asc_crypto::{Mac, POLICY_STATE_LEN};
+use asc_crypto::{Mac, MAC_LEN, POLICY_STATE_LEN};
+
+use crate::verify::MAX_AS_LEN;
 
 /// SplitMix64 finalizer: a bijective 64-bit mixer with full avalanche.
 ///
@@ -101,15 +117,12 @@ pub struct CacheStats {
     pub scrubs: u64,
 }
 
-#[derive(Clone, Debug)]
-struct CallEntry {
-    encoding: Vec<u8>,
-    mac: Mac,
-}
-
-#[derive(Clone, Debug)]
-struct BlobEntry {
-    contents: Vec<u8>,
+/// A remembered `(message, tag)` pair whose message is
+/// `arena[start..start + len]`.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    start: usize,
+    len: usize,
     mac: Mac,
 }
 
@@ -129,8 +142,10 @@ struct StateEntry {
 /// soundness argument.
 #[derive(Clone, Debug)]
 pub struct VerifyCache {
-    calls: HashMap<u32, CallEntry>,
-    blobs: HashMap<u32, BlobEntry>,
+    calls: HashMap<u32, Entry>,
+    blobs: HashMap<u32, Entry>,
+    /// The bytes of every call and blob entry (see the module docs).
+    arena: Vec<u8>,
     state: Option<StateEntry>,
     capacity: usize,
     stats: CacheStats,
@@ -159,6 +174,7 @@ impl VerifyCache {
         VerifyCache {
             calls: HashMap::new(),
             blobs: HashMap::new(),
+            arena: Vec::new(),
             state: None,
             capacity: capacity.max(1),
             stats: CacheStats::default(),
@@ -172,7 +188,7 @@ impl VerifyCache {
     pub fn check_call(&mut self, site: u32, encoding: &[u8], mac: &Mac) -> bool {
         let entry = self.calls.get(&site);
         let present = entry.is_some();
-        let hit = entry.is_some_and(|e| e.mac == *mac && e.encoding == encoding);
+        let hit = entry.is_some_and(|e| self.matches(e, mac, encoding));
         if hit {
             self.stats.hits += 1;
         } else {
@@ -186,14 +202,8 @@ impl VerifyCache {
 
     /// Remembers a call-MAC pair that passed full verification.
     pub fn record_call(&mut self, site: u32, encoding: &[u8], mac: &Mac) {
-        self.ensure_room();
-        self.calls.insert(
-            site,
-            CallEntry {
-                encoding: encoding.to_vec(),
-                mac: *mac,
-            },
-        );
+        let entry = self.append(encoding, mac);
+        self.calls.insert(site, entry);
     }
 
     /// Checks whether an authenticated blob (string / pattern /
@@ -201,7 +211,7 @@ impl VerifyCache {
     pub fn check_blob(&mut self, addr: u32, mac: &Mac, contents: &[u8]) -> bool {
         let entry = self.blobs.get(&addr);
         let present = entry.is_some();
-        let hit = entry.is_some_and(|e| e.mac == *mac && e.contents == contents);
+        let hit = entry.is_some_and(|e| self.matches(e, mac, contents));
         if hit {
             self.stats.blob_hits += 1;
         } else if present {
@@ -212,14 +222,8 @@ impl VerifyCache {
 
     /// Remembers a blob that passed full verification.
     pub fn record_blob(&mut self, addr: u32, mac: &Mac, contents: &[u8]) {
-        self.ensure_room();
-        self.blobs.insert(
-            addr,
-            BlobEntry {
-                contents: contents.to_vec(),
-                mac: *mac,
-            },
-        );
+        let entry = self.append(contents, mac);
+        self.blobs.insert(addr, entry);
     }
 
     /// Checks whether the policy-state cell can be accepted without an AES
@@ -266,6 +270,7 @@ impl VerifyCache {
         self.stats.evictions += dropped;
         self.calls.clear();
         self.blobs.clear();
+        self.arena.clear();
         self.state = None;
     }
 
@@ -291,10 +296,24 @@ impl VerifyCache {
         self.calls.is_empty() && self.blobs.is_empty()
     }
 
-    fn ensure_room(&mut self) {
-        if self.calls.len() + self.blobs.len() >= self.capacity {
+    /// Copies `bytes` into the arena for a new entry, first clearing the
+    /// cache when it is full or the arena would pass its bound.
+    fn append(&mut self, bytes: &[u8], mac: &Mac) -> Entry {
+        let arena_bound = self.capacity.saturating_mul(MAX_AS_LEN as usize);
+        if self.len() >= self.capacity || self.arena.len() + bytes.len() > arena_bound {
             self.clear();
         }
+        let start = self.arena.len();
+        self.arena.extend_from_slice(bytes);
+        Entry {
+            start,
+            len: bytes.len(),
+            mac: *mac,
+        }
+    }
+
+    fn matches(&self, entry: &Entry, mac: &Mac, bytes: &[u8]) -> bool {
+        entry.mac == *mac && self.arena[entry.start..entry.start + entry.len] == *bytes
     }
 
     /// Fault-injection hook: XORs `mask` into one byte of one stored entry,
@@ -315,32 +334,24 @@ impl VerifyCache {
         }
         let pick = bounded_draw(selector, total);
         let byte_sel = (selector >> 8) as usize;
-        if pick < call_sites.len() {
-            let e = self.calls.get_mut(&call_sites[pick]).expect("listed key");
-            let n = e.encoding.len() + e.mac.len();
-            let i = byte_sel % n;
-            if i < e.encoding.len() {
-                e.encoding[i] ^= mask;
-            } else {
-                e.mac[i - e.encoding.len()] ^= mask;
-            }
-            return Some("call");
+        let (entry, kind) = if pick < call_sites.len() {
+            (self.calls.get_mut(&call_sites[pick]), "call")
+        } else if pick - call_sites.len() < blob_addrs.len() {
+            let addr = blob_addrs[pick - call_sites.len()];
+            (self.blobs.get_mut(&addr), "blob")
+        } else {
+            let s = self.state.as_mut().expect("counted above");
+            s.bytes[byte_sel % POLICY_STATE_LEN] ^= mask;
+            return Some("state");
+        };
+        let e = entry.expect("listed key");
+        let i = byte_sel % (e.len + MAC_LEN);
+        if i < e.len {
+            self.arena[e.start + i] ^= mask;
+        } else {
+            e.mac[i - e.len] ^= mask;
         }
-        let pick = pick - call_sites.len();
-        if pick < blob_addrs.len() {
-            let e = self.blobs.get_mut(&blob_addrs[pick]).expect("listed key");
-            let n = e.contents.len() + e.mac.len();
-            let i = byte_sel % n;
-            if i < e.contents.len() {
-                e.contents[i] ^= mask;
-            } else {
-                e.mac[i - e.contents.len()] ^= mask;
-            }
-            return Some("blob");
-        }
-        let s = self.state.as_mut().expect("counted above");
-        s.bytes[byte_sel % POLICY_STATE_LEN] ^= mask;
-        Some("state")
+        Some(kind)
     }
 
     /// Fault-injection hook: shifts the state entry's recorded epoch
@@ -944,65 +955,109 @@ mod tests {
     #[test]
     fn prop_warm_accepts_exactly_the_recorded_pairs() {
         // Model check: under random interleavings of record / check /
-        // epoch-bump / clear, a cache hit occurs exactly when the same
-        // (key, bytes, tag) tuple was recorded and (for state) the epoch
-        // is unchanged. Since only cold-verified pairs are ever recorded,
-        // this makes the warm accept set equal to the cold one.
-        asc_testkit::check(0x5EED_ACCE, 300, |rng| {
-            let sites = [0x1000u32, 0x1008, 0x1010];
-            let encs: [&[u8]; 3] = [b"alpha", b"bravo", b"charlie"];
-            let macs = [[1u8; 16], [2u8; 16], [3u8; 16]];
-            let ptrs = [0x3000u32, 0x3004];
-            let mut shadow_calls: HashMap<u32, (Vec<u8>, Mac)> = HashMap::new();
-            let mut shadow_blobs: HashMap<u32, (Vec<u8>, Mac)> = HashMap::new();
-            let mut shadow_state: Option<(u32, [u8; POLICY_STATE_LEN], u64)> = None;
-            let mut epoch = 0u64;
-            let mut c = VerifyCache::new();
-            for _ in 0..rng.range_usize(1, 40) {
-                match rng.range_u32(0, 8) {
-                    0 | 1 => {
-                        let (s, e, m) = (*rng.pick(&sites), *rng.pick(&encs), *rng.pick(&macs));
-                        c.record_call(s, e, &m);
-                        shadow_calls.insert(s, (e.to_vec(), m));
+        // epoch-bump, a cache hit occurs exactly when the same (key,
+        // bytes, tag) tuple was recorded since the last clear and (for
+        // state) the epoch is unchanged. Since only cold-verified pairs are
+        // ever recorded, this makes the warm accept set equal to the cold
+        // one. At capacity 3 the shadow model also drops everything before
+        // any record that finds the cache full, re-records of a present key
+        // included, and every counter must follow it.
+        for capacity in [VerifyCache::DEFAULT_CAPACITY, 3] {
+            asc_testkit::check(0x5EED_ACCE, 300, |rng| {
+                let sites = [0x1000u32, 0x1008, 0x1010];
+                let encs: [&[u8]; 3] = [b"alpha", b"bravo", b"charlie"];
+                let macs = [[1u8; 16], [2u8; 16], [3u8; 16]];
+                let ptrs = [0x3000u32, 0x3004];
+                let mut shadow_calls: HashMap<u32, (Vec<u8>, Mac)> = HashMap::new();
+                let mut shadow_blobs: HashMap<u32, (Vec<u8>, Mac)> = HashMap::new();
+                let mut shadow_state: Option<(u32, [u8; POLICY_STATE_LEN], u64)> = None;
+                let mut shadow_stats = CacheStats::default();
+                let mut epoch = 0u64;
+                let mut c = VerifyCache::with_capacity(capacity);
+                for _ in 0..rng.range_usize(1, 40) {
+                    let op = rng.range_u32(0, 8);
+                    let live = shadow_calls.len() + shadow_blobs.len();
+                    if matches!(op, 0 | 1 | 3) && live >= capacity {
+                        // Every record into a full cache drops it first.
+                        shadow_stats.evictions += live as u64;
+                        shadow_calls.clear();
+                        shadow_blobs.clear();
+                        shadow_state = None;
                     }
-                    2 => {
-                        let (s, e, m) = (*rng.pick(&sites), *rng.pick(&encs), *rng.pick(&macs));
-                        let expect = shadow_calls.get(&s) == Some(&(e.to_vec(), m));
-                        assert_eq!(c.check_call(s, e, &m), expect, "call accept set diverged");
+                    match op {
+                        0 | 1 => {
+                            let (s, e, m) = (*rng.pick(&sites), *rng.pick(&encs), *rng.pick(&macs));
+                            c.record_call(s, e, &m);
+                            shadow_calls.insert(s, (e.to_vec(), m));
+                        }
+                        2 => {
+                            let (s, e, m) = (*rng.pick(&sites), *rng.pick(&encs), *rng.pick(&macs));
+                            let present = shadow_calls.contains_key(&s);
+                            let expect = shadow_calls.get(&s) == Some(&(e.to_vec(), m));
+                            shadow_stats.hits += u64::from(expect);
+                            shadow_stats.misses += u64::from(!expect);
+                            shadow_stats.stale_misses += u64::from(present && !expect);
+                            assert_eq!(c.check_call(s, e, &m), expect, "call accept set diverged");
+                        }
+                        3 => {
+                            let (a, e, m) = (*rng.pick(&ptrs), *rng.pick(&encs), *rng.pick(&macs));
+                            c.record_blob(a, &m, e);
+                            shadow_blobs.insert(a, (e.to_vec(), m));
+                        }
+                        4 => {
+                            let (a, e, m) = (*rng.pick(&ptrs), *rng.pick(&encs), *rng.pick(&macs));
+                            let present = shadow_blobs.contains_key(&a);
+                            let expect = shadow_blobs.get(&a) == Some(&(e.to_vec(), m));
+                            shadow_stats.blob_hits += u64::from(expect);
+                            shadow_stats.stale_misses += u64::from(present && !expect);
+                            assert_eq!(c.check_blob(a, &m, e), expect, "blob accept set diverged");
+                        }
+                        5 => {
+                            let ptr = *rng.pick(&ptrs);
+                            let bytes = [rng.byte(); POLICY_STATE_LEN];
+                            c.record_state(ptr, bytes, epoch);
+                            shadow_state = Some((ptr, bytes, epoch));
+                        }
+                        6 => {
+                            // The in-kernel counter advances (control-flow
+                            // update): every older state recording is stale.
+                            epoch += rng.range_u64(1, 4);
+                        }
+                        _ => {
+                            let ptr = *rng.pick(&ptrs);
+                            let bytes = shadow_state.map_or([0u8; POLICY_STATE_LEN], |(_, b, _)| b);
+                            let expect = shadow_state == Some((ptr, bytes, epoch));
+                            let present = shadow_state.is_some();
+                            shadow_stats.state_hits += u64::from(expect);
+                            shadow_stats.stale_misses += u64::from(present && !expect);
+                            assert_eq!(
+                                c.check_state(ptr, &bytes, epoch),
+                                expect,
+                                "state accept set diverged"
+                            );
+                        }
                     }
-                    3 => {
-                        let (a, e, m) = (*rng.pick(&ptrs), *rng.pick(&encs), *rng.pick(&macs));
-                        c.record_blob(a, &m, e);
-                        shadow_blobs.insert(a, (e.to_vec(), m));
-                    }
-                    4 => {
-                        let (a, e, m) = (*rng.pick(&ptrs), *rng.pick(&encs), *rng.pick(&macs));
-                        let expect = shadow_blobs.get(&a) == Some(&(e.to_vec(), m));
-                        assert_eq!(c.check_blob(a, &m, e), expect, "blob accept set diverged");
-                    }
-                    5 => {
-                        let ptr = *rng.pick(&ptrs);
-                        let bytes = [rng.byte(); POLICY_STATE_LEN];
-                        c.record_state(ptr, bytes, epoch);
-                        shadow_state = Some((ptr, bytes, epoch));
-                    }
-                    6 => {
-                        // The in-kernel counter advances (control-flow
-                        // update): every older state recording is stale.
-                        epoch += rng.range_u64(1, 4);
-                    }
-                    _ => {
-                        let ptr = *rng.pick(&ptrs);
-                        let bytes = shadow_state.map_or([0u8; POLICY_STATE_LEN], |(_, b, _)| b);
-                        let expect = shadow_state == Some((ptr, bytes, epoch));
-                        assert_eq!(
-                            c.check_state(ptr, &bytes, epoch),
-                            expect,
-                            "state accept set diverged"
-                        );
-                    }
+                    assert_eq!(c.stats(), shadow_stats, "counters diverged");
+                    assert_eq!(c.len(), shadow_calls.len() + shadow_blobs.len());
                 }
-            }
-        });
+            });
+        }
+    }
+
+    #[test]
+    fn re_recording_one_key_keeps_the_arena_bounded() {
+        // Every re-record of a present key strands its old bytes; the
+        // arena bound clears them before they pass `capacity × MAX_AS_LEN`.
+        let (mac, long) = ([5u8; 16], vec![1u8; MAX_AS_LEN as usize]);
+        let mut c = VerifyCache::new();
+        for i in 0..10_000 {
+            let bytes: &[u8] = if i % 2 == 0 { &long } else { b"/etc/motd" };
+            c.record_blob(0x2000, &mac, bytes);
+            assert!(c.arena.len() <= c.capacity * MAX_AS_LEN as usize);
+            assert_eq!(c.len(), 1);
+        }
+        assert!(c.check_blob(0x2000, &mac, b"/etc/motd"));
+        // The bound fired, and each clear counted the one live entry.
+        assert!(c.stats().evictions > 1);
     }
 }

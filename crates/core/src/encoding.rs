@@ -29,9 +29,19 @@
 //! the attacker can neither retarget the pointer at a different AS nor
 //! tamper with the length/MAC fields that precede the contents in memory.
 
-use asc_crypto::{Mac, MacKey};
+use std::ops::Deref;
+
+use asc_crypto::{Mac, MacKey, MAC_LEN};
 
 use crate::descriptor::PolicyDescriptor;
+use crate::policy::MAX_ARGS;
+
+/// Bytes of one `addr ‖ len ‖ mac` tuple.
+const TUPLE_LEN: usize = 4 + 4 + MAC_LEN;
+
+/// Longest encoding: the 14-byte header, six string or pattern tuples, the
+/// predecessor-set tuple and `lb_ptr` (186 bytes).
+pub const MAX_ENCODING_LEN: usize = 14 + MAX_ARGS * TUPLE_LEN + TUPLE_LEN + 4;
 
 /// How one constrained argument appears in the encoding.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,7 +71,7 @@ pub enum EncodedArg {
 }
 
 /// Everything that goes into the encoded policy / encoded call.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EncodedCall {
     /// System call number.
     pub syscall_nr: u16,
@@ -71,8 +81,9 @@ pub struct EncodedCall {
     pub call_site: u32,
     /// Basic block id of the call.
     pub block_id: u32,
-    /// Constrained arguments, as `(index, encoding)`, ascending by index.
-    pub args: Vec<(usize, EncodedArg)>,
+    /// Constrained arguments by position: `args[i]` is argument `i`, `None`
+    /// when it is unconstrained.
+    pub args: [Option<EncodedArg>; MAX_ARGS],
     /// Predecessor-set AS tuple, present iff control flow is constrained.
     pub pred_set: Option<(u32, u32, Mac)>,
     /// Address of the policy-state cell, present iff control flow is
@@ -80,31 +91,60 @@ pub struct EncodedCall {
     pub lb_ptr: Option<u32>,
 }
 
+/// The canonical byte string of one [`EncodedCall`], built in place: at
+/// most [`MAX_ENCODING_LEN`] bytes, so it needs no heap. Bytes past `len`
+/// stay zero, so the derived comparison compares encodings.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Encoding {
+    bytes: [u8; MAX_ENCODING_LEN],
+    len: usize,
+}
+
+impl Encoding {
+    fn push(&mut self, data: &[u8]) {
+        self.bytes[self.len..self.len + data.len()].copy_from_slice(data);
+        self.len += data.len();
+    }
+
+    fn push_tuple(&mut self, addr: u32, len: u32, mac: &Mac) {
+        self.push(&addr.to_le_bytes());
+        self.push(&len.to_le_bytes());
+        self.push(mac);
+    }
+}
+
+impl Deref for Encoding {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+}
+
 /// Serialises an [`EncodedCall`] to the canonical byte string.
-pub fn encode_call(call: &EncodedCall) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(&call.syscall_nr.to_le_bytes());
-    out.extend_from_slice(&call.descriptor.bits().to_le_bytes());
-    out.extend_from_slice(&call.call_site.to_le_bytes());
-    out.extend_from_slice(&call.block_id.to_le_bytes());
-    for (_, arg) in &call.args {
+pub fn encode_call(call: &EncodedCall) -> Encoding {
+    let mut out = Encoding {
+        bytes: [0; MAX_ENCODING_LEN],
+        len: 0,
+    };
+    out.push(&call.syscall_nr.to_le_bytes());
+    out.push(&call.descriptor.bits().to_le_bytes());
+    out.push(&call.call_site.to_le_bytes());
+    out.push(&call.block_id.to_le_bytes());
+    for arg in call.args.iter().flatten() {
         match arg {
-            EncodedArg::Immediate(v) => out.extend_from_slice(&v.to_le_bytes()),
+            EncodedArg::Immediate(v) => out.push(&v.to_le_bytes()),
             EncodedArg::AuthString { addr, len, mac } | EncodedArg::Pattern { addr, len, mac } => {
-                out.extend_from_slice(&addr.to_le_bytes());
-                out.extend_from_slice(&len.to_le_bytes());
-                out.extend_from_slice(mac);
+                out.push_tuple(*addr, *len, mac);
             }
             EncodedArg::Capability => {}
         }
     }
     if let Some((addr, len, mac)) = &call.pred_set {
-        out.extend_from_slice(&addr.to_le_bytes());
-        out.extend_from_slice(&len.to_le_bytes());
-        out.extend_from_slice(mac);
+        out.push_tuple(*addr, *len, mac);
     }
     if let Some(lb_ptr) = call.lb_ptr {
-        out.extend_from_slice(&lb_ptr.to_le_bytes());
+        out.push(&lb_ptr.to_le_bytes());
     }
     out
 }
@@ -126,16 +166,17 @@ mod tests {
             descriptor: PolicyDescriptor::from_bits(0x0300_0002),
             call_site: 0x806c57b,
             block_id: 1234,
-            args: vec![
-                (1, EncodedArg::Immediate(2)),
-                (
-                    2,
-                    EncodedArg::AuthString {
-                        addr: 0x81adcde,
-                        len: 0x12,
-                        mac: [0xAB; 16],
-                    },
-                ),
+            args: [
+                None,
+                Some(EncodedArg::Immediate(2)),
+                Some(EncodedArg::AuthString {
+                    addr: 0x81adcde,
+                    len: 0x12,
+                    mac: [0xAB; 16],
+                }),
+                None,
+                None,
+                None,
             ],
             pred_set: Some((0x81ae000, 12, [0xCD; 16])),
             lb_ptr: Some(0x810c4ab),
@@ -147,9 +188,28 @@ mod tests {
         let c = sample();
         let bytes = encode_call(&c);
         assert_eq!(encode_call(&c), bytes);
-        // nr(2) + des(4) + site(4) + block(4) + imm(4) + as(24) + ps(24) + lb(4)
-        assert_eq!(bytes.len(), 2 + 4 + 4 + 4 + 4 + 24 + 24 + 4);
-        assert_eq!(&bytes[..2], &0x5cu16.to_le_bytes());
+        // nr(2) + des(4) + site(4) + block(4) + imm(4) + as(24) + ps(24) +
+        // lb(4), as the heap-built encoder this one replaced produced them:
+        // every installed call MAC depends on these bytes.
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "5c00020000037bc50608d204000002000000dedc1a0812000000\
+             abababababababababababababababab00e01a080c000000\
+             cdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdabc41008"
+        );
+    }
+
+    #[test]
+    fn maximal_call_fills_the_buffer_exactly() {
+        // Six string or pattern tuples, the predecessor set and `lb_ptr`.
+        let mut c = sample();
+        let (addr, len, mac) = (0x9000, 7, [0xEE; 16]);
+        c.args = [Some(EncodedArg::Pattern { addr, len, mac }); MAX_ARGS];
+        c.args[1] = Some(EncodedArg::AuthString { addr, len, mac });
+        let bytes = encode_call(&c);
+        assert_eq!((bytes.len(), MAX_ENCODING_LEN), (186, 186));
+        assert_eq!(&bytes[182..], &0x810c4abu32.to_le_bytes());
     }
 
     #[test]
@@ -179,16 +239,16 @@ mod tests {
             },
             {
                 let mut c = sample();
-                c.args[0].1 = EncodedArg::Immediate(3);
+                c.args[1] = Some(EncodedArg::Immediate(3));
                 c
             },
             {
                 let mut c = sample();
-                c.args[1].1 = EncodedArg::AuthString {
+                c.args[2] = Some(EncodedArg::AuthString {
                     addr: 0x9000000,
                     len: 0x12,
                     mac: [0xAB; 16],
-                };
+                });
                 c
             },
             {
@@ -217,7 +277,7 @@ mod tests {
     fn capability_args_add_no_bytes() {
         let mut c = sample();
         let before = encode_call(&c).len();
-        c.args.push((3, EncodedArg::Capability));
+        c.args[3] = Some(EncodedArg::Capability);
         assert_eq!(encode_call(&c).len(), before);
         // ... but the descriptor bit for them WOULD change the MAC.
     }

@@ -9,10 +9,11 @@
 //!   with the installation key, and embeds descriptor + MAC + authenticated
 //!   strings in the binary;
 //! * the **kernel** (`asc-kernel`) reconstructs the encoding from the
-//!   *runtime* values at trap time and runs [`verify::verify_call`], which
-//!   implements the three checks of §3.4 (call MAC, string integrity,
-//!   control flow) plus the §5 extensions (argument patterns with proof
-//!   hints, capability tracking bits);
+//!   *runtime* values at trap time and runs [`verify::verify_call`], the
+//!   one verification entry point, which implements the three checks of
+//!   §3.4 (call MAC, string integrity, control flow) plus the §5
+//!   extensions (argument patterns with proof hints, capability tracking
+//!   bits) on bytes lent from process memory, without copying them;
 //! * the **application** holds all of this data but, lacking the key,
 //!   cannot forge any of it.
 //!
@@ -45,12 +46,9 @@ pub mod verify;
 
 pub use cache::{mix64, pid_shard, CacheStats, SharedVerifyCache, VerifyCache};
 pub use descriptor::PolicyDescriptor;
-pub use encoding::{encode_call, EncodedArg, EncodedCall};
+pub use encoding::{encode_call, EncodedArg, EncodedCall, Encoding};
 pub use flow::{FlowGraph, FlowParseError, FLOW_START};
 pub use pattern::{match_pattern, produce_hint, Pattern, PatternError};
 pub use policy::{ArgPolicy, ProgramPolicy, SyscallPolicy, MAX_ARGS};
 pub use sites::{SiteRegistry, SitesParseError};
-pub use verify::{
-    verify_call, verify_call_cached, verify_call_hooked, verify_call_traced, AuthCallRegs,
-    UserMemory, VerifyHooks, VerifyOutcome, Violation,
-};
+pub use verify::{verify_call, AuthCallRegs, UserMemory, VerifyHooks, VerifyOutcome, Violation};

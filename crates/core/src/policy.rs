@@ -151,19 +151,6 @@ impl SyscallPolicy {
         }
         out
     }
-
-    /// Parses a predecessor set from its authenticated-string byte layout.
-    pub fn parse_predecessor_bytes(bytes: &[u8]) -> Option<BTreeSet<u32>> {
-        if !bytes.len().is_multiple_of(4) {
-            return None;
-        }
-        Some(
-            bytes
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-                .collect(),
-        )
-    }
 }
 
 /// The overall policy of a program: one [`SyscallPolicy`] per call site,
@@ -242,13 +229,10 @@ mod tests {
     }
 
     #[test]
-    fn predecessor_bytes_roundtrip() {
+    fn predecessor_bytes_are_sorted_and_deduplicated() {
         let p = SyscallPolicy::new(1, 0, 9).with_predecessors([3u32, 1, 2, 3]);
-        let bytes = p.predecessor_bytes();
-        assert_eq!(bytes.len(), 12); // deduplicated
-        let parsed = SyscallPolicy::parse_predecessor_bytes(&bytes).unwrap();
-        assert_eq!(parsed, [1u32, 2, 3].into_iter().collect());
-        assert!(SyscallPolicy::parse_predecessor_bytes(&bytes[..5]).is_none());
+        let expected: Vec<u8> = [1u32, 2, 3].iter().flat_map(|b| b.to_le_bytes()).collect();
+        assert_eq!(p.predecessor_bytes(), expected);
     }
 
     #[test]

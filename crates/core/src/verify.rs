@@ -6,14 +6,22 @@
 //! written against the small [`UserMemory`] abstraction so it can be tested
 //! exhaustively here and reused verbatim by the simulated kernel.
 //!
+//! Like the paper's check, it works on the process's memory in place:
+//! [`UserMemory`] lends the bytes it reads instead of copying them, the
+//! encoded call is built in a fixed buffer
+//! ([`Encoding`](crate::encoding::Encoding)), and the predecessor set is
+//! scanned where it lies. Only a pattern argument's parse and a recording
+//! meter allocate; the verified-call cache copies bytes, into its arena,
+//! when it records a miss.
+//!
 //! The function also *meters* the cryptographic work it performs
 //! ([`VerifyOutcome::aes_blocks`]): the kernel's cycle model charges
 //! verification cost from these counts, which is how the simulator
 //! reproduces the paper's ≈4,000-cycle per-call overhead from first
 //! principles instead of hard-coding it. The counts are *measured* — the
 //! key's AES block counter is snapshotted around the verification — so a
-//! cached fast path ([`verify_call_cached`]) that skips recomputation is
-//! charged only for the blocks it actually ran.
+//! call the verified-call cache serves is charged only for the blocks it
+//! actually ran.
 
 use asc_crypto::{MacKey, MemoryChecker, PolicyState, MAC_LEN, POLICY_STATE_LEN};
 use asc_trace::{CacheDecision, CallMeter, CheckKind, CheckRecord, ReasonCode};
@@ -22,7 +30,7 @@ use crate::cache::{CacheStats, VerifyCache};
 use crate::descriptor::PolicyDescriptor;
 use crate::encoding::{encode_call, EncodedArg, EncodedCall};
 use crate::pattern::Pattern;
-use crate::policy::{SyscallPolicy, MAX_ARGS};
+use crate::policy::MAX_ARGS;
 
 /// Longest string / predecessor set / pattern the kernel will read from
 /// user space (defence against the attacker-chosen-length DoS of §3.2).
@@ -31,6 +39,9 @@ pub const MAX_AS_LEN: u32 = 4096;
 /// Header bytes preceding the contents of an authenticated string in
 /// memory: `len (4)` + `mac (16)`.
 const AS_HEADER: u32 = 20;
+
+/// Most proof-hint words one pattern argument may supply.
+const MAX_HINT_WORDS: u32 = 64;
 
 /// The register file of an authenticated call, as seen by the trap handler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,12 +77,12 @@ pub trait UserMemory {
     /// Returns [`Violation::MemoryFault`] if the address is not mapped.
     fn read_u32(&self, addr: u32) -> Result<u32, Violation>;
 
-    /// Reads `len` bytes.
+    /// Lends the `len` bytes at `addr`.
     ///
     /// # Errors
     ///
     /// Returns [`Violation::MemoryFault`] if the range is not mapped.
-    fn read_bytes(&self, addr: u32, len: u32) -> Result<Vec<u8>, Violation>;
+    fn read_bytes(&self, addr: u32, len: u32) -> Result<&[u8], Violation>;
 
     /// Writes bytes (used for the policy-state update).
     ///
@@ -80,22 +91,23 @@ pub trait UserMemory {
     /// Returns [`Violation::MemoryFault`] if the range is not mapped.
     fn write_bytes(&mut self, addr: u32, bytes: &[u8]) -> Result<(), Violation>;
 
-    /// Reads a NUL-terminated string of at most `max` bytes.
+    /// Lends a NUL-terminated string of at most `max` bytes, without the
+    /// terminator. The scan reads byte by byte, so a fault names the first
+    /// unreadable byte.
     ///
     /// # Errors
     ///
     /// Returns [`Violation::MemoryFault`] on unmapped memory or a missing
     /// terminator.
-    fn read_cstr(&self, addr: u32, max: u32) -> Result<Vec<u8>, Violation> {
-        let mut out = Vec::new();
+    fn read_cstr(&self, addr: u32, max: u32) -> Result<&[u8], Violation> {
         for i in 0..max {
-            let word = self.read_bytes(addr + i, 1)?;
-            if word[0] == 0 {
-                return Ok(out);
+            if self.read_bytes(addr.wrapping_add(i), 1)?[0] == 0 {
+                return self.read_bytes(addr, i);
             }
-            out.push(word[0]);
         }
-        Err(Violation::MemoryFault { addr: addr + max })
+        Err(Violation::MemoryFault {
+            addr: addr.wrapping_add(max),
+        })
     }
 }
 
@@ -247,7 +259,7 @@ impl Violation {
 
 /// Metering data from a successful verification, consumed by the kernel's
 /// cycle model.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VerifyOutcome {
     /// AES block-cipher invocations actually performed across all MAC
     /// computations (measured, not estimated — cache hits skip blocks and
@@ -260,8 +272,6 @@ pub struct VerifyOutcome {
     /// Whether the call MAC was accepted from the verified-call cache
     /// (the warm path) rather than recomputed.
     pub cache_hit: bool,
-    /// Capability-tracked `(argument index, fd)` pairs that passed.
-    pub capability_args: Vec<(usize, u32)>,
 }
 
 /// Reads the `{len, mac}` header preceding AS contents at `addr`.
@@ -272,76 +282,15 @@ fn read_as_header(
 ) -> Result<(u32, [u8; MAC_LEN]), Violation> {
     let header_addr = addr.wrapping_sub(AS_HEADER);
     let len = mem.read_u32(header_addr)?;
-    let mac_bytes = mem.read_bytes(header_addr + 4, MAC_LEN as u32)?;
     let mut mac = [0u8; MAC_LEN];
-    mac.copy_from_slice(&mac_bytes);
+    mac.copy_from_slice(mem.read_bytes(header_addr.wrapping_add(4), MAC_LEN as u32)?);
     if len > MAX_AS_LEN {
         return Err(Violation::StringTooLong { arg });
     }
     Ok((len, mac))
 }
 
-/// Verifies one authenticated system call against its embedded policy.
-///
-/// Implements §3.4's three steps in order: (1) reconstruct the encoded call
-/// from runtime values and check the call MAC; (2) check the integrity of
-/// every authenticated string argument (and pattern, and the predecessor
-/// set); (3) check and update the control-flow policy state. `cap_check`
-/// is consulted for capability-tracked arguments (§5.3); pass `None` when
-/// the kernel has capability tracking disabled.
-///
-/// On success the policy state in user memory has been advanced and the
-/// returned [`VerifyOutcome`] reports the cryptographic work done. On
-/// failure the state is untouched and the process must be terminated.
-///
-/// # Errors
-///
-/// Returns the first [`Violation`] encountered; the caller logs it and
-/// kills the process.
-pub fn verify_call(
-    key: &MacKey,
-    checker: &mut MemoryChecker,
-    mem: &mut dyn UserMemory,
-    regs: &AuthCallRegs,
-    cap_check: Option<&mut dyn FnMut(u32) -> bool>,
-) -> Result<VerifyOutcome, Violation> {
-    verify_call_cached(key, checker, None, mem, regs, cap_check)
-}
-
-/// [`verify_call`] with an optional verified-call cache (the warm path).
-///
-/// With `cache: None` this is exactly the cold path. With a cache, MAC
-/// checks whose `(message, tag)` pair byte-matches an earlier fully
-/// verified pair are accepted without AES work; every mismatch falls back
-/// to the full CMAC computation, so the accept set is identical to the
-/// cold path (see the [`crate::cache`] module docs for the soundness
-/// argument). The returned [`VerifyOutcome`] meters the AES blocks
-/// actually executed.
-///
-/// # Errors
-///
-/// Returns the first [`Violation`] encountered; the caller logs it and
-/// kills the process.
-pub fn verify_call_cached(
-    key: &MacKey,
-    checker: &mut MemoryChecker,
-    cache: Option<&mut VerifyCache>,
-    mem: &mut dyn UserMemory,
-    regs: &AuthCallRegs,
-    cap_check: Option<&mut dyn FnMut(u32) -> bool>,
-) -> Result<VerifyOutcome, Violation> {
-    verify_call_hooked(
-        key,
-        checker,
-        cache,
-        mem,
-        regs,
-        cap_check,
-        VerifyHooks::default(),
-    )
-}
-
-/// Deliberate weakenings of the verifier, used **only** to validate the
+/// Deliberate weakenings of [`verify_call`], used **only** to validate the
 /// fault-injection oracle: a campaign run against a weakened verifier must
 /// report silent corruption, proving the classifier can detect a verifier
 /// that fails open. Production callers always pass
@@ -353,27 +302,6 @@ pub struct VerifyHooks {
     /// the call MAC. This is precisely the hole the non-control-data
     /// attack needs.
     pub accept_any_string: bool,
-}
-
-/// [`verify_call_cached`] with explicit [`VerifyHooks`] (test-only
-/// weakenings; see there).
-///
-/// # Errors
-///
-/// Returns the first [`Violation`] encountered; the caller logs it and
-/// kills the process.
-#[allow(clippy::too_many_arguments)]
-pub fn verify_call_hooked(
-    key: &MacKey,
-    checker: &mut MemoryChecker,
-    cache: Option<&mut VerifyCache>,
-    mem: &mut dyn UserMemory,
-    regs: &AuthCallRegs,
-    cap_check: Option<&mut dyn FnMut(u32) -> bool>,
-    hooks: VerifyHooks,
-) -> Result<VerifyOutcome, Violation> {
-    let mut meter = CallMeter::disabled();
-    verify_call_traced(key, checker, cache, mem, regs, cap_check, hooks, &mut meter)
 }
 
 /// Derives the per-check cache decision from the cache's counter deltas
@@ -399,13 +327,32 @@ fn cache_decision(
     }
 }
 
-/// [`verify_call_hooked`] with a [`CallMeter`]: when the meter is
-/// recording, every verification check pushes one [`CheckRecord`] — kind,
-/// pass/fail, *measured* AES blocks (snapshotted around the check, so the
-/// records of one call partition `VerifyOutcome::aes_blocks` exactly),
-/// bytes compared, and the cache decision. Metering never changes what is
-/// verified or what the outcome meters charge; with a disabled meter this
-/// is byte-for-byte the un-traced path.
+/// Verifies one authenticated system call against its embedded policy.
+///
+/// Implements §3.4's three steps in order: (1) reconstruct the encoded call
+/// from runtime values and check the call MAC; (2) check the integrity of
+/// every authenticated string argument (and pattern, and the predecessor
+/// set); (3) check and update the control-flow policy state. `cap_check`
+/// is consulted for capability-tracked arguments (§5.3); pass `None` when
+/// the kernel has capability tracking disabled.
+///
+/// With a `cache` (the warm path), MAC checks whose `(message, tag)` pair
+/// byte-matches an earlier fully verified pair are accepted without AES
+/// work; every mismatch falls back to the full CMAC computation, so the
+/// accept set is identical to `cache: None` (see the [`crate::cache`]
+/// module docs for the soundness argument). `hooks` weakens the verifier
+/// for fault-oracle validation only; production passes
+/// [`VerifyHooks::default()`].
+///
+/// When `meter` is recording, every check pushes one [`CheckRecord`] —
+/// kind, pass/fail, *measured* AES blocks (snapshotted around the check,
+/// so the records of one call partition [`VerifyOutcome::aes_blocks`]
+/// exactly), bytes compared, and the cache decision. Metering never
+/// changes what is verified or what the outcome meters charge.
+///
+/// On success the policy state in user memory has been advanced and the
+/// returned [`VerifyOutcome`] reports the cryptographic work done. On
+/// failure the state is untouched and the process must be terminated.
 ///
 /// # Errors
 ///
@@ -414,7 +361,7 @@ fn cache_decision(
 /// early return, so a recording meter always ends with the check that
 /// killed the call.
 #[allow(clippy::too_many_arguments)]
-pub fn verify_call_traced(
+pub fn verify_call(
     key: &MacKey,
     checker: &mut MemoryChecker,
     mut cache: Option<&mut VerifyCache>,
@@ -425,18 +372,26 @@ pub fn verify_call_traced(
     meter: &mut CallMeter,
 ) -> Result<VerifyOutcome, Violation> {
     let metering = meter.is_recording();
-    // Records one check: AES blocks are the key's block-counter delta
-    // since `$blocks0`, the cache decision comes from the stats delta
-    // since `$stats0` (pass `None` for checks the cache never serves).
+    // Begins one check: the key's AES block counter and the cache's
+    // counters as they stand, so the check's record can charge the deltas.
+    macro_rules! begin_check {
+        () => {
+            (key.block_ops(), cache.as_deref().map(|c| c.stats()))
+        };
+    }
+    // Records one check begun at `$begun`: AES blocks are the key's
+    // block-counter delta since then, and the cache decision comes from the
+    // stats delta (a `None` snapshot for checks the cache never serves).
     macro_rules! meter_check {
-        ($kind:expr, $passed:expr, $blocks0:expr, $stats0:expr, $hit:expr, $bytes:expr) => {
+        ($kind:expr, $begun:expr, $passed:expr, $hit:expr, $bytes:expr) => {
             if metering {
+                let (blocks0, stats0) = $begun;
                 meter.record(CheckRecord {
                     kind: $kind,
                     passed: $passed,
-                    aes_blocks: key.block_ops().wrapping_sub($blocks0),
+                    aes_blocks: key.block_ops().wrapping_sub(blocks0),
                     bytes: $bytes,
-                    cache: cache_decision($hit, $stats0, cache.as_deref().map(|c| c.stats())),
+                    cache: cache_decision($hit, stats0, cache.as_deref().map(|c| c.stats())),
                 });
             }
         };
@@ -449,206 +404,142 @@ pub fn verify_call_traced(
     }
 
     // --- Step 1: reconstruct the encoded call and check the call MAC. ---
-    let mac_bytes = mem.read_bytes(regs.call_mac_ptr, MAC_LEN as u32)?;
     let mut call_mac = [0u8; MAC_LEN];
-    call_mac.copy_from_slice(&mac_bytes);
-
-    // Pattern extras block: for each pattern argument in ascending order,
-    // {pattern_as_ptr u32, hint_len u32, hint[hint_len] u32}.
-    let mut extras_cursor = regs.hint_ptr;
-    let mut pattern_info: Vec<(usize, u32, Vec<u32>)> = Vec::new();
-
-    let mut args = Vec::new();
-    for i in 0..MAX_ARGS {
-        if descriptor.arg_is_immediate(i) {
-            args.push((i, EncodedArg::Immediate(regs.args[i])));
-        } else if descriptor.arg_is_string(i) {
-            let addr = regs.args[i];
-            let (len, mac) = read_as_header(mem, addr, i)?;
-            args.push((i, EncodedArg::AuthString { addr, len, mac }));
-        } else if descriptor.arg_is_pattern(i) {
-            let pat_ptr = mem.read_u32(extras_cursor)?;
-            let hint_len = mem.read_u32(extras_cursor + 4)?;
-            if hint_len > 64 {
-                return Err(Violation::BadPattern { arg: i });
-            }
-            let mut hint = Vec::with_capacity(hint_len as usize);
-            for h in 0..hint_len {
-                hint.push(mem.read_u32(extras_cursor + 8 + 4 * h)?);
-            }
-            extras_cursor += 8 + 4 * hint_len;
-            let (len, mac) = read_as_header(mem, pat_ptr, i)?;
-            args.push((
-                i,
-                EncodedArg::Pattern {
-                    addr: pat_ptr,
-                    len,
-                    mac,
-                },
-            ));
-            pattern_info.push((i, pat_ptr, hint));
-        } else if descriptor.arg_is_capability(i) {
-            args.push((i, EncodedArg::Capability));
-        }
-    }
+    call_mac.copy_from_slice(mem.read_bytes(regs.call_mac_ptr, MAC_LEN as u32)?);
 
     let control_flow = descriptor.control_flow_constrained();
-    let pred_set = if control_flow {
-        let (len, mac) = read_as_header(mem, regs.pred_set_ptr, usize::MAX)?;
-        Some((regs.pred_set_ptr, len, mac))
-    } else {
-        None
-    };
-
-    let encoded = EncodedCall {
+    let mut encoded = EncodedCall {
         syscall_nr: regs.nr as u16,
         descriptor,
         call_site: regs.call_site,
         block_id: regs.block_id,
-        args,
-        pred_set,
+        args: [None; MAX_ARGS],
+        pred_set: None,
         lb_ptr: control_flow.then_some(regs.lb_ptr),
     };
+    // Pattern extras block: for each pattern argument in ascending order,
+    // {pattern_as_ptr u32, hint_len u32, hint[hint_len] u32}. Each
+    // argument's hint words stay lent here until step 2 matches them.
+    let mut extras_cursor = regs.hint_ptr;
+    let mut hints: [&[u8]; MAX_ARGS] = [&[]; MAX_ARGS];
+    for (i, arg) in encoded.args.iter_mut().enumerate() {
+        *arg = if descriptor.arg_is_immediate(i) {
+            Some(EncodedArg::Immediate(regs.args[i]))
+        } else if descriptor.arg_is_string(i) {
+            let addr = regs.args[i];
+            let (len, mac) = read_as_header(mem, addr, i)?;
+            Some(EncodedArg::AuthString { addr, len, mac })
+        } else if descriptor.arg_is_pattern(i) {
+            let pat_ptr = mem.read_u32(extras_cursor)?;
+            let hint_len = mem.read_u32(extras_cursor.wrapping_add(4))?;
+            if hint_len > MAX_HINT_WORDS {
+                return Err(Violation::BadPattern { arg: i });
+            }
+            // Word by word first, so a fault names the first unreadable
+            // word; then the whole run is lent at once.
+            let hint_addr = extras_cursor.wrapping_add(8);
+            for h in 0..hint_len {
+                mem.read_u32(hint_addr.wrapping_add(4 * h))?;
+            }
+            hints[i] = mem.read_bytes(hint_addr, 4 * hint_len)?;
+            extras_cursor = hint_addr.wrapping_add(4 * hint_len);
+            let (len, mac) = read_as_header(mem, pat_ptr, i)?;
+            Some(EncodedArg::Pattern {
+                addr: pat_ptr,
+                len,
+                mac,
+            })
+        } else if descriptor.arg_is_capability(i) {
+            Some(EncodedArg::Capability)
+        } else {
+            None
+        };
+    }
+    if control_flow {
+        let (len, mac) = read_as_header(mem, regs.pred_set_ptr, usize::MAX)?;
+        encoded.pred_set = Some((regs.pred_set_ptr, len, mac));
+    }
+
     let encoding = encode_call(&encoded);
-    let call_blocks0 = key.block_ops();
-    let call_stats0 = cache.as_deref().map(|c| c.stats());
-    let call_cached = match cache.as_deref_mut() {
-        Some(c) => c.check_call(regs.call_site, &encoding, &call_mac),
-        None => false,
-    };
-    if call_cached {
-        outcome.cache_hit = true;
-    } else {
+    let begun = begin_check!();
+    let call_cached = cache
+        .as_deref_mut()
+        .is_some_and(|c| c.check_call(regs.call_site, &encoding, &call_mac));
+    if !call_cached {
         if !key.verify(&encoding, &call_mac) {
-            meter_check!(
-                CheckKind::CallMac,
-                false,
-                call_blocks0,
-                call_stats0,
-                false,
-                0
-            );
+            meter_check!(CheckKind::CallMac, begun, false, false, 0);
             return Err(Violation::BadCallMac);
         }
         if let Some(c) = cache.as_deref_mut() {
             c.record_call(regs.call_site, &encoding, &call_mac);
         }
     }
-    meter_check!(
-        CheckKind::CallMac,
-        true,
-        call_blocks0,
-        call_stats0,
-        call_cached,
-        0
-    );
+    outcome.cache_hit = call_cached;
+    meter_check!(CheckKind::CallMac, begun, true, call_cached, 0);
 
     // --- Step 2: check the integrity of authenticated strings. ---
-    for (i, arg) in &encoded.args {
-        match arg {
-            EncodedArg::AuthString { addr, len, mac } => {
-                let contents = mem.read_bytes(*addr, *len)?;
-                outcome.bytes_checked += contents.len() as u64;
-                let blocks0 = key.block_ops();
-                let stats0 = cache.as_deref().map(|c| c.stats());
+    for (i, arg) in encoded.args.iter().enumerate() {
+        match *arg {
+            Some(EncodedArg::AuthString { addr, len, mac }) => {
+                let contents = mem.read_bytes(addr, len)?;
+                let n = contents.len() as u64;
+                outcome.bytes_checked += n;
+                let begun = begin_check!();
                 let cached = cache
                     .as_deref_mut()
-                    .is_some_and(|c| c.check_blob(*addr, mac, &contents));
+                    .is_some_and(|c| c.check_blob(addr, &mac, contents));
                 if !cached && !hooks.accept_any_string {
-                    if !key.verify(&contents, mac) {
-                        meter_check!(
-                            CheckKind::AuthString { arg: *i },
-                            false,
-                            blocks0,
-                            stats0,
-                            false,
-                            contents.len() as u64
-                        );
-                        return Err(Violation::BadStringMac { arg: *i });
+                    if !key.verify(contents, &mac) {
+                        meter_check!(CheckKind::AuthString { arg: i }, begun, false, false, n);
+                        return Err(Violation::BadStringMac { arg: i });
                     }
                     if let Some(c) = cache.as_deref_mut() {
-                        c.record_blob(*addr, mac, &contents);
+                        c.record_blob(addr, &mac, contents);
                     }
                 }
-                meter_check!(
-                    CheckKind::AuthString { arg: *i },
-                    true,
-                    blocks0,
-                    stats0,
-                    cached,
-                    contents.len() as u64
-                );
+                meter_check!(CheckKind::AuthString { arg: i }, begun, true, cached, n);
             }
-            EncodedArg::Pattern { addr, len, mac } => {
-                let pattern_text = mem.read_bytes(*addr, *len)?;
-                outcome.bytes_checked += pattern_text.len() as u64;
+            Some(EncodedArg::Pattern { addr, len, mac }) => {
+                let pattern_text = mem.read_bytes(addr, len)?;
+                let mut n = pattern_text.len() as u64;
+                outcome.bytes_checked += n;
                 // One record covers the whole pattern check: AS integrity,
                 // parse, and the hinted match against the live argument.
-                let blocks0 = key.block_ops();
-                let stats0 = cache.as_deref().map(|c| c.stats());
-                let mut pat_bytes = pattern_text.len() as u64;
+                let begun = begin_check!();
                 let cached = cache
                     .as_deref_mut()
-                    .is_some_and(|c| c.check_blob(*addr, mac, &pattern_text));
+                    .is_some_and(|c| c.check_blob(addr, &mac, pattern_text));
                 if !cached {
-                    if !key.verify(&pattern_text, mac) {
-                        meter_check!(
-                            CheckKind::Pattern { arg: *i },
-                            false,
-                            blocks0,
-                            stats0,
-                            false,
-                            pat_bytes
-                        );
-                        return Err(Violation::BadPattern { arg: *i });
+                    if !key.verify(pattern_text, &mac) {
+                        meter_check!(CheckKind::Pattern { arg: i }, begun, false, false, n);
+                        return Err(Violation::BadPattern { arg: i });
                     }
                     if let Some(c) = cache.as_deref_mut() {
-                        c.record_blob(*addr, mac, &pattern_text);
+                        c.record_blob(addr, &mac, pattern_text);
                     }
                 }
-                let parsed = std::str::from_utf8(&pattern_text)
+                let parsed = std::str::from_utf8(pattern_text)
                     .ok()
                     .and_then(|text| Pattern::parse(text).ok());
                 let Some(pattern) = parsed else {
-                    meter_check!(
-                        CheckKind::Pattern { arg: *i },
-                        false,
-                        blocks0,
-                        stats0,
-                        cached,
-                        pat_bytes
-                    );
-                    return Err(Violation::BadPattern { arg: *i });
+                    meter_check!(CheckKind::Pattern { arg: i }, begun, false, cached, n);
+                    return Err(Violation::BadPattern { arg: i });
                 };
-                let (_, _, hint) = pattern_info
-                    .iter()
-                    .find(|(pi, _, _)| pi == i)
-                    .expect("pattern info collected above");
                 // The actual argument is a C string in user memory.
-                let value = mem.read_cstr(regs.args[*i], MAX_AS_LEN)?;
+                let value = mem.read_cstr(regs.args[i], MAX_AS_LEN)?;
                 outcome.bytes_checked += value.len() as u64;
-                pat_bytes += value.len() as u64;
-                if !pattern.match_with_hint(&value, hint) {
-                    meter_check!(
-                        CheckKind::Pattern { arg: *i },
-                        false,
-                        blocks0,
-                        stats0,
-                        cached,
-                        pat_bytes
-                    );
-                    return Err(Violation::PatternMismatch { arg: *i });
+                n += value.len() as u64;
+                let mut hint = [0u32; MAX_HINT_WORDS as usize];
+                for (word, bytes) in hint.iter_mut().zip(hints[i].chunks_exact(4)) {
+                    *word = u32::from_le_bytes(bytes.try_into().expect("4 bytes"));
                 }
-                meter_check!(
-                    CheckKind::Pattern { arg: *i },
-                    true,
-                    blocks0,
-                    stats0,
-                    cached,
-                    pat_bytes
-                );
+                let matched = pattern.match_with_hint(value, &hint[..hints[i].len() / 4]);
+                meter_check!(CheckKind::Pattern { arg: i }, begun, matched, cached, n);
+                if !matched {
+                    return Err(Violation::PatternMismatch { arg: i });
+                }
             }
-            EncodedArg::Immediate(_) | EncodedArg::Capability => {}
+            Some(EncodedArg::Immediate(_) | EncodedArg::Capability) | None => {}
         }
     }
 
@@ -659,72 +550,42 @@ pub fn verify_call_traced(
             let ok = cap_check.as_mut().is_none_or(|f| f(fd));
             // Capability checks are table lookups: no AES, no bytes, and the
             // verify cache never applies, so the record is always `Disabled`.
-            meter_check!(
-                CheckKind::Capability { arg: i },
-                ok,
-                key.block_ops(),
-                None::<CacheStats>,
-                false,
-                0
-            );
+            let begun = (key.block_ops(), None);
+            meter_check!(CheckKind::Capability { arg: i }, begun, ok, false, 0);
             if !ok {
                 return Err(Violation::CapabilityViolation { arg: i, fd });
             }
-            outcome.capability_args.push((i, fd));
         }
     }
 
     // --- Step 3: control-flow policy. ---
-    if control_flow {
-        let (addr, len, mac) = pred_set.expect("set when control_flow");
+    if let Some((addr, len, mac)) = encoded.pred_set {
         let contents = mem.read_bytes(addr, len)?;
-        outcome.bytes_checked += contents.len() as u64;
-        let set_blocks0 = key.block_ops();
-        let set_stats0 = cache.as_deref().map(|c| c.stats());
-        let set_bytes = contents.len() as u64;
-        let set_cached = cache
+        let n = contents.len() as u64;
+        outcome.bytes_checked += n;
+        let begun = begin_check!();
+        let cached = cache
             .as_deref_mut()
-            .is_some_and(|c| c.check_blob(addr, &mac, &contents));
-        if !set_cached {
-            if !key.verify(&contents, &mac) {
-                meter_check!(
-                    CheckKind::PredecessorSet,
-                    false,
-                    set_blocks0,
-                    set_stats0,
-                    false,
-                    set_bytes
-                );
+            .is_some_and(|c| c.check_blob(addr, &mac, contents));
+        if !cached {
+            if !key.verify(contents, &mac) {
+                meter_check!(CheckKind::PredecessorSet, begun, false, false, n);
                 return Err(Violation::MalformedPredecessorSet);
             }
             if let Some(c) = cache.as_deref_mut() {
-                c.record_blob(addr, &mac, &contents);
+                c.record_blob(addr, &mac, contents);
             }
         }
-        let Some(preds) = SyscallPolicy::parse_predecessor_bytes(&contents) else {
-            meter_check!(
-                CheckKind::PredecessorSet,
-                false,
-                set_blocks0,
-                set_stats0,
-                set_cached,
-                set_bytes
-            );
+        // The set is a run of little-endian block ids.
+        let whole = contents.len().is_multiple_of(4);
+        meter_check!(CheckKind::PredecessorSet, begun, whole, cached, n);
+        if !whole {
             return Err(Violation::MalformedPredecessorSet);
-        };
-        meter_check!(
-            CheckKind::PredecessorSet,
-            true,
-            set_blocks0,
-            set_stats0,
-            set_cached,
-            set_bytes
-        );
+        }
 
         let state_bytes = mem.read_bytes(regs.lb_ptr, POLICY_STATE_LEN as u32)?;
-        let state = PolicyState::parse(&state_bytes).expect("exact length read");
-        let state_blocks0 = key.block_ops();
-        let state_stats0 = cache.as_deref().map(|c| c.stats());
+        let state = PolicyState::parse(state_bytes).expect("exact length read");
+        let begun = begin_check!();
         // The state entry is only valid for the current counter epoch: the
         // kernel wrote these exact bytes itself after the last update, so
         // re-verifying them would be redundant AES work. Any divergence —
@@ -732,27 +593,16 @@ pub fn verify_call_traced(
         // the full verification below, where forgery and replay die.
         let state_cached = cache
             .as_deref_mut()
-            .is_some_and(|c| c.check_state(regs.lb_ptr, &state_bytes, checker.counter()));
+            .is_some_and(|c| c.check_state(regs.lb_ptr, state_bytes, checker.counter()));
         if !state_cached && !checker.verify(key, &state) {
-            meter_check!(
-                CheckKind::PolicyState,
-                false,
-                state_blocks0,
-                state_stats0,
-                false,
-                0
-            );
+            meter_check!(CheckKind::PolicyState, begun, false, false, 0);
             return Err(Violation::BadPolicyState);
         }
-        if !preds.contains(&state.last_block) {
-            meter_check!(
-                CheckKind::PolicyState,
-                false,
-                state_blocks0,
-                state_stats0,
-                state_cached,
-                0
-            );
+        let is_pred = contents
+            .chunks_exact(4)
+            .any(|id| u32::from_le_bytes(id.try_into().expect("4 bytes")) == state.last_block);
+        if !is_pred {
+            meter_check!(CheckKind::PolicyState, begun, false, state_cached, 0);
             return Err(Violation::NotInPredecessorSet {
                 last_block: state.last_block,
             });
@@ -765,14 +615,7 @@ pub fn verify_call_traced(
             c.record_state(regs.lb_ptr, new_state.to_bytes(), checker.counter());
         }
         outcome.state_updated = true;
-        meter_check!(
-            CheckKind::PolicyState,
-            true,
-            state_blocks0,
-            state_stats0,
-            state_cached,
-            0
-        );
+        meter_check!(CheckKind::PolicyState, begun, true, state_cached, 0);
     }
 
     outcome.aes_blocks = key.block_ops().wrapping_sub(blocks_at_entry);
@@ -783,19 +626,25 @@ pub fn verify_call_traced(
 mod tests {
     use super::*;
     use asc_crypto::AuthenticatedString;
-    use std::collections::HashMap;
 
-    /// A sparse mock memory for testing the verifier in isolation.
-    #[derive(Default)]
+    /// A flat mock memory for testing the verifier in isolation: only the
+    /// bytes put there are mapped, and a fault names the first unmapped
+    /// byte of the access.
+    #[derive(Clone, Default)]
     struct MockMem {
-        bytes: HashMap<u32, u8>,
+        bytes: Vec<u8>,
+        mapped: Vec<bool>,
     }
 
     impl MockMem {
         fn put(&mut self, addr: u32, data: &[u8]) {
-            for (i, b) in data.iter().enumerate() {
-                self.bytes.insert(addr + i as u32, *b);
+            let range = addr as usize..addr as usize + data.len();
+            if self.bytes.len() < range.end {
+                self.bytes.resize(range.end, 0);
+                self.mapped.resize(range.end, false);
             }
+            self.bytes[range.clone()].copy_from_slice(data);
+            self.mapped[range].fill(true);
         }
     }
 
@@ -804,20 +653,44 @@ mod tests {
             let b = self.read_bytes(addr, 4)?;
             Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
         }
-        fn read_bytes(&self, addr: u32, len: u32) -> Result<Vec<u8>, Violation> {
-            (0..len)
-                .map(|i| {
-                    self.bytes
-                        .get(&(addr + i))
-                        .copied()
-                        .ok_or(Violation::MemoryFault { addr: addr + i })
-                })
-                .collect()
+        fn read_bytes(&self, addr: u32, len: u32) -> Result<&[u8], Violation> {
+            let range = addr as usize..addr as usize + len as usize;
+            if let Some(hole) = range
+                .clone()
+                .find(|&a| !self.mapped.get(a).is_some_and(|&m| m))
+            {
+                return Err(Violation::MemoryFault { addr: hole as u32 });
+            }
+            self.bytes.get(range).ok_or(Violation::MemoryFault { addr })
         }
         fn write_bytes(&mut self, addr: u32, bytes: &[u8]) -> Result<(), Violation> {
+            self.read_bytes(addr, bytes.len() as u32)?;
             self.put(addr, bytes);
             Ok(())
         }
+    }
+
+    /// [`verify_call`] under the test key, without weakening hooks or a
+    /// recording meter.
+    fn verify(
+        checker: &mut MemoryChecker,
+        cache: Option<&mut VerifyCache>,
+        mem: &mut MockMem,
+        regs: &AuthCallRegs,
+        cap_check: Option<&mut dyn FnMut(u32) -> bool>,
+    ) -> Result<VerifyOutcome, Violation> {
+        let mut meter = CallMeter::disabled();
+        let hooks = VerifyHooks::default();
+        verify_call(
+            &key(),
+            checker,
+            cache,
+            mem,
+            regs,
+            cap_check,
+            hooks,
+            &mut meter,
+        )
     }
 
     fn key() -> MacKey {
@@ -854,22 +727,19 @@ mod tests {
             .with_control_flow()
             .with_string_arg(0)
             .with_immediate_arg(1);
+        let mut args = [None; MAX_ARGS];
+        args[0] = Some(EncodedArg::AuthString {
+            addr: AS_ADDR,
+            len: 9,
+            mac: *path.mac(),
+        });
+        args[1] = Some(EncodedArg::Immediate(0));
         let encoded = EncodedCall {
             syscall_nr: 5,
             descriptor,
             call_site: 0x1040,
             block_id: 9,
-            args: vec![
-                (
-                    0,
-                    EncodedArg::AuthString {
-                        addr: AS_ADDR,
-                        len: 9,
-                        mac: *path.mac(),
-                    },
-                ),
-                (1, EncodedArg::Immediate(0)),
-            ],
+            args,
             pred_set: Some((PS_ADDR, 8, *ps.mac())),
             lb_ptr: Some(LB_ADDR),
         };
@@ -893,12 +763,12 @@ mod tests {
         let mut mem = MockMem::default();
         let regs = setup_call(&mut mem);
         let mut checker = MemoryChecker::new();
-        let outcome = verify_call(&key(), &mut checker, &mut mem, &regs, None).unwrap();
+        let outcome = verify(&mut checker, None, &mut mem, &regs, None).unwrap();
         assert!(outcome.state_updated);
         assert!(outcome.aes_blocks >= 5);
         assert_eq!(checker.counter(), 1);
         // State now holds block 9.
-        let state = PolicyState::parse(&mem.read_bytes(LB_ADDR, 20).unwrap()).unwrap();
+        let state = PolicyState::parse(mem.read_bytes(LB_ADDR, 20).unwrap()).unwrap();
         assert_eq!(state.last_block, 9);
         assert!(checker.verify(&key(), &state));
     }
@@ -908,10 +778,10 @@ mod tests {
         let mut mem = MockMem::default();
         let regs = setup_call(&mut mem);
         let mut checker = MemoryChecker::new();
-        verify_call(&key(), &mut checker, &mut mem, &regs, None).unwrap();
+        verify(&mut checker, None, &mut mem, &regs, None).unwrap();
         // Re-running the same call: its predecessor set {0, 7} does not
         // contain 9 (the block we just recorded) -> control-flow violation.
-        let err = verify_call(&key(), &mut checker, &mut mem, &regs, None).unwrap_err();
+        let err = verify(&mut checker, None, &mut mem, &regs, None).unwrap_err();
         assert_eq!(err, Violation::NotInPredecessorSet { last_block: 9 });
     }
 
@@ -920,8 +790,7 @@ mod tests {
         let mut mem = MockMem::default();
         let mut regs = setup_call(&mut mem);
         regs.nr = 11; // try to turn open into execve
-        let err =
-            verify_call(&key(), &mut MemoryChecker::new(), &mut mem, &regs, None).unwrap_err();
+        let err = verify(&mut MemoryChecker::new(), None, &mut mem, &regs, None).unwrap_err();
         assert_eq!(err, Violation::BadCallMac);
     }
 
@@ -931,7 +800,7 @@ mod tests {
         let mut regs = setup_call(&mut mem);
         regs.call_site += 8; // call from a different (injected) location
         assert_eq!(
-            verify_call(&key(), &mut MemoryChecker::new(), &mut mem, &regs, None),
+            verify(&mut MemoryChecker::new(), None, &mut mem, &regs, None),
             Err(Violation::BadCallMac)
         );
     }
@@ -942,7 +811,7 @@ mod tests {
         let mut regs = setup_call(&mut mem);
         regs.args[1] = 2; // open flags O_RDWR instead of O_RDONLY
         assert_eq!(
-            verify_call(&key(), &mut MemoryChecker::new(), &mut mem, &regs, None),
+            verify(&mut MemoryChecker::new(), None, &mut mem, &regs, None),
             Err(Violation::BadCallMac)
         );
     }
@@ -954,7 +823,7 @@ mod tests {
         // Attacker clears all constraint bits hoping for a free pass.
         regs.pol_des = PolicyDescriptor::new().with_call_site().bits();
         assert_eq!(
-            verify_call(&key(), &mut MemoryChecker::new(), &mut mem, &regs, None),
+            verify(&mut MemoryChecker::new(), None, &mut mem, &regs, None),
             Err(Violation::BadCallMac)
         );
     }
@@ -966,7 +835,7 @@ mod tests {
         let regs = setup_call(&mut mem);
         mem.put(AS_ADDR, b"/etc/pass"); // same length, different contents
         assert_eq!(
-            verify_call(&key(), &mut MemoryChecker::new(), &mut mem, &regs, None),
+            verify(&mut MemoryChecker::new(), None, &mut mem, &regs, None),
             Err(Violation::BadStringMac { arg: 0 })
         );
     }
@@ -980,7 +849,7 @@ mod tests {
         let mut regs = setup_call(&mut mem);
         regs.args[0] = PS_ADDR;
         assert_eq!(
-            verify_call(&key(), &mut MemoryChecker::new(), &mut mem, &regs, None),
+            verify(&mut MemoryChecker::new(), None, &mut mem, &regs, None),
             Err(Violation::BadCallMac)
         );
     }
@@ -992,7 +861,7 @@ mod tests {
         // Attacker rewrites the AS length field to a huge value (DoS try).
         mem.put(AS_ADDR - AS_HEADER, &(MAX_AS_LEN + 1).to_le_bytes());
         assert_eq!(
-            verify_call(&key(), &mut MemoryChecker::new(), &mut mem, &regs, None),
+            verify(&mut MemoryChecker::new(), None, &mut mem, &regs, None),
             Err(Violation::StringTooLong { arg: 0 })
         );
     }
@@ -1002,12 +871,12 @@ mod tests {
         let mut mem = MockMem::default();
         let regs = setup_call(&mut mem);
         let mut checker = MemoryChecker::new();
-        let snapshot = mem.read_bytes(LB_ADDR, 20).unwrap();
-        verify_call(&key(), &mut checker, &mut mem, &regs, None).unwrap();
+        let snapshot = mem.read_bytes(LB_ADDR, 20).unwrap().to_vec();
+        verify(&mut checker, None, &mut mem, &regs, None).unwrap();
         // Attacker restores the pre-call state and replays the call.
         mem.put(LB_ADDR, &snapshot);
         assert_eq!(
-            verify_call(&key(), &mut checker, &mut mem, &regs, None),
+            verify(&mut checker, None, &mut mem, &regs, None),
             Err(Violation::BadPolicyState)
         );
     }
@@ -1019,11 +888,11 @@ mod tests {
         let mut checker = MemoryChecker::new();
         // Attacker writes lastBlock = 7 (which IS in the pred set) without
         // being able to recompute lbMAC.
-        let mut state_bytes = mem.read_bytes(LB_ADDR, 20).unwrap();
+        let mut state_bytes = mem.read_bytes(LB_ADDR, 20).unwrap().to_vec();
         state_bytes[0] = 7;
         mem.put(LB_ADDR, &state_bytes);
         assert_eq!(
-            verify_call(&key(), &mut checker, &mut mem, &regs, None),
+            verify(&mut checker, None, &mut mem, &regs, None),
             Err(Violation::BadPolicyState)
         );
     }
@@ -1041,7 +910,7 @@ mod tests {
             descriptor,
             call_site: 0x2000,
             block_id: 1,
-            args: vec![(0, EncodedArg::Capability)],
+            args: [Some(EncodedArg::Capability), None, None, None, None, None],
             pred_set: None,
             lb_ptr: None,
         };
@@ -1057,24 +926,28 @@ mod tests {
             call_mac_ptr: MAC_ADDR,
             hint_ptr: 0,
         };
-        let mut allowed = |fd: u32| fd == 4;
-        let out = verify_call(
-            &k,
+        let mut consulted = Vec::new();
+        let mut allowed = |fd: u32| {
+            consulted.push(fd);
+            fd == 4
+        };
+        verify(
             &mut MemoryChecker::new(),
+            None,
             &mut mem,
             &regs,
             Some(&mut allowed),
         )
         .unwrap();
-        assert_eq!(out.capability_args, vec![(0, 4)]);
+        assert_eq!(consulted, vec![4]);
 
         let mut regs2 = regs;
         regs2.args[0] = 5;
         let mut allowed = |fd: u32| fd == 4;
         assert_eq!(
-            verify_call(
-                &k,
+            verify(
                 &mut MemoryChecker::new(),
+                None,
                 &mut mem,
                 &regs2,
                 Some(&mut allowed)
@@ -1083,42 +956,42 @@ mod tests {
         );
     }
 
-    #[test]
-    fn pattern_argument_verifies_with_hint() {
-        let mut mem = MockMem::default();
+    /// The runtime argument of the pattern fixture (dynamic, not MAC'd).
+    const ARG_ADDR: u32 = 0x9600;
+
+    /// Builds an authenticated call whose argument 0 must match the pattern
+    /// `/tmp/{foo,bar}*baz`, with `/tmp/foofoobaz` as the argument and the
+    /// proof hint {0, 3} in the extras block.
+    fn setup_pattern_call(mem: &mut MockMem) -> AuthCallRegs {
         let k = key();
         let pattern = AuthenticatedString::build(&k, b"/tmp/{foo,bar}*baz".to_vec());
-        put_as(&mut mem, PAT_ADDR, &pattern);
-        // The runtime argument string (dynamic, not MAC'd):
-        const ARG_ADDR: u32 = 0x9600;
+        put_as(mem, PAT_ADDR, &pattern);
         mem.put(ARG_ADDR, b"/tmp/foofoobaz\0");
         // Extras block: pattern ptr, hint_len=2, hint {0, 3}.
-        let mut extras = Vec::new();
-        extras.extend_from_slice(&PAT_ADDR.to_le_bytes());
-        extras.extend_from_slice(&2u32.to_le_bytes());
-        extras.extend_from_slice(&0u32.to_le_bytes());
-        extras.extend_from_slice(&3u32.to_le_bytes());
+        let extras: Vec<u8> = [PAT_ADDR, 2, 0, 3]
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .collect();
         mem.put(EXTRA_ADDR, &extras);
 
         let descriptor = PolicyDescriptor::new().with_call_site().with_pattern_arg(0);
+        let mut args = [None; MAX_ARGS];
+        args[0] = Some(EncodedArg::Pattern {
+            addr: PAT_ADDR,
+            len: 18,
+            mac: *pattern.mac(),
+        });
         let encoded = EncodedCall {
             syscall_nr: 5,
             descriptor,
             call_site: 0x3000,
             block_id: 2,
-            args: vec![(
-                0,
-                EncodedArg::Pattern {
-                    addr: PAT_ADDR,
-                    len: 18,
-                    mac: *pattern.mac(),
-                },
-            )],
+            args,
             pred_set: None,
             lb_ptr: None,
         };
         mem.put(MAC_ADDR, &encoded.mac(&k));
-        let regs = AuthCallRegs {
+        AuthCallRegs {
             nr: 5,
             call_site: 0x3000,
             args: [ARG_ADDR, 0, 0, 0, 0, 0],
@@ -1128,12 +1001,18 @@ mod tests {
             lb_ptr: 0,
             call_mac_ptr: MAC_ADDR,
             hint_ptr: EXTRA_ADDR,
-        };
-        verify_call(&k, &mut MemoryChecker::new(), &mut mem, &regs, None).unwrap();
+        }
+    }
+
+    #[test]
+    fn pattern_argument_verifies_with_hint() {
+        let mut mem = MockMem::default();
+        let regs = setup_pattern_call(&mut mem);
+        verify(&mut MemoryChecker::new(), None, &mut mem, &regs, None).unwrap();
 
         // A non-matching argument fails even with a "creative" hint.
         mem.put(ARG_ADDR, b"/etc/passwd\0\0\0\0");
-        let err = verify_call(&k, &mut MemoryChecker::new(), &mut mem, &regs, None).unwrap_err();
+        let err = verify(&mut MemoryChecker::new(), None, &mut mem, &regs, None).unwrap_err();
         assert_eq!(err, Violation::PatternMismatch { arg: 0 });
     }
 
@@ -1155,7 +1034,7 @@ mod tests {
             hint_ptr: 0,
         };
         assert_eq!(
-            verify_call(&key(), &mut MemoryChecker::new(), &mut mem, &regs, None),
+            verify(&mut MemoryChecker::new(), None, &mut mem, &regs, None),
             Err(Violation::BadDescriptor)
         );
     }
@@ -1186,7 +1065,7 @@ mod tests {
         };
         mem.put(MAC_ADDR, &[0u8; 16]);
         assert_eq!(
-            verify_call(&k, &mut MemoryChecker::new(), &mut mem, &regs, None),
+            verify(&mut MemoryChecker::new(), None, &mut mem, &regs, None),
             Err(Violation::BadPattern { arg: 0 })
         );
     }
@@ -1199,7 +1078,7 @@ mod tests {
         let mut mem = MockMem::default();
         let mut regs = setup_call(&mut mem);
         regs.nr = 0x0007_0005;
-        let out = verify_call(&key(), &mut MemoryChecker::new(), &mut mem, &regs, None);
+        let out = verify(&mut MemoryChecker::new(), None, &mut mem, &regs, None);
         assert!(out.is_ok(), "{out:?}");
     }
 
@@ -1209,10 +1088,9 @@ mod tests {
         // from the predecessor set (both authentic, wrong pairing).
         let mut mem = MockMem::default();
         let regs = setup_call(&mut mem);
-        let ps_header = mem.read_bytes(PS_ADDR - AS_HEADER, 20).unwrap();
+        let ps_header = mem.read_bytes(PS_ADDR - AS_HEADER, 20).unwrap().to_vec();
         mem.put(AS_ADDR - AS_HEADER, &ps_header);
-        let err =
-            verify_call(&key(), &mut MemoryChecker::new(), &mut mem, &regs, None).unwrap_err();
+        let err = verify(&mut MemoryChecker::new(), None, &mut mem, &regs, None).unwrap_err();
         // The call MAC covers the (addr, len, mac) tuple, so the forgery
         // dies at step 1.
         assert_eq!(err, Violation::BadCallMac);
@@ -1226,19 +1104,18 @@ mod tests {
         let path = AuthenticatedString::build(&k, b"/etc/motd".to_vec());
         put_as(mem, AS_ADDR, &path);
         let descriptor = PolicyDescriptor::new().with_call_site().with_string_arg(0);
+        let mut args = [None; MAX_ARGS];
+        args[0] = Some(EncodedArg::AuthString {
+            addr: AS_ADDR,
+            len: 9,
+            mac: *path.mac(),
+        });
         let encoded = EncodedCall {
             syscall_nr: 5,
             descriptor,
             call_site: 0x1040,
             block_id: 9,
-            args: vec![(
-                0,
-                EncodedArg::AuthString {
-                    addr: AS_ADDR,
-                    len: 9,
-                    mac: *path.mac(),
-                },
-            )],
+            args,
             pred_set: None,
             lb_ptr: None,
         };
@@ -1261,14 +1138,11 @@ mod tests {
         let mut mem = MockMem::default();
         let regs = setup_repeatable_call(&mut mem);
         let mut checker = MemoryChecker::new();
-        let mut cache = crate::cache::VerifyCache::new();
-        let k = key();
-        let cold =
-            verify_call_cached(&k, &mut checker, Some(&mut cache), &mut mem, &regs, None).unwrap();
+        let mut cache = VerifyCache::new();
+        let cold = verify(&mut checker, Some(&mut cache), &mut mem, &regs, None).unwrap();
         assert!(!cold.cache_hit);
         assert!(cold.aes_blocks >= 2, "call MAC + string MAC");
-        let warm =
-            verify_call_cached(&k, &mut checker, Some(&mut cache), &mut mem, &regs, None).unwrap();
+        let warm = verify(&mut checker, Some(&mut cache), &mut mem, &regs, None).unwrap();
         assert!(warm.cache_hit);
         assert_eq!(warm.aes_blocks, 0, "identical call: no AES at all");
         assert_eq!(
@@ -1287,12 +1161,11 @@ mod tests {
         let mut mem = MockMem::default();
         let regs = setup_repeatable_call(&mut mem);
         let mut checker = MemoryChecker::new();
-        let mut cache = crate::cache::VerifyCache::new();
-        let k = key();
-        verify_call_cached(&k, &mut checker, Some(&mut cache), &mut mem, &regs, None).unwrap();
+        let mut cache = VerifyCache::new();
+        verify(&mut checker, Some(&mut cache), &mut mem, &regs, None).unwrap();
         mem.put(AS_ADDR, b"/etc/pass");
         assert_eq!(
-            verify_call_cached(&k, &mut checker, Some(&mut cache), &mut mem, &regs, None),
+            verify(&mut checker, Some(&mut cache), &mut mem, &regs, None),
             Err(Violation::BadStringMac { arg: 0 })
         );
     }
@@ -1302,13 +1175,12 @@ mod tests {
         let mut mem = MockMem::default();
         let regs = setup_repeatable_call(&mut mem);
         let mut checker = MemoryChecker::new();
-        let mut cache = crate::cache::VerifyCache::new();
-        let k = key();
-        verify_call_cached(&k, &mut checker, Some(&mut cache), &mut mem, &regs, None).unwrap();
+        let mut cache = VerifyCache::new();
+        verify(&mut checker, Some(&mut cache), &mut mem, &regs, None).unwrap();
         let mut forged = regs;
         forged.nr = 11; // execve from the cached open site
         assert_eq!(
-            verify_call_cached(&k, &mut checker, Some(&mut cache), &mut mem, &forged, None),
+            verify(&mut checker, Some(&mut cache), &mut mem, &forged, None),
             Err(Violation::BadCallMac)
         );
     }
@@ -1328,7 +1200,7 @@ mod tests {
             descriptor,
             call_site: 0x1040,
             block_id: 9,
-            args: vec![],
+            args: [None; MAX_ARGS],
             pred_set: Some((PS_ADDR, 8, *ps.mac())),
             lb_ptr: Some(LB_ADDR),
         };
@@ -1345,15 +1217,13 @@ mod tests {
             hint_ptr: 0,
         };
         let mut checker = MemoryChecker::new();
-        let mut cache = crate::cache::VerifyCache::new();
-        let cold =
-            verify_call_cached(&k, &mut checker, Some(&mut cache), &mut mem, &regs, None).unwrap();
+        let mut cache = VerifyCache::new();
+        let cold = verify(&mut checker, Some(&mut cache), &mut mem, &regs, None).unwrap();
         assert!(
             cold.aes_blocks >= 4,
             "call MAC, pred set, state verify, state update"
         );
-        let warm =
-            verify_call_cached(&k, &mut checker, Some(&mut cache), &mut mem, &regs, None).unwrap();
+        let warm = verify(&mut checker, Some(&mut cache), &mut mem, &regs, None).unwrap();
         assert!(warm.cache_hit);
         assert_eq!(
             warm.aes_blocks, 1,
@@ -1375,76 +1245,14 @@ mod tests {
         let mut mem = MockMem::default();
         let regs = setup_call(&mut mem);
         let mut checker = MemoryChecker::new();
-        let mut cache = crate::cache::VerifyCache::new();
-        let k = key();
-        let snapshot = mem.read_bytes(LB_ADDR, 20).unwrap();
-        verify_call_cached(&k, &mut checker, Some(&mut cache), &mut mem, &regs, None).unwrap();
+        let mut cache = VerifyCache::new();
+        let snapshot = mem.read_bytes(LB_ADDR, 20).unwrap().to_vec();
+        verify(&mut checker, Some(&mut cache), &mut mem, &regs, None).unwrap();
         mem.put(LB_ADDR, &snapshot);
         assert_eq!(
-            verify_call_cached(&k, &mut checker, Some(&mut cache), &mut mem, &regs, None),
+            verify(&mut checker, Some(&mut cache), &mut mem, &regs, None),
             Err(Violation::BadPolicyState)
         );
-    }
-
-    #[test]
-    fn cached_and_cold_paths_agree_on_acceptance() {
-        // Differential check: for the standard call and a pile of forgeries,
-        // a warm cache and no cache must return the same verdict.
-        let tamper: &[fn(&mut MockMem, &mut AuthCallRegs)] = &[
-            |_, r| r.nr = 11,
-            |_, r| r.call_site ^= 4,
-            |_, r| r.block_id ^= 1,
-            |m, _| m.put(AS_ADDR, b"/etc/pass"),
-            |m, _| {
-                let bad = [0xffu8; 16];
-                m.put(MAC_ADDR, &bad);
-            },
-            |_, _| {}, // the untampered call
-        ];
-        for f in tamper {
-            let mut cold_mem = MockMem::default();
-            let mut cold_regs = setup_call(&mut cold_mem);
-            let mut warm_mem = MockMem::default();
-            let mut warm_regs = setup_call(&mut warm_mem);
-            let k = key();
-            let mut warm_checker = MemoryChecker::new();
-            let mut cache = crate::cache::VerifyCache::new();
-            // Warm the cache with one legitimate call, then reset state so
-            // both runs see the same control-flow position.
-            verify_call_cached(
-                &k,
-                &mut warm_checker,
-                Some(&mut cache),
-                &mut warm_mem,
-                &warm_regs,
-                None,
-            )
-            .unwrap();
-            let mut warm_mem = MockMem::default();
-            let mut warm_regs2 = setup_call(&mut warm_mem);
-            f(&mut cold_mem, &mut cold_regs);
-            f(&mut warm_mem, &mut warm_regs2);
-            warm_regs = warm_regs2;
-            let cold = verify_call(
-                &k,
-                &mut MemoryChecker::new(),
-                &mut cold_mem,
-                &cold_regs,
-                None,
-            );
-            let warm = verify_call_cached(
-                &k,
-                &mut MemoryChecker::new(),
-                Some(&mut cache),
-                &mut warm_mem,
-                &warm_regs,
-                None,
-            );
-            assert_eq!(cold.is_ok(), warm.is_ok(), "verdicts diverged");
-            if let (Err(c), Err(w)) = (&cold, &warm) {
-                assert_eq!(c, w, "violations diverged");
-            }
-        }
     }
 
     #[test]
@@ -1462,8 +1270,103 @@ mod tests {
             hint_ptr: 0,
         };
         assert!(matches!(
-            verify_call(&key(), &mut MemoryChecker::new(), &mut mem, &regs, None),
+            verify(&mut MemoryChecker::new(), None, &mut mem, &regs, None),
             Err(Violation::MemoryFault { .. })
         ));
+    }
+
+    #[test]
+    fn hostile_memory_sweep_never_panics_and_paths_agree() {
+        // Seeded hostile inputs over the string + control-flow fixture and
+        // the pattern fixture: one bit flipped in a MAC-covered or hinted
+        // byte or in a MAC-covered register, or one pointer register
+        // retargeted at unmapped memory, the top of the address space, or
+        // below an AS header. The verifier must not panic (overflow checks
+        // are on in tests), the cold path and a warm cache must return the
+        // same verdict, and every covered flip must be rejected.
+        type Setup = fn(&mut MockMem) -> AuthCallRegs;
+        type Targets = &'static [(u32, u32, bool)];
+        // Per fixture: `(addr, len, MAC-covered)` flip targets, and which
+        // of R1, R9, R10, R11 and R12 it reads (retargeting one must kill).
+        let fixtures: [(Setup, Targets, [bool; 5]); 2] = [
+            (
+                setup_call,
+                &[
+                    (MAC_ADDR, 16, true),
+                    (AS_ADDR - AS_HEADER, AS_HEADER, true),
+                    (AS_ADDR, 9, true),
+                    (PS_ADDR - AS_HEADER, AS_HEADER, true),
+                    (PS_ADDR, 8, true),
+                    (LB_ADDR, 20, true),
+                ],
+                [true, true, true, true, false],
+            ),
+            (
+                setup_pattern_call,
+                // The extras block: the pattern pointer is in the encoding,
+                // the hint length and the hint words are not.
+                &[
+                    (MAC_ADDR, 16, true),
+                    (PAT_ADDR - AS_HEADER, AS_HEADER, true),
+                    (PAT_ADDR, 18, true),
+                    (EXTRA_ADDR, 4, true),
+                    (EXTRA_ADDR + 4, 12, false),
+                ],
+                [true, false, false, true, true],
+            ),
+        ];
+        asc_testkit::check(0x5EED_4057, 2000, |rng| {
+            let &(setup, targets, reads) = rng.pick(&fixtures);
+            let mut mem = MockMem::default();
+            let mut regs = setup(&mut mem);
+            // Warm the cache with the untouched call, as the kernel would.
+            let mut cache = VerifyCache::new();
+            let (mut warm, checker) = (mem.clone(), &mut MemoryChecker::new());
+            verify(checker, Some(&mut cache), &mut warm, &regs, None).expect("untouched call");
+            let must_reject = match rng.range_u32(0, 3) {
+                0 => {
+                    let &(addr, len, covered) = rng.pick(targets);
+                    let at = addr + rng.range_u32(0, len);
+                    let byte = mem.read_bytes(at, 1).expect("fixture byte")[0];
+                    mem.put(at, &[byte ^ (1 << rng.range_u32(0, 8))]);
+                    covered
+                }
+                1 => {
+                    // The encoding keeps only the low 16 bits of R0.
+                    let reg = rng.range_usize(0, 4);
+                    let bit = 1 << rng.range_u32(0, if reg == 0 { 16 } else { 32 });
+                    *[
+                        &mut regs.nr,
+                        &mut regs.pol_des,
+                        &mut regs.block_id,
+                        &mut regs.call_site,
+                    ][reg] ^= bit;
+                    true
+                }
+                _ => {
+                    let value = match rng.range_u32(0, 4) {
+                        0 => rng.range_u32(0x100, 0x8000),
+                        1 => rng.range_u32(0x1_0000, u32::MAX - 64),
+                        2 => u32::MAX - rng.range_u32(0, 64),
+                        _ => rng.range_u32(0, AS_HEADER),
+                    };
+                    let reg = rng.range_usize(0, 5);
+                    *[
+                        &mut regs.args[0],
+                        &mut regs.pred_set_ptr,
+                        &mut regs.lb_ptr,
+                        &mut regs.call_mac_ptr,
+                        &mut regs.hint_ptr,
+                    ][reg] = value;
+                    reads[reg]
+                }
+            };
+            let mut warm = mem.clone();
+            let cold = verify(&mut MemoryChecker::new(), None, &mut mem, &regs, None);
+            assert!(!must_reject || cold.is_err(), "accepted: {cold:?}");
+            let cache = Some(&mut cache);
+            let warm = verify(&mut MemoryChecker::new(), cache, &mut warm, &regs, None);
+            assert_eq!(cold.err(), warm.err(), "cold and warm paths diverged");
+        });
     }
 }

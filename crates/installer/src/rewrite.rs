@@ -5,7 +5,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use asc_analysis::ir::{IrInstr, IrItem, Unit};
 use asc_analysis::ProgramAnalysis;
-use asc_core::{ArgPolicy, EncodedArg, EncodedCall, ProgramPolicy, SyscallPolicy};
+use asc_core::{ArgPolicy, EncodedArg, EncodedCall, ProgramPolicy, SyscallPolicy, MAX_ARGS};
 use asc_isa::{Instruction, Reg, INSTR_LEN};
 use asc_object::{sections, Binary, Section, SectionFlags};
 use asc_trace::{Event, EventKind, Severity, SpanId, TraceSink};
@@ -596,15 +596,15 @@ pub(crate) fn install(
         let sa = &site_asc[si];
         let call_site = new_addr_of[site_new_index[si]];
         let descriptor = site_descriptor(&opts, site);
-        let mut args = Vec::new();
+        let mut args = [None; MAX_ARGS];
         for (i, a) in site.args.iter().enumerate() {
-            match a {
-                ArgPolicy::Immediate(c) => args.push((i, EncodedArg::Immediate(*c))),
+            args[i] = match a {
+                ArgPolicy::Immediate(c) => Some(EncodedArg::Immediate(*c)),
                 ArgPolicy::ImmediateAddr(c) => {
                     // The constant is an address into the input binary;
                     // the rewritten program materialises the *remapped*
                     // address at runtime.
-                    args.push((i, EncodedArg::Immediate(remap(*c))));
+                    Some(EncodedArg::Immediate(remap(*c)))
                 }
                 ArgPolicy::StringLit(_) => {
                     let (_, addr, len, mac) = sa
@@ -612,16 +612,13 @@ pub(crate) fn install(
                         .iter()
                         .find(|(arg, ..)| *arg == i)
                         .expect("string arg recorded");
-                    args.push((
-                        i,
-                        EncodedArg::AuthString {
-                            addr: *addr,
-                            len: *len,
-                            mac: *mac,
-                        },
-                    ));
+                    Some(EncodedArg::AuthString {
+                        addr: *addr,
+                        len: *len,
+                        mac: *mac,
+                    })
                 }
-                ArgPolicy::Capability => args.push((i, EncodedArg::Capability)),
+                ArgPolicy::Capability => Some(EncodedArg::Capability),
                 ArgPolicy::Pattern(_) => {
                     let pa = sa
                         .pattern_args
@@ -629,10 +626,10 @@ pub(crate) fn install(
                         .find(|pa| pa.arg == i)
                         .expect("pattern arg recorded");
                     let (addr, len, mac) = pa.tuple;
-                    args.push((i, EncodedArg::Pattern { addr, len, mac }));
+                    Some(EncodedArg::Pattern { addr, len, mac })
                 }
-                ArgPolicy::Any => {}
-            }
+                ArgPolicy::Any => None,
+            };
         }
         let encoded = EncodedCall {
             syscall_nr: site.nr,

@@ -14,8 +14,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use asc_core::{
-    verify_call_traced, AuthCallRegs, CacheStats, FlowGraph, SharedVerifyCache, SiteRegistry,
-    UserMemory, VerifyCache, VerifyHooks, VerifyOutcome, Violation, FLOW_START,
+    verify_call, AuthCallRegs, CacheStats, FlowGraph, SharedVerifyCache, SiteRegistry, UserMemory,
+    VerifyCache, VerifyHooks, VerifyOutcome, Violation, FLOW_START,
 };
 use asc_crypto::{CapabilitySet, MacKey, MemoryChecker};
 use asc_isa::Reg;
@@ -974,7 +974,7 @@ impl Kernel {
                 };
                 let (checker, meter) = (&mut self.checker, &mut meter);
                 let verify = |cache: Option<&mut VerifyCache>| {
-                    verify_call_traced(
+                    verify_call(
                         key, checker, cache, &mut mem, &regs, cap_check, hooks, meter,
                     )
                 };
@@ -1128,11 +1128,8 @@ impl UserMemory for VmUserMemory<'_> {
     fn read_u32(&self, addr: u32) -> Result<u32, Violation> {
         self.0.kread_u32(addr).map_err(fault_of)
     }
-    fn read_bytes(&self, addr: u32, len: u32) -> Result<Vec<u8>, Violation> {
-        self.0
-            .kread(addr, len)
-            .map(|b| b.to_vec())
-            .map_err(fault_of)
+    fn read_bytes(&self, addr: u32, len: u32) -> Result<&[u8], Violation> {
+        self.0.kread(addr, len).map_err(fault_of)
     }
     fn write_bytes(&mut self, addr: u32, bytes: &[u8]) -> Result<(), Violation> {
         self.0.kwrite(addr, bytes).map_err(fault_of)

@@ -98,15 +98,22 @@ fn encoded_call_mac_tamper_evident() {
                 .with_immediate_arg(0),
             call_site: site,
             block_id: block,
-            args: vec![(0, EncodedArg::Immediate(imm))],
+            args: [
+                Some(EncodedArg::Immediate(imm)),
+                None,
+                None,
+                None,
+                None,
+                None,
+            ],
             pred_set: None,
             lb_ptr: None,
         };
         let mac = call.mac(&key);
-        let mut tampered = call.clone();
-        tampered.args[0].1 = EncodedArg::Immediate(imm.wrapping_add(delta));
+        let mut tampered = call;
+        tampered.args[0] = Some(EncodedArg::Immediate(imm.wrapping_add(delta)));
         assert_ne!(tampered.mac(&key), mac);
-        let mut moved = call.clone();
+        let mut moved = call;
         moved.call_site = site.wrapping_add(delta);
         assert_ne!(moved.mac(&key), mac);
     });
@@ -123,7 +130,7 @@ fn encoding_is_deterministic_and_injective_on_args() {
             descriptor: PolicyDescriptor::new().with_immediate_arg(0),
             call_site: 0,
             block_id: 0,
-            args: vec![(0, EncodedArg::Immediate(v))],
+            args: [Some(EncodedArg::Immediate(v)), None, None, None, None, None],
             pred_set: None,
             lb_ptr: None,
         };
