@@ -709,6 +709,28 @@ mod tests {
         mem.put(contents_addr - AS_HEADER, &s.to_bytes());
     }
 
+    /// Installs `encoded`'s call MAC at `MAC_ADDR` and returns the registers
+    /// of the call it describes, with `args` in R1..R6 and `hint_ptr` in R12.
+    fn install(
+        mem: &mut MockMem,
+        encoded: &EncodedCall,
+        args: [u32; 6],
+        hint_ptr: u32,
+    ) -> AuthCallRegs {
+        mem.put(MAC_ADDR, &encoded.mac(&key()));
+        AuthCallRegs {
+            nr: u32::from(encoded.syscall_nr),
+            call_site: encoded.call_site,
+            args,
+            pol_des: encoded.descriptor.bits(),
+            block_id: encoded.block_id,
+            pred_set_ptr: encoded.pred_set.map_or(0, |(addr, ..)| addr),
+            lb_ptr: encoded.lb_ptr.unwrap_or(0),
+            call_mac_ptr: MAC_ADDR,
+            hint_ptr,
+        }
+    }
+
     /// Builds a fully authenticated open("/etc/motd", 0) call with control
     /// flow {0, 7}, block 9, site 0x1040, installing everything into the
     /// mock memory the way the installer would into the binary.
@@ -743,19 +765,7 @@ mod tests {
             pred_set: Some((PS_ADDR, 8, *ps.mac())),
             lb_ptr: Some(LB_ADDR),
         };
-        mem.put(MAC_ADDR, &encoded.mac(&k));
-
-        AuthCallRegs {
-            nr: 5,
-            call_site: 0x1040,
-            args: [AS_ADDR, 0, 0, 0, 0, 0],
-            pol_des: descriptor.bits(),
-            block_id: 9,
-            pred_set_ptr: PS_ADDR,
-            lb_ptr: LB_ADDR,
-            call_mac_ptr: MAC_ADDR,
-            hint_ptr: 0,
-        }
+        install(mem, &encoded, [AS_ADDR, 0, 0, 0, 0, 0], 0)
     }
 
     #[test]
@@ -900,7 +910,6 @@ mod tests {
     #[test]
     fn capability_check_consulted() {
         let mut mem = MockMem::default();
-        let k = key();
         // read(fd=4, buf, n) with fd capability-tracked.
         let descriptor = PolicyDescriptor::new()
             .with_call_site()
@@ -914,18 +923,7 @@ mod tests {
             pred_set: None,
             lb_ptr: None,
         };
-        mem.put(MAC_ADDR, &encoded.mac(&k));
-        let regs = AuthCallRegs {
-            nr: 3,
-            call_site: 0x2000,
-            args: [4, 0, 0, 0, 0, 0],
-            pol_des: descriptor.bits(),
-            block_id: 1,
-            pred_set_ptr: 0,
-            lb_ptr: 0,
-            call_mac_ptr: MAC_ADDR,
-            hint_ptr: 0,
-        };
+        let regs = install(&mut mem, &encoded, [4, 0, 0, 0, 0, 0], 0);
         let mut consulted = Vec::new();
         let mut allowed = |fd: u32| {
             consulted.push(fd);
@@ -990,18 +988,7 @@ mod tests {
             pred_set: None,
             lb_ptr: None,
         };
-        mem.put(MAC_ADDR, &encoded.mac(&k));
-        AuthCallRegs {
-            nr: 5,
-            call_site: 0x3000,
-            args: [ARG_ADDR, 0, 0, 0, 0, 0],
-            pol_des: descriptor.bits(),
-            block_id: 2,
-            pred_set_ptr: 0,
-            lb_ptr: 0,
-            call_mac_ptr: MAC_ADDR,
-            hint_ptr: EXTRA_ADDR,
-        }
+        install(mem, &encoded, [ARG_ADDR, 0, 0, 0, 0, 0], EXTRA_ADDR)
     }
 
     #[test]
@@ -1119,18 +1106,7 @@ mod tests {
             pred_set: None,
             lb_ptr: None,
         };
-        mem.put(MAC_ADDR, &encoded.mac(&k));
-        AuthCallRegs {
-            nr: 5,
-            call_site: 0x1040,
-            args: [AS_ADDR, 0, 0, 0, 0, 0],
-            pol_des: descriptor.bits(),
-            block_id: 9,
-            pred_set_ptr: 0,
-            lb_ptr: 0,
-            call_mac_ptr: MAC_ADDR,
-            hint_ptr: 0,
-        }
+        install(mem, &encoded, [AS_ADDR, 0, 0, 0, 0, 0], 0)
     }
 
     #[test]
@@ -1185,14 +1161,12 @@ mod tests {
         );
     }
 
-    #[test]
-    fn control_flow_warm_path_charges_only_the_update() {
-        // A self-loop so the same call is control-flow-legal twice.
-        let mut mem = MockMem::default();
+    /// Builds an authenticated control-flow-only call (nr 20, block 9,
+    /// site 0x1040) whose predecessor set holds exactly `preds`.
+    fn setup_control_flow_call(mem: &mut MockMem, preds: &[u8]) -> AuthCallRegs {
         let k = key();
-        let preds: Vec<u8> = [0u32, 9].iter().flat_map(|p| p.to_le_bytes()).collect();
-        let ps = AuthenticatedString::build(&k, preds);
-        put_as(&mut mem, PS_ADDR, &ps);
+        let ps = AuthenticatedString::build(&k, preds.to_vec());
+        put_as(mem, PS_ADDR, &ps);
         mem.put(LB_ADDR, &MemoryChecker::initial_state(&k).to_bytes());
         let descriptor = PolicyDescriptor::new().with_call_site().with_control_flow();
         let encoded = EncodedCall {
@@ -1201,21 +1175,18 @@ mod tests {
             call_site: 0x1040,
             block_id: 9,
             args: [None; MAX_ARGS],
-            pred_set: Some((PS_ADDR, 8, *ps.mac())),
+            pred_set: Some((PS_ADDR, preds.len() as u32, *ps.mac())),
             lb_ptr: Some(LB_ADDR),
         };
-        mem.put(MAC_ADDR, &encoded.mac(&k));
-        let regs = AuthCallRegs {
-            nr: 20,
-            call_site: 0x1040,
-            args: [0; 6],
-            pol_des: descriptor.bits(),
-            block_id: 9,
-            pred_set_ptr: PS_ADDR,
-            lb_ptr: LB_ADDR,
-            call_mac_ptr: MAC_ADDR,
-            hint_ptr: 0,
-        };
+        install(mem, &encoded, [0; 6], 0)
+    }
+
+    #[test]
+    fn control_flow_warm_path_charges_only_the_update() {
+        // A self-loop so the same call is control-flow-legal twice.
+        let mut mem = MockMem::default();
+        let preds: Vec<u8> = [0u32, 9].iter().flat_map(|p| p.to_le_bytes()).collect();
+        let regs = setup_control_flow_call(&mut mem, &preds);
         let mut checker = MemoryChecker::new();
         let mut cache = VerifyCache::new();
         let cold = verify(&mut checker, Some(&mut cache), &mut mem, &regs, None).unwrap();
@@ -1234,6 +1205,65 @@ mod tests {
             "warm is at least 50% cheaper"
         );
         assert_eq!(cache.stats().state_hits, 1);
+    }
+
+    #[test]
+    fn ragged_predecessor_set_is_malformed() {
+        // An authentic set that is not a whole number of block ids dies,
+        // cold and then warm, although its first id is the last block (0).
+        let mut mem = MockMem::default();
+        let regs = setup_control_flow_call(&mut mem, &[0, 0, 0, 0, 7]);
+        let mut cache = VerifyCache::new();
+        for _ in 0..2 {
+            assert_eq!(
+                verify(
+                    &mut MemoryChecker::new(),
+                    Some(&mut cache),
+                    &mut mem,
+                    &regs,
+                    None
+                ),
+                Err(Violation::MalformedPredecessorSet)
+            );
+        }
+        assert_eq!(cache.stats().blob_hits, 1, "the second call was warm");
+    }
+
+    #[test]
+    fn cached_and_cold_paths_agree_on_acceptance() {
+        // Differential check: for the standard call and a pile of forgeries,
+        // a warm cache and no cache must return the same verdict.
+        let tamper: &[fn(&mut MockMem, &mut AuthCallRegs)] = &[
+            |_, r| r.nr = 11,
+            |_, r| r.call_site ^= 4,
+            |_, r| r.block_id ^= 1,
+            |m, _| m.put(AS_ADDR, b"/etc/pass"),
+            |m, _| m.put(MAC_ADDR, &[0xff; 16]),
+            |_, _| {}, // the untampered call
+        ];
+        for f in tamper {
+            let mut cold_mem = MockMem::default();
+            let mut regs = setup_call(&mut cold_mem);
+            // Warm the cache with one legitimate call on a copy, so both
+            // runs below see the same control-flow position.
+            let mut cache = VerifyCache::new();
+            let mut checker = MemoryChecker::new();
+            verify(
+                &mut checker,
+                Some(&mut cache),
+                &mut cold_mem.clone(),
+                &regs,
+                None,
+            )
+            .unwrap();
+            f(&mut cold_mem, &mut regs);
+            let mut warm_mem = cold_mem.clone();
+            let cold = verify(&mut MemoryChecker::new(), None, &mut cold_mem, &regs, None);
+            let cache = Some(&mut cache);
+            let warm = verify(&mut MemoryChecker::new(), cache, &mut warm_mem, &regs, None);
+            assert_eq!(cold.is_ok(), warm.is_ok(), "verdicts diverged");
+            assert_eq!(cold.err(), warm.err(), "violations diverged");
+        }
     }
 
     #[test]
