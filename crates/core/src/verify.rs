@@ -92,8 +92,9 @@ pub trait UserMemory {
     fn write_bytes(&mut self, addr: u32, bytes: &[u8]) -> Result<(), Violation>;
 
     /// Lends a NUL-terminated string of at most `max` bytes, without the
-    /// terminator. The scan reads byte by byte, so a fault names the first
-    /// unreadable byte.
+    /// terminator. The default scans byte by byte through
+    /// [`UserMemory::read_bytes`], so a fault names what the first
+    /// unreadable byte's read names; an override must answer the same.
     ///
     /// # Errors
     ///

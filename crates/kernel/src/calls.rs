@@ -26,22 +26,40 @@ pub mod oflags {
     pub const O_APPEND: u32 = 0x400;
 }
 
+/// The largest file a guest can make, in bytes: twice the default guest
+/// memory. Without a bound, one `truncate` or a `write` after a long seek
+/// would have the kernel zero-fill up to 4 GiB of host memory.
+pub const MAX_FILE_SIZE: u32 = 1 << 24;
+
 const EBADF: u32 = (-9i32) as u32;
 const ENOMEM: u32 = (-12i32) as u32;
 const EFAULT: u32 = (-14i32) as u32;
 const EINVAL: u32 = (-22i32) as u32;
+const EFBIG: u32 = (-27i32) as u32;
 const ENOSYS: u32 = (-38i32) as u32;
 
 fn errno(e: FsError) -> u32 {
     e.errno()
 }
 
-impl Kernel {
-    fn read_path(&self, ctx: &TrapContext<'_>, addr: u32) -> Result<String, u32> {
-        let bytes = ctx.mem.kread_cstr(addr, 1024).map_err(|_| EFAULT)?;
-        String::from_utf8(bytes).map_err(|_| EINVAL)
-    }
+/// Lends the path argument at `addr`: `EFAULT` if it is unreadable or not
+/// terminated within 1024 bytes, `EINVAL` if it is not UTF-8.
+fn read_path<'m>(ctx: &'m TrapContext<'_>, addr: u32) -> Result<&'m str, u32> {
+    let bytes = ctx.mem.kread_cstr(addr, 1024).map_err(|_| EFAULT)?;
+    std::str::from_utf8(bytes).map_err(|_| EINVAL)
+}
 
+/// Sets a file's length, zero-filling any growth; `EFBIG` past
+/// [`MAX_FILE_SIZE`], leaving the file as it was.
+fn truncate(data: &mut Vec<u8>, len: u32) -> u32 {
+    if len > MAX_FILE_SIZE {
+        return EFBIG;
+    }
+    data.resize(len as usize, 0);
+    0
+}
+
+impl Kernel {
     /// Dispatches one (indirection-resolved) system call. Sets `R0` to the
     /// return value unless the outcome ends the process.
     pub(crate) fn dispatch(
@@ -55,9 +73,9 @@ impl Kernel {
         use SyscallId::*;
         let ret: u32 = match id {
             Exit => return TrapOutcome::Exit(args[0]),
-            Execve => match self.read_path(ctx, args[0]) {
+            Execve => match read_path(ctx, args[0]) {
                 Ok(path) => {
-                    self.exec_requests.push(path);
+                    self.exec_requests.push(path.to_owned());
                     // The simulator records rather than chain-loads; the
                     // process ends as if replaced.
                     return TrapOutcome::Exit(0);
@@ -138,8 +156,8 @@ impl Kernel {
                 }
             }
             Sigaction | Sigsuspend | Sigpending => 0,
-            Chdir => match self.read_path(ctx, args[0]) {
-                Ok(p) => match self.fs.normalize(&p, &self.cwd) {
+            Chdir => match read_path(ctx, args[0]) {
+                Ok(p) => match self.fs.normalize(p, &self.cwd) {
                     Ok(canon) => match self.fs.resolve(&canon, "/") {
                         Ok(id) if matches!(self.fs.inode(id).kind, InodeKind::Dir(_)) => {
                             self.cwd = canon;
@@ -154,31 +172,22 @@ impl Kernel {
             },
             Chroot => 0,
             Mkdir => self.path_op(ctx, args[0], |k, p| {
-                k.fs.create(&p, &k.cwd, InodeKind::Dir(Default::default()), 0o755)
+                k.fs.create(p, &k.cwd, InodeKind::Dir(Default::default()), 0o755)
                     .map(|_| 0)
             }),
-            Rmdir => self.path_op(ctx, args[0], |k, p| {
-                let cwd = k.cwd.clone();
-                k.fs.rmdir(&p, &cwd).map(|_| 0)
-            }),
-            Unlink => self.path_op(ctx, args[0], |k, p| {
-                let cwd = k.cwd.clone();
-                k.fs.unlink(&p, &cwd).map(|_| 0)
-            }),
+            Rmdir => self.path_op(ctx, args[0], |k, p| k.fs.rmdir(p, &k.cwd).map(|_| 0)),
+            Unlink => self.path_op(ctx, args[0], |k, p| k.fs.unlink(p, &k.cwd).map(|_| 0)),
             Link => self.path2_op(ctx, args[0], args[1], |k, a, b| {
-                let cwd = k.cwd.clone();
-                k.fs.link(&a, &b, &cwd).map(|_| 0)
+                k.fs.link(a, b, &k.cwd).map(|_| 0)
             }),
             Symlink => self.path2_op(ctx, args[0], args[1], |k, a, b| {
-                let cwd = k.cwd.clone();
-                k.fs.symlink(&a, &b, &cwd).map(|_| 0)
+                k.fs.symlink(a, b, &k.cwd).map(|_| 0)
             }),
             Rename => self.path2_op(ctx, args[0], args[1], |k, a, b| {
-                let cwd = k.cwd.clone();
-                k.fs.rename(&a, &b, &cwd).map(|_| 0)
+                k.fs.rename(a, b, &k.cwd).map(|_| 0)
             }),
-            Readlink => match self.read_path(ctx, args[0]) {
-                Ok(p) => match self.fs.resolve_nofollow(&p, &self.cwd) {
+            Readlink => match read_path(ctx, args[0]) {
+                Ok(p) => match self.fs.resolve_nofollow(p, &self.cwd) {
                     Ok(id) => match &self.fs.inode(id).kind {
                         InodeKind::Symlink(target) => {
                             let n = target.len().min(args[2] as usize);
@@ -193,10 +202,9 @@ impl Kernel {
                 },
                 Err(e) => e,
             },
-            Chmod | Utime | Lchown | Mknod => self.path_op(ctx, args[0], |k, p| {
-                let cwd = k.cwd.clone();
-                k.fs.resolve(&p, &cwd).map(|_| 0)
-            }),
+            Chmod | Utime | Lchown | Mknod => {
+                self.path_op(ctx, args[0], |k, p| k.fs.resolve(p, &k.cwd).map(|_| 0))
+            }
             Fchmod | Fchown | Ftruncate => {
                 if self.fd(args[0]).is_some() {
                     if id == Ftruncate {
@@ -208,13 +216,10 @@ impl Kernel {
                     EBADF
                 }
             }
-            Truncate => match self.read_path(ctx, args[0]) {
-                Ok(p) => match self.fs.resolve(&p, &self.cwd) {
+            Truncate => match read_path(ctx, args[0]) {
+                Ok(p) => match self.fs.resolve(p, &self.cwd) {
                     Ok(inode) => match &mut self.fs.inode_mut(inode).kind {
-                        InodeKind::File(data) => {
-                            data.resize(args[1] as usize, 0);
-                            0
-                        }
+                        InodeKind::File(data) => truncate(data, args[1]),
                         _ => errno(FsError::IsADirectory),
                     },
                     Err(e) => errno(e),
@@ -223,10 +228,7 @@ impl Kernel {
             },
             Stat | Lstat => self.sys_stat(id, args[0], args[1], ctx),
             Fstat => self.sys_fstat(args[0], args[1], ctx),
-            Access => self.path_op(ctx, args[0], |k, p| {
-                let cwd = k.cwd.clone();
-                k.fs.resolve(&p, &cwd).map(|_| 0)
-            }),
+            Access => self.path_op(ctx, args[0], |k, p| k.fs.resolve(p, &k.cwd).map(|_| 0)),
             Statfs | Fstatfs => {
                 // Write a fixed 32-byte statfs structure.
                 let buf = [0x42u8; 32];
@@ -359,9 +361,9 @@ impl Kernel {
         &mut self,
         ctx: &TrapContext<'_>,
         addr: u32,
-        f: impl FnOnce(&mut Kernel, String) -> Result<u32, FsError>,
+        f: impl FnOnce(&mut Kernel, &str) -> Result<u32, FsError>,
     ) -> u32 {
-        match self.read_path(ctx, addr) {
+        match read_path(ctx, addr) {
             Ok(p) => f(self, p).unwrap_or_else(errno),
             Err(e) => e,
         }
@@ -372,27 +374,27 @@ impl Kernel {
         ctx: &TrapContext<'_>,
         addr_a: u32,
         addr_b: u32,
-        f: impl FnOnce(&mut Kernel, String, String) -> Result<u32, FsError>,
+        f: impl FnOnce(&mut Kernel, &str, &str) -> Result<u32, FsError>,
     ) -> u32 {
-        match (self.read_path(ctx, addr_a), self.read_path(ctx, addr_b)) {
+        match (read_path(ctx, addr_a), read_path(ctx, addr_b)) {
             (Ok(a), Ok(b)) => f(self, a, b).unwrap_or_else(errno),
             (Err(e), _) | (_, Err(e)) => e,
         }
     }
 
     fn sys_open(&mut self, path_addr: u32, flags: u32, _mode: u32, ctx: &TrapContext<'_>) -> u32 {
-        let path = match self.read_path(ctx, path_addr) {
+        let path = match read_path(ctx, path_addr) {
             Ok(p) => p,
             Err(e) => return e,
         };
         // §5.4: resolve through symlinks to the canonical name first.
-        let canon = match self.fs.normalize(&path, &self.cwd) {
+        let canon = match self.fs.normalize(path, &self.cwd) {
             Ok(c) => c,
             Err(FsError::NotFound) if flags & oflags::O_CREAT != 0 => {
                 // Create the file.
                 match self
                     .fs
-                    .create(&path, &self.cwd, InodeKind::File(Vec::new()), 0o666)
+                    .create(path, &self.cwd, InodeKind::File(Vec::new()), 0o666)
                 {
                     Ok(id) => {
                         return self.alloc_fd(OpenFile {
@@ -482,7 +484,7 @@ impl Kernel {
             2 => size as i64 + off,     // SEEK_END
             _ => return EINVAL,
         };
-        if new < 0 {
+        if !(0..=i64::from(MAX_FILE_SIZE)).contains(&new) {
             return EINVAL;
         }
         file.pos = new as u64;
@@ -518,10 +520,7 @@ impl Kernel {
     fn sys_truncate_fd(&mut self, fd: u32, len: u32) -> u32 {
         match self.fd(fd).map(|f| f.kind.clone()) {
             Some(FdKind::File(inode)) => match &mut self.fs.inode_mut(inode).kind {
-                InodeKind::File(data) => {
-                    data.resize(len as usize, 0);
-                    0
-                }
+                InodeKind::File(data) => truncate(data, len),
                 _ => EINVAL,
             },
             Some(_) => EINVAL,
@@ -536,14 +535,14 @@ impl Kernel {
         buf: u32,
         ctx: &mut TrapContext<'_>,
     ) -> u32 {
-        let path = match self.read_path(ctx, path_addr) {
+        let path = match read_path(ctx, path_addr) {
             Ok(p) => p,
             Err(e) => return e,
         };
         let inode = match if id == SyscallId::Lstat {
-            self.fs.resolve_nofollow(&path, &self.cwd)
+            self.fs.resolve_nofollow(path, &self.cwd)
         } else {
-            self.fs.resolve(&path, &self.cwd)
+            self.fs.resolve(path, &self.cwd)
         } {
             Ok(i) => i,
             Err(e) => return errno(e),
@@ -721,6 +720,9 @@ impl Kernel {
                 match &mut self.fs.inode_mut(inode).kind {
                     InodeKind::File(d) => {
                         let pos = if append { d.len() } else { pos };
+                        if pos + data.len() > MAX_FILE_SIZE as usize {
+                            return EFBIG;
+                        }
                         if d.len() < pos + data.len() {
                             d.resize(pos + data.len(), 0);
                         }

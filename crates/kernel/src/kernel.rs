@@ -1134,4 +1134,7 @@ impl UserMemory for VmUserMemory<'_> {
     fn write_bytes(&mut self, addr: u32, bytes: &[u8]) -> Result<(), Violation> {
         self.0.kwrite(addr, bytes).map_err(fault_of)
     }
+    fn read_cstr(&self, addr: u32, max: u32) -> Result<&[u8], Violation> {
+        self.0.kread_cstr(addr, max).map_err(fault_of)
+    }
 }

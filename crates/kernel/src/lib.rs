@@ -37,7 +37,7 @@ mod record;
 pub use abi::{spec, Personality, SyscallId, SyscallSpec, SPECS};
 pub use alert::Alert;
 pub use batch::BatchStats;
-pub use calls::oflags;
+pub use calls::{oflags, MAX_FILE_SIZE};
 pub use cost::CostModel;
 pub use fs::{FileSystem, FsError, Inode, InodeId, InodeKind};
 pub use kernel::{

@@ -2,7 +2,7 @@
 //! assembly guests (the kernel is only reachable through the trap path).
 
 use asc_asm::assemble;
-use asc_kernel::{Kernel, KernelOptions, Personality};
+use asc_kernel::{Kernel, KernelOptions, Personality, MAX_FILE_SIZE};
 use asc_vm::{Machine, RunOutcome};
 
 fn run_with(src: &str, stdin: &[u8], prep: impl FnOnce(&mut Kernel)) -> (RunOutcome, Kernel) {
@@ -83,6 +83,82 @@ fn lseek_whence_modes() {
     );
     let (outcome, _) = run(&src);
     assert_eq!(outcome, RunOutcome::Exited((4 << 16) | (6 << 8) | 9));
+}
+
+#[test]
+fn lseek_and_write_stop_at_the_file_size_bound() {
+    // Seeks to the bound succeed and seeks one byte past it are EINVAL,
+    // leaving the position; a write that would end past the bound is EFBIG
+    // and leaves the file, and one that ends at the bound fills it.
+    let max = MAX_FILE_SIZE;
+    let body = format!(
+        "
+        movi r0, 5
+        movi r1, path
+        movi r2, 0x241
+        movi r3, 0x1b6
+        syscall
+        mov r9, r0
+        movi r0, 4
+        mov r1, r9
+        movi r2, data
+        movi r3, 10
+        syscall
+        movi r0, 19            ; SEEK_SET bound + 1
+        mov r1, r9
+        movi r2, {past:#x}
+        movi r3, 0
+        syscall
+        mov r6, r0
+        movi r0, 19            ; SEEK_SET bound
+        mov r1, r9
+        movi r2, {max:#x}
+        movi r3, 0
+        syscall
+        movi r0, 19            ; SEEK_CUR +1
+        mov r1, r9
+        movi r2, 1
+        movi r3, 1
+        syscall
+        mov r7, r0
+        movi r0, 4             ; write 1 byte at the bound
+        mov r1, r9
+        movi r2, data
+        movi r3, 1
+        syscall
+        mov r8, r0
+        movi r0, 19            ; SEEK_END + (bound - 11)
+        mov r1, r9
+        movi r2, {back:#x}
+        movi r3, 2
+        syscall
+        movi r0, 4             ; write 1 byte ending at the bound
+        mov r1, r9
+        movi r2, data
+        movi r3, 1
+        syscall
+        xori r10, r0, 1
+        {check}
+        or r1, r1, r10
+        ",
+        past = max + 1,
+        back = max - 11,
+        check = check_r6_r7_r8([EINVAL, EINVAL, EFBIG]),
+    );
+    let src = exit_with(
+        &body,
+        "
+        .rodata
+    path: .asciz \"/tmp/f\"
+    data: .ascii \"0123456789\"
+    ",
+    );
+    let (outcome, kernel) = run(&src);
+    assert_eq!(outcome, RunOutcome::Exited(0));
+    let file = kernel.fs().read_file("/tmp/f").unwrap();
+    assert_eq!(file.len(), max as usize);
+    assert_eq!(&file[..10], b"0123456789");
+    assert_eq!(file[max as usize - 1], b'0');
 }
 
 #[test]
@@ -222,6 +298,53 @@ fn truncate_and_ftruncate() {
     let (outcome, kernel) = run(&src);
     assert_eq!(outcome, RunOutcome::Exited(0));
     assert_eq!(kernel.fs().read_file("/tmp/t").unwrap(), b"123");
+}
+
+#[test]
+fn truncate_past_the_file_size_bound_is_efbig() {
+    // One byte past the bound, by path and by descriptor: EFBIG, and the
+    // file keeps its 8 bytes.
+    let body = format!(
+        "
+        movi r0, 5
+        movi r1, path
+        movi r2, 0x241
+        movi r3, 0x1b6
+        syscall
+        mov r9, r0
+        movi r0, 4
+        mov r1, r9
+        movi r2, msg
+        movi r3, 8
+        syscall
+        movi r0, 92            ; truncate(path, bound + 1)
+        movi r1, path
+        movi r2, {past:#x}
+        syscall
+        mov r6, r0
+        movi r0, 93            ; ftruncate(fd, bound + 1)
+        mov r1, r9
+        movi r2, {past:#x}
+        syscall
+        mov r7, r0
+        xori r6, r6, {efbig:#x}
+        xori r7, r7, {efbig:#x}
+        or r1, r6, r7
+        ",
+        past = MAX_FILE_SIZE + 1,
+        efbig = EFBIG,
+    );
+    let src = exit_with(
+        &body,
+        "
+        .rodata
+    path: .asciz \"/tmp/t\"
+    msg: .ascii \"12345678\"
+    ",
+    );
+    let (outcome, kernel) = run(&src);
+    assert_eq!(outcome, RunOutcome::Exited(0));
+    assert_eq!(kernel.fs().read_file("/tmp/t").unwrap(), b"12345678");
 }
 
 #[test]
@@ -492,6 +615,8 @@ fn check_r6_r7_r8(expect: [u32; 3]) -> String {
 }
 
 const ENOMEM: u32 = (-12i32) as u32;
+const EINVAL: u32 = (-22i32) as u32;
+const EFBIG: u32 = (-27i32) as u32;
 
 #[test]
 fn mmap_length_past_4gib_is_enomem_and_leaves_the_cursor() {

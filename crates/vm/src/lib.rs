@@ -17,6 +17,12 @@
 //! load touches it. Caching never changes what executes or what it costs on
 //! the cycle clock.
 //!
+//! A load or store that stays inside one page is checked with one lookup
+//! of that page's flags. The accessors are `#[inline]`, so the
+//! interpreter loop, which is compiled in the crate that names its trap
+//! handler, tests the flag in place; a range that crosses a page takes the
+//! page walk. Either way an access faults with the same kind and address.
+//!
 //! Page protection is deliberately period-accurate: section permissions are
 //! honoured (no writes to `.text`), but the *stack is executable*, because
 //! the paper's threat model includes classic stack-smashing shellcode and

@@ -7,6 +7,13 @@ use asc_object::{Binary, SectionFlags};
 /// Page size for protection granularity.
 pub const PAGE_SIZE: u32 = 0x1000;
 
+/// The bits of [`PageFlags`], and the masks [`Memory::check`] tests
+/// against them: an access passes if its page has any bit of the mask.
+const READ: u8 = 1;
+const WRITE: u8 = 2;
+const EXEC: u8 = 4;
+const MAPPED: u8 = READ | WRITE | EXEC;
+
 /// Per-page access permissions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct PageFlags(u8);
@@ -15,45 +22,45 @@ impl PageFlags {
     /// No access (unmapped).
     pub const NONE: PageFlags = PageFlags(0);
     /// Readable.
-    pub const R: PageFlags = PageFlags(1);
+    pub const R: PageFlags = PageFlags(READ);
     /// Readable + writable.
-    pub const RW: PageFlags = PageFlags(1 | 2);
+    pub const RW: PageFlags = PageFlags(READ | WRITE);
     /// Readable + executable.
-    pub const RX: PageFlags = PageFlags(1 | 4);
+    pub const RX: PageFlags = PageFlags(READ | EXEC);
     /// Readable + writable + executable (the stack).
-    pub const RWX: PageFlags = PageFlags(1 | 2 | 4);
+    pub const RWX: PageFlags = PageFlags(READ | WRITE | EXEC);
 
     /// Whether reads are allowed.
     pub fn readable(self) -> bool {
-        self.0 & 1 != 0
+        self.0 & READ != 0
     }
 
     /// Whether writes are allowed.
     pub fn writable(self) -> bool {
-        self.0 & 2 != 0
+        self.0 & WRITE != 0
     }
 
     /// Whether instruction fetch is allowed.
     pub fn executable(self) -> bool {
-        self.0 & 4 != 0
+        self.0 & EXEC != 0
     }
 
     /// Whether the page is mapped at all.
     pub fn mapped(self) -> bool {
-        self.0 != 0
+        self.0 & MAPPED != 0
     }
 
     /// Converts section flags to page flags.
     pub fn from_section(flags: SectionFlags) -> PageFlags {
         let mut bits = 0;
         if flags.contains(SectionFlags::READ) {
-            bits |= 1;
+            bits |= READ;
         }
         if flags.contains(SectionFlags::WRITE) {
-            bits |= 2;
+            bits |= WRITE;
         }
         if flags.contains(SectionFlags::EXEC) {
-            bits |= 4;
+            bits |= EXEC;
         }
         PageFlags(bits)
     }
@@ -231,11 +238,41 @@ impl Memory {
             .unwrap_or(PageFlags::NONE)
     }
 
+    /// Checks that `[addr, addr + len)` lies inside memory and that each of
+    /// its pages has a bit of `need`. The error is `OutOfRange { addr }` if
+    /// the range runs past memory, else `fault` of the first failing page's
+    /// start.
+    // `Machine<H>::run` is generic, so it is compiled in the caller's crate;
+    // `#[inline]` here and on the accessors lets every guest load and store
+    // inline this one-page lookup, and the walk stays a call.
+    #[inline]
     fn check(
         &self,
         addr: u32,
         len: u32,
-        need: fn(PageFlags) -> bool,
+        need: u8,
+        fault: fn(u32) -> MemFault,
+    ) -> Result<(), MemFault> {
+        if len != 0 && len <= PAGE_SIZE - addr % PAGE_SIZE {
+            // One page. Memory is a whole number of pages, so a page inside
+            // the table puts the whole range inside memory.
+            let page = addr / PAGE_SIZE;
+            return match self.pages.get(page as usize) {
+                Some(flags) if flags.0 & need != 0 => Ok(()),
+                Some(_) => Err(fault(page * PAGE_SIZE)),
+                None => Err(MemFault::OutOfRange { addr }),
+            };
+        }
+        self.check_pages(addr, len, need, fault)
+    }
+
+    /// [`Memory::check`] for an empty range or one that straddles a page
+    /// boundary: the range against the end of memory, then page by page.
+    fn check_pages(
+        &self,
+        addr: u32,
+        len: u32,
+        need: u8,
         fault: fn(u32) -> MemFault,
     ) -> Result<(), MemFault> {
         if addr as u64 + len as u64 > self.size() as u64 {
@@ -247,7 +284,7 @@ impl Memory {
         let first = addr / PAGE_SIZE;
         let last = (addr + len - 1) / PAGE_SIZE;
         for p in first..=last {
-            if !need(self.pages[p as usize]) {
+            if self.pages[p as usize].0 & need == 0 {
                 return Err(fault(p * PAGE_SIZE));
             }
         }
@@ -255,27 +292,24 @@ impl Memory {
     }
 
     /// User-mode byte read.
+    #[inline]
     pub fn read_u8(&self, addr: u32) -> Result<u8, MemFault> {
-        self.check(addr, 1, PageFlags::readable, |a| MemFault::NoRead {
-            addr: a,
-        })?;
+        self.check(addr, 1, READ, |a| MemFault::NoRead { addr: a })?;
         Ok(self.bytes[addr as usize])
     }
 
     /// User-mode byte write.
+    #[inline]
     pub fn write_u8(&mut self, addr: u32, value: u8) -> Result<(), MemFault> {
-        self.check(addr, 1, PageFlags::writable, |a| MemFault::NoWrite {
-            addr: a,
-        })?;
+        self.check(addr, 1, WRITE, |a| MemFault::NoWrite { addr: a })?;
         self.bytes[addr as usize] = value;
         Ok(())
     }
 
     /// User-mode 32-bit read (little-endian, unaligned allowed).
+    #[inline]
     pub fn read_u32(&self, addr: u32) -> Result<u32, MemFault> {
-        self.check(addr, 4, PageFlags::readable, |a| MemFault::NoRead {
-            addr: a,
-        })?;
+        self.check(addr, 4, READ, |a| MemFault::NoRead { addr: a })?;
         let i = addr as usize;
         Ok(u32::from_le_bytes(
             self.bytes[i..i + 4].try_into().expect("4 bytes"),
@@ -283,10 +317,9 @@ impl Memory {
     }
 
     /// User-mode 32-bit write.
+    #[inline]
     pub fn write_u32(&mut self, addr: u32, value: u32) -> Result<(), MemFault> {
-        self.check(addr, 4, PageFlags::writable, |a| MemFault::NoWrite {
-            addr: a,
-        })?;
+        self.check(addr, 4, WRITE, |a| MemFault::NoWrite { addr: a })?;
         let i = addr as usize;
         self.bytes[i..i + 4].copy_from_slice(&value.to_le_bytes());
         Ok(())
@@ -294,9 +327,7 @@ impl Memory {
 
     /// Instruction fetch: returns the 8 instruction bytes at `pc`.
     pub fn fetch(&self, pc: u32) -> Result<&[u8], MemFault> {
-        self.check(pc, INSTR_LEN as u32, PageFlags::executable, |a| {
-            MemFault::NoExec { addr: a }
-        })?;
+        self.check(pc, INSTR_LEN as u32, EXEC, |a| MemFault::NoExec { addr: a })?;
         Ok(&self.bytes[pc as usize..pc as usize + INSTR_LEN])
     }
 
@@ -337,14 +368,14 @@ impl Memory {
 
     /// Kernel-mode read: bounds-checked but ignores page protection
     /// (the kernel may read any mapped user memory).
+    #[inline]
     pub fn kread(&self, addr: u32, len: u32) -> Result<&[u8], MemFault> {
-        self.check(addr, len, PageFlags::mapped, |a| MemFault::NoRead {
-            addr: a,
-        })?;
+        self.check(addr, len, MAPPED, |a| MemFault::NoRead { addr: a })?;
         Ok(&self.bytes[addr as usize..(addr + len) as usize])
     }
 
     /// Kernel-mode 32-bit read.
+    #[inline]
     pub fn kread_u32(&self, addr: u32) -> Result<u32, MemFault> {
         let b = self.kread(addr, 4)?;
         Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
@@ -353,32 +384,49 @@ impl Memory {
     /// Kernel-mode write: bounds-checked but ignores page protection (the
     /// kernel updates the policy state inside the application's `.asc`
     /// section and fills output buffers).
+    #[inline]
     pub fn kwrite(&mut self, addr: u32, data: &[u8]) -> Result<(), MemFault> {
-        self.check(addr, data.len() as u32, PageFlags::mapped, |a| {
-            MemFault::NoWrite { addr: a }
+        self.check(addr, data.len() as u32, MAPPED, |a| MemFault::NoWrite {
+            addr: a,
         })?;
         self.bytes[addr as usize..addr as usize + data.len()].copy_from_slice(data);
         self.forget(u64::from(addr), u64::from(addr) + data.len() as u64);
         Ok(())
     }
 
-    /// Kernel-mode read of a NUL-terminated string, capped at `max` bytes.
+    /// Kernel-mode read of a NUL-terminated string, capped at `max` bytes:
+    /// lends the bytes before the terminator. It tests each page's flags
+    /// once, then scans that page's bytes, and answers as a byte-by-byte
+    /// [`Memory::kread`] would.
     ///
     /// # Errors
     ///
     /// Faults if the string runs off mapped memory or exceeds `max` bytes
     /// without a terminator (the kernel defends itself against unterminated
-    /// strings, as real kernels must).
-    pub fn kread_cstr(&self, addr: u32, max: u32) -> Result<Vec<u8>, MemFault> {
-        let mut out = Vec::new();
-        for i in 0..max {
-            let b = self.kread(addr + i, 1)?[0];
-            if b == 0 {
-                return Ok(out);
+    /// strings, as real kernels must): `OutOfRange` at the first byte past
+    /// memory, `NoRead` at the start of the first unmapped page, or
+    /// `NoRead` at `addr + max`.
+    pub fn kread_cstr(&self, addr: u32, max: u32) -> Result<&[u8], MemFault> {
+        let page = u64::from(PAGE_SIZE);
+        let limit = u64::from(addr) + u64::from(max);
+        let mut at = u64::from(addr);
+        while at < limit {
+            let Some(flags) = self.pages.get((at / page) as usize) else {
+                return Err(MemFault::OutOfRange { addr: at as u32 });
+            };
+            if !flags.mapped() {
+                return Err(MemFault::NoRead {
+                    addr: (at - at % page) as u32,
+                });
             }
-            out.push(b);
+            let stop = limit.min(at - at % page + page);
+            let scanned = &self.bytes[at as usize..stop as usize];
+            if let Some(n) = scanned.iter().position(|&b| b == 0) {
+                return Ok(&self.bytes[addr as usize..at as usize + n]);
+            }
+            at = stop;
         }
-        Err(MemFault::NoRead { addr: addr + max })
+        Err(MemFault::NoRead { addr: limit as u32 })
     }
 }
 

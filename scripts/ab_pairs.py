@@ -1,0 +1,230 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of the host-clock benchmark.
+
+    python3 scripts/ab_pairs.py --parent <rev> --change <rev|worktree>
+                                --workload <w> [--workload <w> ...]
+                                [--pairs 10] [--seconds 35] [--trace 0]
+
+Run from inside the repository. Exports each side into its own fresh
+directory under a new temporary directory, removed at the end (`git
+archive` of the revision, or the tracked and untracked files of the
+working tree for `worktree`), builds `hostbench` there with
+its own CARGO_TARGET_DIR and runs `hostbench/run.py` there, as in a
+fresh checkout of each commit: the build directory feeds the crate
+metadata hashes, and with them where the interpreter loop lands.
+
+The pairs run seeds 21, 22, ... and the last one the held-out seed
+424242 (so 10 pairs run 21-29 and 424242). The parent runs first in the
+first pair, the change in the second, and so on.
+
+Before the pairs it prints the size of each build's `Machine<H>::run`
+and the byte offset at which it starts in its 64-byte cache line. For
+each workload it prints every pair, then each metric's median and
+quartiles on both sides, the ratio and the pairs the change won, and
+the verdict of the rule a claimed gain must meet on the compared metric:
+at least 9 of 10 pairs won, and medians further apart than the
+parent's quartile spread. Traced runs (--trace 1) also compare the five
+work counters CI pins. Exits nonzero if any run is not `correct` or
+has failed operations.
+"""
+
+import argparse
+import json
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+from statistics import median, quantiles
+
+FIRST_SEED = 21
+HELD_OUT_SEED = 424242
+WORKLOADS = ("spec-cpu", "syscall-cold", "fleet-warm")
+# The metric each workload isolates, untraced and traced.
+METRIC = {
+    (0, "spec-cpu"): "guest_mips",
+    (0, "syscall-cold"): "verified_per_s",
+    (0, "fleet-warm"): "guest_mips",
+    (1, "spec-cpu"): "vm.ns_per_instr",
+    (1, "syscall-cold"): "verify.added_ns_per_call",
+    (1, "fleet-warm"): "vm.ns_per_instr",
+}
+WORK_COUNTERS = ("kernel.traps", "verify.verified", "crypto.aes_blocks",
+                 "cache.evictions", "verify.vc_per_call")
+
+
+def log(msg=""):
+    print(msg, flush=True)
+
+
+def git(*args, **kw):
+    return subprocess.run(["git", *args], check=True, stdout=subprocess.PIPE, **kw).stdout
+
+
+def export(rev, dest):
+    """Writes `rev`, or the working tree for `worktree`, into `dest`."""
+    os.makedirs(dest)
+    if rev == "worktree":
+        files = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+        for name in files.decode().split("\0"):
+            if name and os.path.isfile(name):
+                os.makedirs(os.path.join(dest, os.path.dirname(name)), exist_ok=True)
+                shutil.copy2(name, os.path.join(dest, name))
+        return "worktree"
+    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+    archive = subprocess.Popen(["git", "archive", commit], stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout, check=True)
+    if archive.wait() != 0:
+        sys.exit(f"ab_pairs: git archive {rev} failed")
+    return commit[:12]
+
+
+def env_for(side_dir):
+    return dict(os.environ, CARGO_TARGET_DIR=os.path.join(side_dir, "target"))
+
+
+def build(side_dir):
+    """Builds the side's hostbench and returns the binary's path."""
+    subprocess.run(
+        ["cargo", "build", "--release", "--offline", "--quiet",
+         "--manifest-path", "hostbench/Cargo.toml"],
+        cwd=side_dir, env=env_for(side_dir), check=True,
+    )
+    return os.path.join(side_dir, "target", "release", "hostbench")
+
+
+def run_placements(exe):
+    """Address, size and cache-line offset of each `Machine<H>::run`."""
+    try:
+        out = subprocess.run(["nm", "-C", "-S", exe], check=True,
+                             stdout=subprocess.PIPE, text=True).stdout
+    except (OSError, subprocess.CalledProcessError) as e:
+        return f"nm failed: {e}"
+    found = []
+    for line in out.splitlines():
+        parts = line.split(maxsplit=3)
+        if len(parts) == 4 and parts[3].endswith("Machine<H>::run"):
+            addr, size = int(parts[0], 16), int(parts[1], 16)
+            found.append(f"{parts[3]} at {addr:#x}, {size} bytes, offset {addr % 64}")
+    return "; ".join(found) or "no Machine<H>::run symbol"
+
+
+def run_once(side_dir, workload, seed, seconds, trace):
+    """One `hostbench/run.py` run; returns its JSON result."""
+    proc = subprocess.run(
+        [sys.executable, "hostbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=side_dir, env=env_for(side_dir), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(proc.stderr)
+        sys.exit(f"ab_pairs: {workload} seed {seed} in {side_dir} failed ({proc.returncode})")
+    return json.loads(lines[-1])
+
+
+def spread(values):
+    """Median and quartiles."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, _, q3 = quantiles(values, n=4)
+    return median(values), q1, q3
+
+
+def directions(side_dir):
+    """Whether a larger value is better, per metric, from BENCHMARK.json."""
+    with open(os.path.join(side_dir, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    return {m["name"]: m["better"] == "higher"
+            for m in bench["end_to_end"] + bench["per_layer"]}
+
+
+def compare(workload, metric, pairs, higher):
+    """Prints each metric's medians, quartiles and pairs won, then the
+    verdict on `metric`."""
+    log(f"{workload}: median [quartiles] per side, change / parent, pairs the change won")
+    for name, unit in ((n, m["unit"]) for n, m in pairs[0][1]["metrics"].items()):
+        parent = [p["metrics"][name]["value"] for _, p, _ in pairs]
+        change = [c["metrics"][name]["value"] for _, _, c in pairs]
+        won = sum((c > p) if higher[name] else (c < p) for p, c in zip(parent, change))
+        (pm, pq1, pq3), (cm, cq1, cq3) = spread(parent), spread(change)
+        ratio = f"{cm / pm:.4f}" if pm else "-"
+        log(f"  {name:<26} {pm:.6g} [{pq1:.6g}, {pq3:.6g}]  ->  {cm:.6g} [{cq1:.6g}, "
+            f"{cq3:.6g}] {unit}  {ratio}  {won}/{len(pairs)}")
+        if name == metric:
+            verdict = (won, pm, cm, pq3 - pq1)
+    won, pm, cm, iqr = verdict
+    if len(pairs) < 10:
+        rule = "too few pairs for the 9-of-10 rule"
+    elif won >= 0.9 * len(pairs) and abs(cm - pm) > iqr:
+        rule = "9-of-10 rule met"
+    else:
+        rule = "9-of-10 rule not met"
+    log(f"  {metric} ({'higher' if higher[metric] else 'lower'} is better): change won "
+        f"{won}/{len(pairs)} pairs, median ratio {cm / pm:.4f}, medians differ by "
+        f"{abs(cm - pm):.6g} against the parent's quartile spread {iqr:.6g}: {rule}")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision")
+    parser.add_argument("--change", required=True, help="git revision or 'worktree'")
+    parser.add_argument("--workload", required=True, action="append", choices=WORKLOADS)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=35)
+    parser.add_argument("--trace", type=int, default=0, choices=(0, 1))
+    args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    # On SIGTERM, unwind through subprocess.run, which kills the running child.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit("ab_pairs: terminated"))
+
+    os.chdir(git("rev-parse", "--show-toplevel").decode().strip())
+    workdir = tempfile.mkdtemp(prefix="ab_pairs-")
+    try:
+        sides = {}
+        for side in ("parent", "change"):
+            side_dir = os.path.join(workdir, side)
+            name = export(getattr(args, side), side_dir)
+            log(f"{side}: {name} in {side_dir}")
+            exe = build(side_dir)
+            log(f"  {run_placements(exe)}")
+            sides[side] = side_dir
+        higher = directions(sides["change"])
+        seeds = [FIRST_SEED + i for i in range(args.pairs - 1)] + [HELD_OUT_SEED]
+        bad = 0
+        for workload in args.workload:
+            metric = METRIC[(args.trace, workload)]
+            log(f"\n{workload}: {args.pairs} pairs, {args.seconds:g} s per run, "
+                f"trace {args.trace}")
+            pairs = []
+            for i, seed in enumerate(seeds):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                result = {}
+                for side in order:
+                    result[side] = run_once(sides[side], workload, seed,
+                                            args.seconds, args.trace)
+                    if not result[side]["correct"] or result[side]["failed"]:
+                        bad += 1
+                        log(f"  NOT CORRECT: {side} seed {seed}: {result[side]}")
+                p = result["parent"]["metrics"][metric]["value"]
+                c = result["change"]["metrics"][metric]["value"]
+                counters = ""
+                if args.trace:
+                    same = all(result["parent"]["metrics"][k] == result["change"]["metrics"][k]
+                               for k in WORK_COUNTERS)
+                    counters = "  work counters " + ("match" if same else "DIFFER")
+                log(f"  pair {i + 1:>2} seed {seed:<6} parent {p:<12.6g} change {c:<12.6g} "
+                    f"ratio {c / p:.4f}  ({order[0]} first){counters}")
+                pairs.append((seed, result["parent"], result["change"]))
+            compare(workload, metric, pairs, higher)
+        if bad:
+            sys.exit(f"ab_pairs: {bad} runs not correct or with failed operations")
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    main()
