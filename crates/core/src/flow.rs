@@ -16,8 +16,6 @@
 //! administrator key, so a tampered digraph is rejected at load time
 //! rather than silently widening (or narrowing) the policy.
 
-use std::collections::BTreeSet;
-
 use asc_crypto::{MacKey, MAC_LEN};
 
 /// Sentinel syscall number for "program start" (no call verified yet).
@@ -49,7 +47,8 @@ impl std::error::Error for FlowParseError {}
 /// syscall numbers, with [`FLOW_START`] as the start-of-program node.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FlowGraph {
-    edges: BTreeSet<(u16, u16)>,
+    /// Sorted and deduplicated, so every trap's probe is one binary search.
+    edges: Vec<(u16, u16)>,
 }
 
 impl FlowGraph {
@@ -60,12 +59,14 @@ impl FlowGraph {
 
     /// Adds the edge `from -> to`.
     pub fn insert(&mut self, from: u16, to: u16) {
-        self.edges.insert((from, to));
+        if let Err(at) = self.edges.binary_search(&(from, to)) {
+            self.edges.insert(at, (from, to));
+        }
     }
 
     /// Whether `from -> to` is a legal transition.
     pub fn contains(&self, from: u16, to: u16) -> bool {
-        self.edges.contains(&(from, to))
+        self.edges.binary_search(&(from, to)).is_ok()
     }
 
     /// Number of edges.
@@ -122,14 +123,19 @@ impl FlowGraph {
         if !key.verify(&bytes[..edges_end], &mac) {
             return Err(FlowParseError::BadMac);
         }
-        let mut graph = FlowGraph::new();
-        for i in 0..count {
-            let off = 4 + 4 * i;
-            let from = u16::from_le_bytes(bytes[off..off + 2].try_into().unwrap());
-            let to = u16::from_le_bytes(bytes[off + 2..off + 4].try_into().unwrap());
-            graph.insert(from, to);
-        }
-        Ok(graph)
+        // Collected, then sorted once: O(n log n) for any order or duplicates.
+        let mut edges: Vec<(u16, u16)> = bytes[4..edges_end]
+            .chunks_exact(4)
+            .map(|e| {
+                (
+                    u16::from_le_bytes([e[0], e[1]]),
+                    u16::from_le_bytes([e[2], e[3]]),
+                )
+            })
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        Ok(FlowGraph { edges })
     }
 }
 
@@ -188,6 +194,28 @@ mod tests {
             FlowGraph::parse(&bytes[..7], &key),
             Err(FlowParseError::Truncated)
         );
+    }
+
+    #[test]
+    fn parse_sorts_and_deduplicates_an_authentic_list() {
+        // Bytes `to_bytes` never writes, under a valid MAC: unsorted, with
+        // a duplicate.
+        let key = MacKey::from_seed(0xF10);
+        let mut bytes = 3u32.to_le_bytes().to_vec();
+        for (from, to) in [(4u16, 1u16), (3, 4), (4, 1)] {
+            bytes.extend_from_slice(&from.to_le_bytes());
+            bytes.extend_from_slice(&to.to_le_bytes());
+        }
+        let mac = key.mac(&bytes);
+        bytes.extend_from_slice(&mac);
+        let g = FlowGraph::parse(&bytes, &key).expect("authentic");
+        assert_eq!(g.edges().collect::<Vec<_>>(), vec![(3, 4), (4, 1)]);
+        assert!(g.contains(4, 1) && !g.contains(1, 4));
+        let mut inserted = FlowGraph::new();
+        inserted.insert(4, 1);
+        inserted.insert(3, 4);
+        inserted.insert(4, 1);
+        assert_eq!(g, inserted);
     }
 
     #[test]

@@ -19,8 +19,6 @@
 //! register a gadget: doing so requires producing a fresh MAC over the
 //! extended list, which requires the key.
 
-use std::collections::BTreeSet;
-
 use asc_crypto::{MacKey, MAC_LEN};
 
 /// Why serialized site-registry bytes were rejected.
@@ -47,7 +45,8 @@ impl std::error::Error for SitesParseError {}
 /// the installer authenticated. A trap from any other pc is a kill.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SiteRegistry {
-    pcs: BTreeSet<u32>,
+    /// Sorted and deduplicated, so every trap's probe is one binary search.
+    pcs: Vec<u32>,
 }
 
 impl SiteRegistry {
@@ -58,12 +57,14 @@ impl SiteRegistry {
 
     /// Registers the `SYSCALL` instruction at `pc`.
     pub fn insert(&mut self, pc: u32) {
-        self.pcs.insert(pc);
+        if let Err(at) = self.pcs.binary_search(&pc) {
+            self.pcs.insert(at, pc);
+        }
     }
 
     /// Whether a trap from `pc` is privileged.
     pub fn contains(&self, pc: u32) -> bool {
-        self.pcs.contains(&pc)
+        self.pcs.binary_search(&pc).is_ok()
     }
 
     /// Number of registered sites.
@@ -119,20 +120,20 @@ impl SiteRegistry {
         if !key.verify(&bytes[..pcs_end], &mac) {
             return Err(SitesParseError::BadMac);
         }
-        let mut registry = SiteRegistry::new();
-        for i in 0..count {
-            let off = 4 + 4 * i;
-            registry.insert(u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()));
-        }
-        Ok(registry)
+        Ok(bytes[4..pcs_end]
+            .chunks_exact(4)
+            .map(|pc| u32::from_le_bytes([pc[0], pc[1], pc[2], pc[3]]))
+            .collect())
     }
 }
 
 impl FromIterator<u32> for SiteRegistry {
+    /// Collects, then sorts once: O(n log n) for any order or duplicates.
     fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> SiteRegistry {
-        SiteRegistry {
-            pcs: iter.into_iter().collect(),
-        }
+        let mut pcs: Vec<u32> = iter.into_iter().collect();
+        pcs.sort_unstable();
+        pcs.dedup();
+        SiteRegistry { pcs }
     }
 }
 
@@ -203,6 +204,23 @@ mod tests {
         let parsed = SiteRegistry::parse(&r.to_bytes(&key), &key).expect("empty parses");
         assert!(parsed.is_empty());
         assert!(!parsed.contains(0));
+    }
+
+    #[test]
+    fn parse_sorts_and_deduplicates_an_authentic_list() {
+        // Bytes `to_bytes` never writes, under a valid MAC: unsorted, with
+        // a duplicate.
+        let key = MacKey::from_seed(0x517E);
+        let mut bytes = 3u32.to_le_bytes().to_vec();
+        for pc in [0x30u32, 0x10, 0x30] {
+            bytes.extend_from_slice(&pc.to_le_bytes());
+        }
+        let mac = key.mac(&bytes);
+        bytes.extend_from_slice(&mac);
+        let r = SiteRegistry::parse(&bytes, &key).expect("authentic");
+        assert_eq!(r.pcs().collect::<Vec<_>>(), vec![0x10, 0x30]);
+        assert_eq!(r, [0x10, 0x30].into_iter().collect());
+        assert!(r.contains(0x30) && !r.contains(0x20));
     }
 
     #[test]

@@ -49,6 +49,18 @@ fn read_path<'m>(ctx: &'m TrapContext<'_>, addr: u32) -> Result<&'m str, u32> {
     std::str::from_utf8(bytes).map_err(|_| EINVAL)
 }
 
+/// Linux's `IOV_MAX`: the most iovecs one `readv` or `writev` takes.
+const IOV_MAX: u32 = 1024;
+
+/// Copies `data` out to guest memory at `buf` (nothing for no bytes):
+/// the byte count, or `EFAULT`.
+fn copy_out(ctx: &mut TrapContext<'_>, buf: u32, data: &[u8]) -> Result<usize, u32> {
+    if !data.is_empty() && ctx.mem.kwrite(buf, data).is_err() {
+        return Err(EFAULT);
+    }
+    Ok(data.len())
+}
+
 /// Sets a file's length, zero-filling any growth; `EFBIG` past
 /// [`MAX_FILE_SIZE`], leaving the file as it was.
 fn truncate(data: &mut Vec<u8>, len: u32) -> u32 {
@@ -82,10 +94,11 @@ impl Kernel {
                 }
                 Err(e) => e,
             },
-            Read | Readv | Recvfrom | Getdents | Getdirentries => {
-                self.sys_read_family(id, args, ctx)
-            }
-            Write | Writev | Sendto => self.sys_write_family(id, args, ctx),
+            Read | Recvfrom => self.sys_read(args[0], args[1], args[2], ctx),
+            Readv => self.sys_vectored(false, args, ctx),
+            Getdents | Getdirentries => self.sys_getdents(args[0], args[1], args[2], ctx),
+            Write | Sendto => self.sys_write(args[0], args[1], args[2], ctx),
+            Writev => self.sys_vectored(true, args, ctx),
             Open => self.sys_open(args[0], args[1], args[2], ctx),
             Creat => self.sys_open(
                 args[0],
@@ -157,15 +170,12 @@ impl Kernel {
             }
             Sigaction | Sigsuspend | Sigpending => 0,
             Chdir => match read_path(ctx, args[0]) {
-                Ok(p) => match self.fs.normalize(p, &self.cwd) {
-                    Ok(canon) => match self.fs.resolve(&canon, "/") {
-                        Ok(id) if matches!(self.fs.inode(id).kind, InodeKind::Dir(_)) => {
-                            self.cwd = canon;
-                            0
-                        }
-                        Ok(_) => errno(FsError::NotADirectory),
-                        Err(e) => errno(e),
-                    },
+                Ok(p) => match self.fs.walk(p, &self.cwd, true) {
+                    Ok(at) if matches!(self.fs.inode(at.id).kind, InodeKind::Dir(_)) => {
+                        self.cwd = self.fs.canonical(at);
+                        0
+                    }
+                    Ok(_) => errno(FsError::NotADirectory),
                     Err(e) => errno(e),
                 },
                 Err(e) => e,
@@ -387,72 +397,45 @@ impl Kernel {
             Ok(p) => p,
             Err(e) => return e,
         };
-        // §5.4: resolve through symlinks to the canonical name first.
-        let canon = match self.fs.normalize(path, &self.cwd) {
-            Ok(c) => c,
+        // §5.4: resolve through symlinks to the canonical entry.
+        let at = match self.fs.walk(path, &self.cwd, true) {
+            Ok(at) => at,
             Err(FsError::NotFound) if flags & oflags::O_CREAT != 0 => {
-                // Create the file.
-                match self
-                    .fs
-                    .create(path, &self.cwd, InodeKind::File(Vec::new()), 0o666)
-                {
-                    Ok(id) => {
-                        return self.alloc_fd(OpenFile {
-                            kind: FdKind::File(id),
-                            pos: 0,
-                            flags,
-                        })
-                    }
-                    Err(e) => return errno(e),
-                }
-            }
-            Err(e) => return errno(e),
-        };
-        match canon.as_str() {
-            "/dev/null" => {
-                return self.alloc_fd(OpenFile {
-                    kind: FdKind::Null,
-                    pos: 0,
-                    flags,
-                });
-            }
-            "/dev/console" => {
-                return self.alloc_fd(OpenFile {
-                    kind: FdKind::Console,
-                    pos: 0,
-                    flags,
-                });
-            }
-            _ => {}
-        }
-        let inode = match self.fs.resolve(&canon, "/") {
-            Ok(i) => i,
-            Err(e) => return errno(e),
-        };
-        match &mut self.fs.inode_mut(inode).kind {
-            InodeKind::File(data) => {
-                if flags & oflags::O_TRUNC != 0 {
-                    data.clear();
-                }
-                self.alloc_fd(OpenFile {
-                    kind: FdKind::File(inode),
-                    pos: 0,
-                    flags,
-                })
-            }
-            InodeKind::Dir(_) => {
-                if flags & 0x3 != oflags::O_RDONLY {
-                    errno(FsError::IsADirectory)
-                } else {
-                    self.alloc_fd(OpenFile {
-                        kind: FdKind::Dir(inode),
+                let file = InodeKind::File(Vec::new());
+                return match self.fs.create(path, &self.cwd, file, 0o666) {
+                    Ok(id) => self.alloc_fd(OpenFile {
+                        kind: FdKind::File(id),
                         pos: 0,
                         flags,
-                    })
-                }
+                    }),
+                    Err(e) => errno(e),
+                };
             }
-            InodeKind::Symlink(_) => EINVAL, // normalize() should have followed
-        }
+            Err(e) => return errno(e),
+        };
+        let (inode, device) = (at.id, self.fs.device(at));
+        let kind = match device {
+            Some("null") => FdKind::Null,
+            Some("console") => FdKind::Console,
+            _ => match &mut self.fs.inode_mut(inode).kind {
+                InodeKind::File(data) => {
+                    if flags & oflags::O_TRUNC != 0 {
+                        data.clear();
+                    }
+                    FdKind::File(inode)
+                }
+                InodeKind::Dir(_) if flags & 0x3 != oflags::O_RDONLY => {
+                    return errno(FsError::IsADirectory)
+                }
+                InodeKind::Dir(_) => FdKind::Dir(inode),
+                InodeKind::Symlink(_) => return EINVAL, // the walk followed it
+            },
+        };
+        self.alloc_fd(OpenFile {
+            kind,
+            pos: 0,
+            flags,
+        })
     }
 
     fn sys_close(&mut self, fd: u32) -> u32 {
@@ -591,126 +574,105 @@ impl Kernel {
         }
     }
 
-    fn sys_read_family(&mut self, id: SyscallId, args: [u32; 6], ctx: &mut TrapContext<'_>) -> u32 {
-        use SyscallId::*;
-        match id {
-            Read | Recvfrom => self.sys_read(args[0], args[1], args[2], ctx),
-            Readv => {
-                // iovec: {ptr u32, len u32} * count
-                let mut total = 0u32;
-                for i in 0..args[2] {
-                    let base = args[1] + i * 8;
-                    let (ptr, len) = match (ctx.mem.kread_u32(base), ctx.mem.kread_u32(base + 4)) {
-                        (Ok(p), Ok(l)) => (p, l),
-                        _ => return EFAULT,
-                    };
-                    let n = self.sys_read(args[0], ptr, len, ctx);
-                    if (n as i32) < 0 {
-                        return n;
-                    }
-                    total += n;
-                    if n < len {
-                        break;
-                    }
-                }
-                total
-            }
-            Getdents | Getdirentries => self.sys_getdents(args[0], args[1], args[2], ctx),
-            _ => unreachable!(),
+    /// `readv` and `writev`: one transfer per `{ptr u32, len u32}` iovec
+    /// of the array at `args[1]`, at most [`IOV_MAX`] of them; a read stops
+    /// at its first short transfer.
+    fn sys_vectored(&mut self, write: bool, args: [u32; 6], ctx: &mut TrapContext<'_>) -> u32 {
+        if args[2] > IOV_MAX {
+            return EINVAL;
         }
+        let mut total = 0u32;
+        for i in 0..args[2] {
+            // Wrapping: a hostile array address faults, it cannot overflow.
+            let at = args[1].wrapping_add(i * 8);
+            let (Ok(ptr), Ok(len)) = (ctx.mem.kread_u32(at), ctx.mem.kread_u32(at.wrapping_add(4)))
+            else {
+                return EFAULT;
+            };
+            let n = if write {
+                self.sys_write(args[0], ptr, len, ctx)
+            } else {
+                self.sys_read(args[0], ptr, len, ctx)
+            };
+            if (n as i32) < 0 {
+                return n;
+            }
+            total += n;
+            if !write && n < len {
+                break;
+            }
+        }
+        if write {
+            self.last_io_bytes = total as u64;
+        }
+        total
     }
 
     fn sys_read(&mut self, fd: u32, buf: u32, len: u32, ctx: &mut TrapContext<'_>) -> u32 {
-        let len = len.min(1 << 20);
+        let len = len.min(1 << 20) as usize;
         let kind = match self.fd(fd) {
             Some(f) => f.kind.clone(),
             None => return EBADF,
         };
-        let data: Vec<u8> = match kind {
+        // Every source gives its bytes up whether or not the copy-out
+        // faults.
+        let copied = match kind {
             FdKind::Stdin => {
-                let n = (self.stdin.len() - self.stdin_pos).min(len as usize);
-                let out = self.stdin[self.stdin_pos..self.stdin_pos + n].to_vec();
-                self.stdin_pos += n;
-                out
+                let start = self.stdin_pos;
+                self.stdin_pos += (self.stdin.len() - start).min(len);
+                copy_out(ctx, buf, &self.stdin[start..self.stdin_pos])
             }
             FdKind::File(inode) => {
                 let pos = self.fd(fd).expect("checked").pos as usize;
-                match &self.fs.inode(inode).kind {
-                    InodeKind::File(d) => {
-                        let n = d.len().saturating_sub(pos).min(len as usize);
-                        let out = d[pos..pos + n].to_vec();
-                        self.fd(fd).expect("checked").pos = (pos + n) as u64;
-                        out
-                    }
-                    _ => return errno(FsError::IsADirectory),
-                }
+                let InodeKind::File(d) = &self.fs.inode(inode).kind else {
+                    return errno(FsError::IsADirectory);
+                };
+                let n = d.len().saturating_sub(pos).min(len);
+                // Past the end (after a seek) there is nothing to read.
+                let copied = copy_out(ctx, buf, d.get(pos..pos + n).unwrap_or_default());
+                self.fd(fd).expect("checked").pos = (pos + n) as u64;
+                copied
             }
             FdKind::Socket(idx) => {
                 let sock = &mut self.sockets[idx];
-                let n = sock.len().min(len as usize);
-                sock.drain(..n).collect()
+                let n = sock.len().min(len);
+                let copied = copy_out(ctx, buf, &sock[..n]);
+                sock.drain(..n);
+                copied
             }
             FdKind::PipeRead(idx) => {
                 let pipe = &mut self.pipes[idx];
-                let n = pipe.len().min(len as usize);
-                pipe.drain(..n).collect()
+                let n = pipe.len().min(len);
+                let copied = copy_out(ctx, buf, &pipe.make_contiguous()[..n]);
+                pipe.drain(..n);
+                copied
             }
-            FdKind::Null | FdKind::Console => Vec::new(),
+            FdKind::Null | FdKind::Console => Ok(0),
             FdKind::Stdout | FdKind::Stderr | FdKind::PipeWrite(_) | FdKind::Dir(_) => {
                 return EBADF
             }
         };
-        if !data.is_empty() && ctx.mem.kwrite(buf, &data).is_err() {
-            return EFAULT;
-        }
-        self.last_io_bytes = data.len() as u64;
-        data.len() as u32
-    }
-
-    fn sys_write_family(
-        &mut self,
-        id: SyscallId,
-        args: [u32; 6],
-        ctx: &mut TrapContext<'_>,
-    ) -> u32 {
-        use SyscallId::*;
-        match id {
-            Write | Sendto => self.sys_write(args[0], args[1], args[2], ctx),
-            Writev => {
-                let mut total = 0u32;
-                for i in 0..args[2] {
-                    let base = args[1] + i * 8;
-                    let (ptr, len) = match (ctx.mem.kread_u32(base), ctx.mem.kread_u32(base + 4)) {
-                        (Ok(p), Ok(l)) => (p, l),
-                        _ => return EFAULT,
-                    };
-                    let n = self.sys_write(args[0], ptr, len, ctx);
-                    if (n as i32) < 0 {
-                        return n;
-                    }
-                    total += n;
-                }
-                self.last_io_bytes = total as u64;
-                total
+        match copied {
+            Ok(n) => {
+                self.last_io_bytes = n as u64;
+                n as u32
             }
-            _ => unreachable!(),
+            Err(e) => e,
         }
     }
 
     fn sys_write(&mut self, fd: u32, buf: u32, len: u32, ctx: &mut TrapContext<'_>) -> u32 {
-        let len = len.min(1 << 20);
-        let data = match ctx.mem.kread(buf, len) {
-            Ok(d) => d.to_vec(),
-            Err(_) => return EFAULT,
+        let Ok(data) = ctx.mem.kread(buf, len.min(1 << 20)) else {
+            return EFAULT;
         };
         let kind = match self.fd(fd) {
             Some(f) => f.kind.clone(),
             None => return EBADF,
         };
         match kind {
-            FdKind::Stdout => self.stdout.extend_from_slice(&data),
-            FdKind::Stderr => self.stderr.extend_from_slice(&data),
-            FdKind::Console => self.console.extend_from_slice(&data),
+            FdKind::Stdout => self.stdout.extend_from_slice(data),
+            FdKind::Stderr => self.stderr.extend_from_slice(data),
+            FdKind::Console => self.console.extend_from_slice(data),
             FdKind::Null => {}
             FdKind::File(inode) => {
                 let (pos, append) = {
@@ -726,13 +688,13 @@ impl Kernel {
                         if d.len() < pos + data.len() {
                             d.resize(pos + data.len(), 0);
                         }
-                        d[pos..pos + data.len()].copy_from_slice(&data);
+                        d[pos..pos + data.len()].copy_from_slice(data);
                         self.fd(fd).expect("checked").pos = (pos + data.len()) as u64;
                     }
                     _ => return errno(FsError::IsADirectory),
                 }
             }
-            FdKind::Socket(idx) => self.sockets[idx].extend_from_slice(&data),
+            FdKind::Socket(idx) => self.sockets[idx].extend_from_slice(data),
             FdKind::PipeWrite(idx) => self.pipes[idx].extend(data.iter().copied()),
             FdKind::Stdin | FdKind::PipeRead(_) | FdKind::Dir(_) => return EBADF,
         }

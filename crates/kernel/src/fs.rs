@@ -9,7 +9,9 @@ use std::collections::BTreeMap;
 /// Index of an inode in the filesystem arena.
 pub type InodeId = usize;
 
-/// Maximum symlink traversals during resolution (loop defence).
+/// Maximum symlink nesting during resolution (loop defence): a link's
+/// target is walked one level deeper than the link, and so is the rest of
+/// the path after it.
 const MAX_LINK_DEPTH: usize = 8;
 
 /// One filesystem object.
@@ -32,6 +34,20 @@ pub struct Inode {
     pub mode: u32,
     /// Modification time (simulated microseconds).
     pub mtime: u64,
+    /// The directory holding this inode's entry, which `..` climbs to.
+    /// Exact for directories, which have one entry since `link` refuses
+    /// them; the root is its own parent.
+    parent: InodeId,
+}
+
+/// Where a path walk stands: the inode reached, the directory whose entry
+/// names it and that entry's name (the root is its own directory, with an
+/// empty name).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Entry<'f> {
+    pub(crate) dir: InodeId,
+    pub(crate) id: InodeId,
+    pub(crate) name: &'f str,
 }
 
 /// Filesystem errors, mirroring errno values the syscalls translate to.
@@ -108,6 +124,7 @@ impl FileSystem {
                 kind: InodeKind::Dir(BTreeMap::new()),
                 mode: 0o755,
                 mtime: 0,
+                parent: 0,
             }],
             root: 0,
         };
@@ -148,15 +165,12 @@ impl FileSystem {
         self.inodes.len() - 1
     }
 
-    /// Splits a path into components relative to `cwd` (absolute paths
-    /// ignore `cwd`). Does not touch the filesystem.
-    fn components<'p>(path: &'p str, cwd: &'p str) -> Vec<&'p str> {
-        let joined: Vec<&str> = if path.starts_with('/') {
-            path.split('/').collect()
-        } else {
-            cwd.split('/').chain(path.split('/')).collect()
-        };
-        joined.into_iter().filter(|c| !c.is_empty()).collect()
+    fn root_entry(&self) -> Entry<'_> {
+        Entry {
+            dir: self.root,
+            id: self.root,
+            name: "",
+        }
     }
 
     /// Resolves `path` (relative to `cwd`) to an inode, following symlinks.
@@ -165,13 +179,13 @@ impl FileSystem {
     ///
     /// Standard resolution errors ([`FsError::NotFound`], etc.).
     pub fn resolve(&self, path: &str, cwd: &str) -> Result<InodeId, FsError> {
-        self.resolve_inner(path, cwd, true, 0).map(|(id, _)| id)
+        self.walk(path, cwd, true).map(|e| e.id)
     }
 
     /// Resolves but does not follow a final symlink (for `readlink`,
     /// `lstat`, `unlink`).
     pub fn resolve_nofollow(&self, path: &str, cwd: &str) -> Result<InodeId, FsError> {
-        self.resolve_inner(path, cwd, false, 0).map(|(id, _)| id)
+        self.walk(path, cwd, false).map(|e| e.id)
     }
 
     /// Resolves `path` to its canonical, symlink-free absolute name — the
@@ -181,98 +195,134 @@ impl FileSystem {
     ///
     /// Standard resolution errors.
     pub fn normalize(&self, path: &str, cwd: &str) -> Result<String, FsError> {
-        let (_, canon) = self.resolve_inner(path, cwd, true, 0)?;
-        Ok(canon)
+        self.walk(path, cwd, true).map(|e| self.canonical(e))
     }
 
-    fn resolve_inner(
+    /// The one path resolver: walks `path`, after `cwd` unless `path` is
+    /// absolute, from the root over borrowed components, allocating
+    /// nothing.
+    pub(crate) fn walk(
         &self,
         path: &str,
         cwd: &str,
         follow_last: bool,
-        depth: usize,
-    ) -> Result<(InodeId, String), FsError> {
+    ) -> Result<Entry<'_>, FsError> {
+        let cwd = if path.starts_with('/') { "" } else { cwd };
+        self.walk_from(self.root_entry(), cwd, path, follow_last, 0)
+    }
+
+    /// Walks `head`'s then `tail`'s components from `at` at symlink
+    /// nesting `depth`. A followed link's target is walked one level
+    /// deeper, from the root or the link's directory, and the rest of the
+    /// path resumes at that level.
+    fn walk_from<'f>(
+        &'f self,
+        mut at: Entry<'f>,
+        head: &str,
+        tail: &str,
+        follow_last: bool,
+        mut depth: usize,
+    ) -> Result<Entry<'f>, FsError> {
         if depth > MAX_LINK_DEPTH {
             return Err(FsError::TooManyLinks);
         }
-        let comps = Self::components(path, cwd);
-        let mut cur = self.root;
-        let mut canon: Vec<String> = Vec::new();
-        let n = comps.len();
-        for (i, comp) in comps.iter().enumerate() {
-            match *comp {
-                "." => continue,
-                ".." => {
-                    canon.pop();
-                    cur = self.resolve_canon(&canon)?;
-                    continue;
-                }
+        let mut comps = head
+            .split('/')
+            .chain(tail.split('/'))
+            .filter(|c| !c.is_empty())
+            .peekable();
+        while let Some(comp) = comps.next() {
+            match comp {
+                "." => {}
+                ".." => at = self.up(at),
                 name => {
-                    let InodeKind::Dir(entries) = &self.inodes[cur].kind else {
+                    let InodeKind::Dir(entries) = &self.inodes[at.id].kind else {
                         return Err(FsError::NotADirectory);
                     };
-                    let &next = entries.get(name).ok_or(FsError::NotFound)?;
-                    let is_last = i == n - 1;
-                    if let InodeKind::Symlink(target) = &self.inodes[next].kind {
-                        if !is_last || follow_last {
-                            // Re-resolve from the link's directory.
-                            let base = format!("/{}", canon.join("/"));
-                            let (id, c) =
-                                self.resolve_inner(target, &base, follow_last, depth + 1)?;
-                            if is_last {
-                                return Ok((id, c));
-                            }
-                            // Continue resolution from the symlink target.
-                            let rest = comps[i + 1..].join("/");
-                            return self.resolve_inner(&rest, &c, follow_last, depth + 1);
+                    let (name, &id) = entries.get_key_value(name).ok_or(FsError::NotFound)?;
+                    let last = comps.peek().is_none();
+                    at = Entry {
+                        dir: at.id,
+                        id,
+                        name,
+                    };
+                    // Loops only without `follow_last`: a target walk then
+                    // stops on a link, which the rest of the path follows.
+                    while let InodeKind::Symlink(target) = &self.inodes[at.id].kind {
+                        if last && !follow_last {
+                            break;
                         }
+                        depth += 1;
+                        let from = if target.starts_with('/') {
+                            self.root_entry()
+                        } else {
+                            self.up(at)
+                        };
+                        at = self.walk_from(from, "", target, follow_last, depth)?;
                     }
-                    canon.push(name.to_string());
-                    cur = next;
                 }
             }
         }
-        Ok((cur, format!("/{}", canon.join("/"))))
+        Ok(at)
     }
 
-    /// Resolves an already-canonical component list (no links, no dots).
-    fn resolve_canon(&self, comps: &[String]) -> Result<InodeId, FsError> {
-        let mut cur = self.root;
-        for c in comps {
-            let InodeKind::Dir(entries) = &self.inodes[cur].kind else {
-                return Err(FsError::NotADirectory);
-            };
-            cur = *entries.get(c).ok_or(FsError::NotFound)?;
+    /// Where `..` leads from `at`: the entry of its directory.
+    fn up(&self, at: Entry<'_>) -> Entry<'_> {
+        let parent = self.inodes[at.dir].parent;
+        let InodeKind::Dir(entries) = &self.inodes[parent].kind else {
+            unreachable!("a parent link names a directory")
+        };
+        let name = entries.iter().find(|(_, &id)| id == at.dir);
+        Entry {
+            dir: parent,
+            id: at.dir,
+            name: name.map_or("", |(name, _)| name),
         }
-        Ok(cur)
+    }
+
+    /// The canonical, symlink-free absolute name of a walk's entry.
+    pub(crate) fn canonical<'f>(&'f self, mut at: Entry<'f>) -> String {
+        let mut name = String::new();
+        while at.id != self.root {
+            name.insert_str(0, at.name);
+            name.insert(0, '/');
+            at = self.up(at);
+        }
+        if name.is_empty() {
+            name.push('/');
+        }
+        name
+    }
+
+    /// The name of a `/dev` entry: `Some` when the walk's entry sits in
+    /// the root's `dev` directory.
+    pub(crate) fn device<'f>(&self, at: Entry<'f>) -> Option<&'f str> {
+        let InodeKind::Dir(entries) = &self.inodes[self.root].kind else {
+            return None;
+        };
+        (entries.get("dev") == Some(&at.dir)).then_some(at.name)
     }
 
     /// Resolves the parent directory of `path`, returning `(dir_id, name)`.
     fn resolve_parent<'p>(&self, path: &'p str, cwd: &str) -> Result<(InodeId, &'p str), FsError> {
         let trimmed = path.trim_end_matches('/');
-        if trimmed.is_empty() {
-            return Err(FsError::Invalid);
-        }
-        let (dir, name) = match trimmed.rfind('/') {
-            Some(i) => (&trimmed[..i], &trimmed[i + 1..]),
-            None => ("", trimmed),
-        };
+        let (dir, name) = trimmed.split_at(trimmed.rfind('/').map_or(0, |i| i + 1));
         if name.is_empty() || name == "." || name == ".." {
             return Err(FsError::Invalid);
         }
-        let dir_id = if dir.is_empty() {
-            if path.starts_with('/') {
-                self.root
-            } else {
-                self.resolve(cwd, "/")?
-            }
-        } else {
-            self.resolve(dir, cwd)?
-        };
+        let dir_id = self.resolve(dir, cwd)?;
         if !matches!(self.inodes[dir_id].kind, InodeKind::Dir(_)) {
             return Err(FsError::NotADirectory);
         }
         Ok((dir_id, name))
+    }
+
+    /// The entries of a directory that `resolve_parent` returned.
+    fn entries_mut(&mut self, dir: InodeId) -> &mut BTreeMap<String, InodeId> {
+        match &mut self.inodes[dir].kind {
+            InodeKind::Dir(entries) => entries,
+            _ => unreachable!("resolve_parent returns directories"),
+        }
     }
 
     /// Creates a directory.
@@ -298,22 +348,16 @@ impl FileSystem {
         mode: u32,
     ) -> Result<InodeId, FsError> {
         let (dir_id, name) = self.resolve_parent(path, cwd)?;
-        let InodeKind::Dir(entries) = &self.inodes[dir_id].kind else {
-            return Err(FsError::NotADirectory);
-        };
-        if entries.contains_key(name) {
+        if self.entries_mut(dir_id).contains_key(name) {
             return Err(FsError::AlreadyExists);
         }
-        let name = name.to_string();
         let id = self.alloc(Inode {
             kind,
             mode,
             mtime: 0,
+            parent: dir_id,
         });
-        let InodeKind::Dir(entries) = &mut self.inodes[dir_id].kind else {
-            unreachable!()
-        };
-        entries.insert(name, id);
+        self.entries_mut(dir_id).insert(name.to_string(), id);
         Ok(id)
     }
 
@@ -370,9 +414,7 @@ impl FileSystem {
             return Err(FsError::IsADirectory);
         }
         let (dir_id, name) = self.resolve_parent(new, cwd)?;
-        let InodeKind::Dir(entries) = &mut self.inodes[dir_id].kind else {
-            return Err(FsError::NotADirectory);
-        };
+        let entries = self.entries_mut(dir_id);
         if entries.contains_key(name) {
             return Err(FsError::AlreadyExists);
         }
@@ -387,18 +429,14 @@ impl FileSystem {
     /// [`FsError::IsADirectory`] for directories, plus resolution errors.
     pub fn unlink(&mut self, path: &str, cwd: &str) -> Result<(), FsError> {
         let (dir_id, name) = self.resolve_parent(path, cwd)?;
-        let InodeKind::Dir(entries) = &self.inodes[dir_id].kind else {
-            return Err(FsError::NotADirectory);
-        };
-        let &id = entries.get(name).ok_or(FsError::NotFound)?;
+        let &id = self
+            .entries_mut(dir_id)
+            .get(name)
+            .ok_or(FsError::NotFound)?;
         if matches!(self.inodes[id].kind, InodeKind::Dir(_)) {
             return Err(FsError::IsADirectory);
         }
-        let name = name.to_string();
-        let InodeKind::Dir(entries) = &mut self.inodes[dir_id].kind else {
-            unreachable!()
-        };
-        entries.remove(&name);
+        self.entries_mut(dir_id).remove(name);
         Ok(())
     }
 
@@ -410,20 +448,16 @@ impl FileSystem {
     /// for non-directories, plus resolution errors.
     pub fn rmdir(&mut self, path: &str, cwd: &str) -> Result<(), FsError> {
         let (dir_id, name) = self.resolve_parent(path, cwd)?;
-        let InodeKind::Dir(entries) = &self.inodes[dir_id].kind else {
-            return Err(FsError::NotADirectory);
-        };
-        let &id = entries.get(name).ok_or(FsError::NotFound)?;
+        let &id = self
+            .entries_mut(dir_id)
+            .get(name)
+            .ok_or(FsError::NotFound)?;
         match &self.inodes[id].kind {
             InodeKind::Dir(children) if children.is_empty() => {}
             InodeKind::Dir(_) => return Err(FsError::NotEmpty),
             _ => return Err(FsError::NotADirectory),
         }
-        let name = name.to_string();
-        let InodeKind::Dir(entries) = &mut self.inodes[dir_id].kind else {
-            unreachable!()
-        };
-        entries.remove(&name);
+        self.entries_mut(dir_id).remove(name);
         Ok(())
     }
 
@@ -434,25 +468,14 @@ impl FileSystem {
     /// Resolution errors; the destination is replaced if it exists.
     pub fn rename(&mut self, from: &str, to: &str, cwd: &str) -> Result<(), FsError> {
         let (from_dir, from_name) = self.resolve_parent(from, cwd)?;
-        let InodeKind::Dir(entries) = &self.inodes[from_dir].kind else {
-            return Err(FsError::NotADirectory);
-        };
-        let &id = entries.get(from_name).ok_or(FsError::NotFound)?;
+        let &id = self
+            .entries_mut(from_dir)
+            .get(from_name)
+            .ok_or(FsError::NotFound)?;
         let (to_dir, to_name) = self.resolve_parent(to, cwd)?;
-        let from_name = from_name.to_string();
-        let to_name = to_name.to_string();
-        {
-            let InodeKind::Dir(e) = &mut self.inodes[from_dir].kind else {
-                unreachable!()
-            };
-            e.remove(&from_name);
-        }
-        {
-            let InodeKind::Dir(e) = &mut self.inodes[to_dir].kind else {
-                return Err(FsError::NotADirectory);
-            };
-            e.insert(to_name, id);
-        }
+        self.entries_mut(from_dir).remove(from_name);
+        self.entries_mut(to_dir).insert(to_name.to_string(), id);
+        self.inodes[id].parent = to_dir;
         Ok(())
     }
 

@@ -227,6 +227,86 @@ fn writev_gathers() {
     assert_eq!(kernel.stdout(), b"one/two");
 }
 
+/// `nr(fd, iov, count)` for `readv` (145) or `writev` (146), result in `rd`.
+fn vector_io(rd: &str, nr: u32, fd: u32, iov: &str, count: u32) -> String {
+    format!(
+        "
+        movi r0, {nr}
+        movi r1, {fd}
+        movi r2, {iov}
+        movi r3, {count}
+        syscall
+        mov {rd}, r0
+        "
+    )
+}
+
+#[test]
+fn iovec_array_at_the_top_of_memory_is_efault() {
+    // The second word of the only iovec would lie past 4 GiB: EFAULT, not
+    // an address overflow.
+    for (nr, fd) in [(146, 1), (145, 0)] {
+        let body = [
+            vector_io("r6", nr, fd, "0xfffffffc", 1),
+            vector_io("r7", nr, fd, "0xfffffff8", 2),
+            "movi r8, 0".to_string(),
+            check_r6_r7_r8([EFAULT, EFAULT, 0]),
+        ]
+        .concat();
+        let (outcome, _) = run(&exit_with(&body, ""));
+        assert_eq!(outcome, RunOutcome::Exited(0), "syscall {nr}");
+    }
+}
+
+#[test]
+fn more_than_iov_max_iovecs_is_einval() {
+    // 1,025 zero-length iovecs are one too many; 1,024 transfer nothing.
+    let body = [
+        vector_io("r6", 146, 1, "iov", 1025),
+        vector_io("r7", 145, 0, "iov", 1025),
+        vector_io("r8", 146, 1, "iov", 1024),
+        check_r6_r7_r8([EINVAL, EINVAL, 0]),
+    ]
+    .concat();
+    let src = exit_with(&body, ".bss\n    iov: .space 8200");
+    let (outcome, _) = run(&src);
+    assert_eq!(outcome, RunOutcome::Exited(0));
+}
+
+#[test]
+fn read_past_the_end_of_a_file_returns_zero() {
+    // Seek 16 bytes past the end of the 17-byte motd, then read.
+    let src = exit_with(
+        "
+        movi r0, 5
+        movi r1, path
+        movi r2, 0
+        movi r3, 0
+        syscall
+        mov r6, r0
+        movi r0, 19            ; lseek(fd, 33, SEEK_SET)
+        mov r1, r6
+        movi r2, 33
+        movi r3, 0
+        syscall
+        movi r0, 3             ; read(fd, buf, 8)
+        mov r1, r6
+        movi r2, buf
+        movi r3, 8
+        syscall
+        mov r1, r0
+        ",
+        "
+        .rodata
+    path: .asciz \"/etc/motd\"
+        .bss
+    buf: .space 8
+    ",
+    );
+    let (outcome, _) = run(&src);
+    assert_eq!(outcome, RunOutcome::Exited(0));
+}
+
 #[test]
 fn pipe_roundtrip() {
     let src = exit_with(
@@ -615,6 +695,7 @@ fn check_r6_r7_r8(expect: [u32; 3]) -> String {
 }
 
 const ENOMEM: u32 = (-12i32) as u32;
+const EFAULT: u32 = (-14i32) as u32;
 const EINVAL: u32 = (-22i32) as u32;
 const EFBIG: u32 = (-27i32) as u32;
 

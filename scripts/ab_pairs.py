@@ -4,6 +4,7 @@
     python3 scripts/ab_pairs.py --parent <rev> --change <rev|worktree>
                                 --workload <w> [--workload <w> ...]
                                 [--pairs 10] [--seconds 35] [--trace 0]
+                                [--metric NAME]
 
 Run from inside the repository. Exports each side into its own fresh
 directory under a new temporary directory, removed at the end (`git
@@ -23,7 +24,9 @@ each workload it prints every pair, then each metric's median and
 quartiles on both sides, the ratio and the pairs the change won, and
 the verdict of the rule a claimed gain must meet on the compared metric:
 at least 9 of 10 pairs won, and medians further apart than the
-parent's quartile spread. Traced runs (--trace 1) also compare the five
+parent's quartile spread. The compared metric is the one each workload
+isolates unless --metric names another: an end-to-end metric of
+BENCHMARK.json untraced, a per-layer one traced (--trace 1). Traced runs (--trace 1) also compare the five
 work counters CI pins. Exits nonzero if any run is not `correct` or
 has failed operations.
 """
@@ -41,7 +44,7 @@ from statistics import median, quantiles
 FIRST_SEED = 21
 HELD_OUT_SEED = 424242
 WORKLOADS = ("spec-cpu", "syscall-cold", "fleet-warm")
-# The metric each workload isolates, untraced and traced.
+# The metric each workload isolates, untraced and traced (the default verdict).
 METRIC = {
     (0, "spec-cpu"): "guest_mips",
     (0, "syscall-cold"): "verified_per_s",
@@ -125,6 +128,12 @@ def run_once(side_dir, workload, seed, seconds, trace):
     return json.loads(lines[-1])
 
 
+def ratio(change, parent):
+    """change / parent to four places, or '-' when the parent reads 0
+    (the trap metrics on `fleet-warm`, say)."""
+    return f"{change / parent:.4f}" if parent else "-"
+
+
 def spread(values):
     """Median and quartiles."""
     if len(values) < 2:
@@ -133,12 +142,14 @@ def spread(values):
     return median(values), q1, q3
 
 
-def directions(side_dir):
-    """Whether a larger value is better, per metric, from BENCHMARK.json."""
+def directions(side_dir, trace=None):
+    """Whether a larger value is better, per metric, from BENCHMARK.json;
+    only the metrics a run at `trace` reports, if given."""
     with open(os.path.join(side_dir, "BENCHMARK.json")) as f:
         bench = json.load(f)
+    kinds = {None: ("end_to_end", "per_layer"), 0: ("end_to_end",), 1: ("per_layer",)}
     return {m["name"]: m["better"] == "higher"
-            for m in bench["end_to_end"] + bench["per_layer"]}
+            for kind in kinds[trace] for m in bench[kind]}
 
 
 def compare(workload, metric, pairs, higher):
@@ -150,9 +161,8 @@ def compare(workload, metric, pairs, higher):
         change = [c["metrics"][name]["value"] for _, _, c in pairs]
         won = sum((c > p) if higher[name] else (c < p) for p, c in zip(parent, change))
         (pm, pq1, pq3), (cm, cq1, cq3) = spread(parent), spread(change)
-        ratio = f"{cm / pm:.4f}" if pm else "-"
         log(f"  {name:<26} {pm:.6g} [{pq1:.6g}, {pq3:.6g}]  ->  {cm:.6g} [{cq1:.6g}, "
-            f"{cq3:.6g}] {unit}  {ratio}  {won}/{len(pairs)}")
+            f"{cq3:.6g}] {unit}  {ratio(cm, pm)}  {won}/{len(pairs)}")
         if name == metric:
             verdict = (won, pm, cm, pq3 - pq1)
     won, pm, cm, iqr = verdict
@@ -163,7 +173,7 @@ def compare(workload, metric, pairs, higher):
     else:
         rule = "9-of-10 rule not met"
     log(f"  {metric} ({'higher' if higher[metric] else 'lower'} is better): change won "
-        f"{won}/{len(pairs)} pairs, median ratio {cm / pm:.4f}, medians differ by "
+        f"{won}/{len(pairs)} pairs, median ratio {ratio(cm, pm)}, medians differ by "
         f"{abs(cm - pm):.6g} against the parent's quartile spread {iqr:.6g}: {rule}")
 
 
@@ -175,6 +185,7 @@ def main():
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=35)
     parser.add_argument("--trace", type=int, default=0, choices=(0, 1))
+    parser.add_argument("--metric", help="the verdict metric, a name in BENCHMARK.json")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -182,6 +193,10 @@ def main():
     signal.signal(signal.SIGTERM, lambda *_: sys.exit("ab_pairs: terminated"))
 
     os.chdir(git("rev-parse", "--show-toplevel").decode().strip())
+    if args.metric is not None and args.metric not in directions(".", args.trace):
+        parser.error(f"--metric {args.metric} is not among the metrics BENCHMARK.json "
+                     f"reports at --trace {args.trace}: "
+                     + ", ".join(sorted(directions(".", args.trace))))
     workdir = tempfile.mkdtemp(prefix="ab_pairs-")
     try:
         sides = {}
@@ -196,7 +211,7 @@ def main():
         seeds = [FIRST_SEED + i for i in range(args.pairs - 1)] + [HELD_OUT_SEED]
         bad = 0
         for workload in args.workload:
-            metric = METRIC[(args.trace, workload)]
+            metric = args.metric or METRIC[(args.trace, workload)]
             log(f"\n{workload}: {args.pairs} pairs, {args.seconds:g} s per run, "
                 f"trace {args.trace}")
             pairs = []
@@ -217,7 +232,7 @@ def main():
                                for k in WORK_COUNTERS)
                     counters = "  work counters " + ("match" if same else "DIFFER")
                 log(f"  pair {i + 1:>2} seed {seed:<6} parent {p:<12.6g} change {c:<12.6g} "
-                    f"ratio {c / p:.4f}  ({order[0]} first){counters}")
+                    f"ratio {ratio(c, p)}  ({order[0]} first){counters}")
                 pairs.append((seed, result["parent"], result["change"]))
             compare(workload, metric, pairs, higher)
         if bad:
