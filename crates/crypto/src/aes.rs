@@ -10,11 +10,17 @@
 //! no `MixColumns` and reads the S-box directly. The tables are computed
 //! at compile time from the S-box.
 //!
+//! On an x86-64 CPU with AES-NI the rounds run in hardware instead: nine
+//! `AESENC` and one `AESENCLAST` over the same schedule, in constant time.
+//! [`Aes128::new`] asks the CPU once per key, and the table rounds are what
+//! a CPU without AES-NI runs (DESIGN.md §21). The call into the hardware
+//! rounds is the crate's one `unsafe` block.
+//!
 //! Every block goes through one crate-private function,
-//! `Aes128::encrypt_words`, which is also where blocks are counted. The
-//! byte-wise FIPS-197 rounds live on only in this module's tests, as the
-//! reference that the FIPS-197 vectors and a differential test check the
-//! word-wise rounds against.
+//! `Aes128::encrypt_words`, which is also where blocks are counted, once
+//! whichever rounds run it. The byte-wise FIPS-197 rounds live on only in
+//! this crate's tests, as the reference that the FIPS-197 vectors and the
+//! differential tests check both backends against.
 
 /// The AES S-box.
 const SBOX: [u8; 256] = [
@@ -75,6 +81,9 @@ const fn te_tables() -> [[u32; 256]; 4] {
 /// which keeps the cycle model honest when a cached fast path skips work.
 pub struct Aes128 {
     round_keys: [u32; 44],
+    /// The same schedule as AES-NI loads it, present only when the CPU
+    /// has AES-NI; `encrypt_words` then runs the hardware rounds.
+    ni: Option<ni::RoundKeys>,
     blocks: std::rc::Rc<std::cell::Cell<u64>>,
 }
 
@@ -86,6 +95,7 @@ impl Clone for Aes128 {
         // counter instead.
         Aes128 {
             round_keys: self.round_keys,
+            ni: self.ni,
             blocks: std::rc::Rc::new(std::cell::Cell::new(self.blocks.get())),
         }
     }
@@ -93,7 +103,7 @@ impl Clone for Aes128 {
 
 impl std::fmt::Debug for Aes128 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Never leak key material through Debug output.
+        // Never leak key material through Debug output, in either form.
         f.debug_struct("Aes128")
             .field("round_keys", &"<redacted>")
             .finish()
@@ -101,8 +111,17 @@ impl std::fmt::Debug for Aes128 {
 }
 
 impl Aes128 {
-    /// Expands `key` into the 11 round keys of AES-128.
+    /// Expands `key` into the 11 round keys of AES-128, and runs its
+    /// blocks through AES-NI when the CPU has it.
     pub fn new(key: &[u8; 16]) -> Self {
+        let mut aes = Aes128::with_table_rounds(key);
+        aes.ni = ni::RoundKeys::detect(&aes.round_keys);
+        aes
+    }
+
+    /// Expands `key` for the table rounds, whatever the CPU has: what
+    /// [`Aes128::new`] builds on a CPU without AES-NI.
+    pub(crate) fn with_table_rounds(key: &[u8; 16]) -> Self {
         let mut w = [0u32; 44];
         w[..4].copy_from_slice(&load_block(key));
         for i in 4..44 {
@@ -114,8 +133,15 @@ impl Aes128 {
         }
         Aes128 {
             round_keys: w,
+            ni: None,
             blocks: std::rc::Rc::new(std::cell::Cell::new(0)),
         }
+    }
+
+    /// Whether this key's blocks run through AES-NI.
+    #[cfg(test)]
+    pub(crate) fn uses_aes_ni(&self) -> bool {
+        self.ni.is_some()
     }
 
     /// A second handle to the *same* expanded key: the round keys are
@@ -131,6 +157,7 @@ impl Aes128 {
     pub fn shared_schedule(&self) -> Aes128 {
         Aes128 {
             round_keys: self.round_keys,
+            ni: self.ni,
             blocks: std::rc::Rc::clone(&self.blocks),
         }
     }
@@ -152,6 +179,14 @@ impl Aes128 {
     /// this is where it is counted, once.
     pub(crate) fn encrypt_words(&self, block: [u32; 4]) -> [u32; 4] {
         self.blocks.set(self.blocks.get().wrapping_add(1));
+        match &self.ni {
+            Some(keys) => keys.encrypt(block),
+            None => self.table_rounds(block),
+        }
+    }
+
+    /// The word-wise T-table rounds.
+    fn table_rounds(&self, block: [u32; 4]) -> [u32; 4] {
         let rk = &self.round_keys;
         let mut s = [
             block[0] ^ rk[0],
@@ -231,8 +266,94 @@ fn last_column(a: u32, b: u32, c: u32, d: u32) -> u32 {
     ])
 }
 
+/// The AES-NI rounds (x86-64 only).
+#[cfg(target_arch = "x86_64")]
+mod ni {
+    use std::arch::x86_64::{
+        _mm_aesenc_si128, _mm_aesenclast_si128, _mm_cvtsi128_si64, _mm_set_epi64x,
+        _mm_unpackhi_epi64, _mm_xor_si128,
+    };
+
+    /// The 11 round keys as AES-NI loads them: each the low and high
+    /// halves of a register whose low byte is the round key's first byte.
+    /// [`RoundKeys::detect`] is the only constructor, so a value exists
+    /// only on a CPU that has AES-NI.
+    #[derive(Clone, Copy)]
+    pub(super) struct RoundKeys([[u64; 2]; 11]);
+
+    impl RoundKeys {
+        /// The word schedule `w` in AES-NI's form, or `None` when this CPU
+        /// has no AES-NI.
+        pub(super) fn detect(w: &[u32; 44]) -> Option<Self> {
+            if !std::arch::is_x86_feature_detected!("aes") {
+                return None;
+            }
+            Some(RoundKeys(std::array::from_fn(|r| {
+                halves([w[4 * r], w[4 * r + 1], w[4 * r + 2], w[4 * r + 3]])
+            })))
+        }
+
+        /// Encrypts one block of big-endian column words.
+        #[allow(unsafe_code)]
+        pub(super) fn encrypt(&self, block: [u32; 4]) -> [u32; 4] {
+            // SAFETY: `rounds` needs the CPU's AES-NI. `self` was built by
+            // `detect`, its type's only constructor, which returns a value
+            // only after `is_x86_feature_detected!("aes")` said this CPU
+            // has it.
+            unsafe { rounds(&self.0, block) }
+        }
+    }
+
+    /// Whitening, nine full rounds and the last round, in registers.
+    #[target_feature(enable = "aes")]
+    fn rounds(keys: &[[u64; 2]; 11], block: [u32; 4]) -> [u32; 4] {
+        let load = |[lo, hi]: [u64; 2]| _mm_set_epi64x(hi as i64, lo as i64);
+        let mut s = _mm_xor_si128(load(halves(block)), load(keys[0]));
+        for &key in &keys[1..10] {
+            s = _mm_aesenc_si128(s, load(key));
+        }
+        let s = _mm_aesenclast_si128(s, load(keys[10]));
+        let hi = _mm_unpackhi_epi64(s, s);
+        words([_mm_cvtsi128_si64(s) as u64, _mm_cvtsi128_si64(hi) as u64])
+    }
+
+    /// Four big-endian column words as the low and high halves of a
+    /// register: bytes 0–7 of the block little-endian, then bytes 8–15.
+    #[inline(always)]
+    fn halves(w: [u32; 4]) -> [u64; 2] {
+        [
+            ((u64::from(w[0]) << 32) | u64::from(w[1])).swap_bytes(),
+            ((u64::from(w[2]) << 32) | u64::from(w[3])).swap_bytes(),
+        ]
+    }
+
+    /// The inverse of [`halves`].
+    #[inline(always)]
+    fn words([lo, hi]: [u64; 2]) -> [u32; 4] {
+        let (lo, hi) = (lo.swap_bytes(), hi.swap_bytes());
+        [(lo >> 32) as u32, lo as u32, (hi >> 32) as u32, hi as u32]
+    }
+}
+
+/// Off x86-64 there is no AES-NI, and no value of `RoundKeys`.
+#[cfg(not(target_arch = "x86_64"))]
+mod ni {
+    #[derive(Clone, Copy)]
+    pub(super) enum RoundKeys {}
+
+    impl RoundKeys {
+        pub(super) fn detect(_: &[u32; 44]) -> Option<Self> {
+            None
+        }
+
+        pub(super) fn encrypt(&self, _: [u32; 4]) -> [u32; 4] {
+            match *self {}
+        }
+    }
+}
+
 /// The byte-wise FIPS-197 cipher the word-wise rounds replaced, kept as
-/// the reference the tests check them against.
+/// the reference the tests check both backends against.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::{RCON, SBOX};
@@ -336,9 +457,7 @@ pub(crate) mod reference {
 
 #[cfg(test)]
 mod tests {
-    use super::reference::ByteAes;
     use super::*;
-    use asc_testkit::Rng;
 
     fn hex(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -349,10 +468,6 @@ mod tests {
 
     fn block(s: &str) -> [u8; 16] {
         hex(s).try_into().unwrap()
-    }
-
-    fn random_block(rng: &mut Rng) -> [u8; 16] {
-        std::array::from_fn(|_| rng.byte())
     }
 
     #[test]
@@ -367,38 +482,6 @@ mod tests {
             &aes.round_keys[40..],
             &[0xd014f9a8, 0xc9ee2589, 0xe13f0cc8, 0xb6630ca6]
         );
-    }
-
-    #[test]
-    fn fips197_appendix_b() {
-        let key = block("2b7e151628aed2a6abf7158809cf4f3c");
-        let pt = block("3243f6a8885a308d313198a2e0370734");
-        let ct = block("3925841d02dc09fbdc118597196a0b32");
-        assert_eq!(Aes128::new(&key).encrypt(&pt), ct);
-        assert_eq!(ByteAes::new(&key).encrypt(&pt), ct, "reference");
-    }
-
-    #[test]
-    fn fips197_appendix_c1() {
-        let key = block("000102030405060708090a0b0c0d0e0f");
-        let pt = block("00112233445566778899aabbccddeeff");
-        let ct = block("69c4e0d86a7b0430d8cdb78070b4c55a");
-        assert_eq!(Aes128::new(&key).encrypt(&pt), ct);
-        assert_eq!(ByteAes::new(&key).encrypt(&pt), ct, "reference");
-    }
-
-    #[test]
-    fn word_rounds_match_the_byte_wise_reference() {
-        let mut rng = Rng::new(0xAE5_0128);
-        for pair in 0..10_000 {
-            let key = random_block(&mut rng);
-            let pt = random_block(&mut rng);
-            assert_eq!(
-                Aes128::new(&key).encrypt(&pt),
-                ByteAes::new(&key).encrypt(&pt),
-                "pair {pair}: key {key:02x?}, block {pt:02x?}"
-            );
-        }
     }
 
     #[test]
@@ -418,9 +501,18 @@ mod tests {
     }
 
     #[test]
-    fn debug_redacts_key() {
-        let aes = Aes128::new(&[9u8; 16]);
-        assert!(format!("{aes:?}").contains("redacted"));
+    fn debug_redacts_the_schedule_in_both_forms() {
+        let key = [9u8; 16];
+        for aes in [Aes128::with_table_rounds(&key), Aes128::new(&key)] {
+            let shown = format!("{aes:?}");
+            assert!(shown.contains("<redacted>"), "{shown}");
+            for w in aes.round_keys {
+                assert!(
+                    !shown.contains(&format!("{w:x}")) && !shown.contains(&w.to_string()),
+                    "{shown} shows schedule word {w:08x}"
+                );
+            }
+        }
     }
 
     #[test]

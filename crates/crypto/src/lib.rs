@@ -4,8 +4,10 @@
 //! AES-CBC-OMAC (OMAC1, a.k.a. CMAC) for every message authentication code.
 //! This crate reimplements that stack from scratch:
 //!
-//! * [`aes::Aes128`] — the block cipher, table-driven and word-wise like
-//!   Gladman's (FIPS-197 vectors and a byte-wise reference in tests);
+//! * [`aes::Aes128`] — the block cipher: AES-NI rounds where the CPU has
+//!   them, chosen once per key, and otherwise table-driven word-wise
+//!   rounds like Gladman's (FIPS-197 vectors and a byte-wise reference
+//!   check both in tests);
 //! * [`cmac::Cmac`] — OMAC1, chained in words (RFC 4493 vectors in tests);
 //! * [`key::MacKey`] — the installation key shared by installer and kernel;
 //! * [`authstring::AuthenticatedString`] — the `{length, MAC, string}`

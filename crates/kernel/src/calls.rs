@@ -3,6 +3,8 @@
 //! Each call implements just enough behaviour for the guest workloads and
 //! the paper's experiments; returns use the negative-errno convention.
 
+use std::collections::VecDeque;
+
 use asc_isa::Reg;
 use asc_vm::{TrapContext, TrapOutcome};
 
@@ -31,10 +33,17 @@ pub mod oflags {
 /// would have the kernel zero-fill up to 4 GiB of host memory.
 pub const MAX_FILE_SIZE: u32 = 1 << 24;
 
+/// The most descriptors a process holds open at once: what
+/// `sysconf(_SC_OPEN_MAX)` answers, and one past the largest `dup2`
+/// target.
+pub(crate) const OPEN_MAX: usize = 1024;
+
 const EBADF: u32 = (-9i32) as u32;
+const EAGAIN: u32 = (-11i32) as u32;
 const ENOMEM: u32 = (-12i32) as u32;
 const EFAULT: u32 = (-14i32) as u32;
 const EINVAL: u32 = (-22i32) as u32;
+pub(crate) const EMFILE: u32 = (-24i32) as u32;
 const EFBIG: u32 = (-27i32) as u32;
 const ENOSYS: u32 = (-38i32) as u32;
 
@@ -59,6 +68,33 @@ fn copy_out(ctx: &mut TrapContext<'_>, buf: u32, data: &[u8]) -> Result<usize, u
         return Err(EFAULT);
     }
     Ok(data.len())
+}
+
+/// Moves up to `len` bytes from the front of a pipe or socket buffer to
+/// guest memory at `buf`. The bytes leave the buffer whether or not the
+/// copy-out faults.
+fn drain_out(
+    ctx: &mut TrapContext<'_>,
+    buf: u32,
+    queue: &mut VecDeque<u8>,
+    len: usize,
+) -> Result<usize, u32> {
+    let n = queue.len().min(len);
+    let copied = copy_out(ctx, buf, &queue.make_contiguous()[..n]);
+    queue.drain(..n);
+    copied
+}
+
+/// Appends what fits of `data` to a pipe or socket buffer, which holds at
+/// most [`MAX_FILE_SIZE`] bytes: the count, or `EAGAIN` when the buffer
+/// is full and `data` is not empty.
+fn fill(queue: &mut VecDeque<u8>, data: &[u8]) -> Result<usize, u32> {
+    let n = data.len().min(MAX_FILE_SIZE as usize - queue.len());
+    if n == 0 && !data.is_empty() {
+        return Err(EAGAIN);
+    }
+    queue.extend(&data[..n]);
+    Ok(n)
 }
 
 /// Sets a file's length, zero-filling any growth; `EFBIG` past
@@ -248,13 +284,13 @@ impl Kernel {
                 }
             }
             Dup => match self.fds.get(args[0] as usize).cloned().flatten() {
-                Some(f) => self.alloc_fd(f),
+                Some(f) => self.alloc_fd(f).unwrap_or_else(|e| e),
                 None => EBADF,
             },
             Dup2 => match self.fds.get(args[0] as usize).cloned().flatten() {
                 Some(f) => {
                     let target = args[1] as usize;
-                    if target >= 1024 {
+                    if target >= OPEN_MAX {
                         EBADF
                     } else {
                         if target >= self.fds.len() {
@@ -266,27 +302,7 @@ impl Kernel {
                 }
                 None => EBADF,
             },
-            Pipe => {
-                self.pipes.push(Default::default());
-                let idx = self.pipes.len() - 1;
-                let r = self.alloc_fd(OpenFile {
-                    kind: FdKind::PipeRead(idx),
-                    pos: 0,
-                    flags: 0,
-                });
-                let w = self.alloc_fd(OpenFile {
-                    kind: FdKind::PipeWrite(idx),
-                    pos: 0,
-                    flags: 1,
-                });
-                let mut buf = [0u8; 8];
-                buf[..4].copy_from_slice(&r.to_le_bytes());
-                buf[4..].copy_from_slice(&w.to_le_bytes());
-                match ctx.mem.kwrite(args[0], &buf) {
-                    Ok(()) => 0,
-                    Err(_) => EFAULT,
-                }
-            }
+            Pipe => self.sys_pipe(args[0], ctx),
             Fcntl | Ioctl => {
                 if self.fd(args[0]).is_some() {
                     0
@@ -294,14 +310,7 @@ impl Kernel {
                     EBADF
                 }
             }
-            Socket => {
-                self.sockets.push(Vec::new());
-                self.alloc_fd(OpenFile {
-                    kind: FdKind::Socket(self.sockets.len() - 1),
-                    pos: 0,
-                    flags: 2,
-                })
-            }
+            Socket => self.open_socket(),
             Connect | Bind | Listen | Shutdown | Setsockopt | Getsockopt => {
                 if self.fd(args[0]).is_some() {
                     0
@@ -310,14 +319,7 @@ impl Kernel {
                 }
             }
             Accept => match self.fd(args[0]).map(|f| f.kind.clone()) {
-                Some(FdKind::Socket(_)) => {
-                    self.sockets.push(Vec::new());
-                    self.alloc_fd(OpenFile {
-                        kind: FdKind::Socket(self.sockets.len() - 1),
-                        pos: 0,
-                        flags: 2,
-                    })
-                }
+                Some(FdKind::Socket(_)) => self.open_socket(),
                 _ => EBADF,
             },
             Uname => {
@@ -355,9 +357,9 @@ impl Kernel {
             }
             Setrlimit => 0,
             Sysconf => match args[0] {
-                0 => 4096, // _SC_PAGESIZE
-                1 => 1024, // _SC_OPEN_MAX
-                2 => 100,  // _SC_CLK_TCK
+                0 => 4096,            // _SC_PAGESIZE
+                1 => OPEN_MAX as u32, // _SC_OPEN_MAX
+                2 => 100,             // _SC_CLK_TCK
                 _ => EINVAL,
             },
             Fork | Waitpid => ENOSYS,
@@ -392,9 +394,60 @@ impl Kernel {
         }
     }
 
+    /// Both ends of a new pipe, or neither.
+    fn sys_pipe(&mut self, addr: u32, ctx: &mut TrapContext<'_>) -> u32 {
+        let (idx, open) = (self.pipes.len(), self.fds.len());
+        let end = |kind, flags| OpenFile {
+            kind,
+            pos: 0,
+            flags,
+        };
+        let r = match self.alloc_fd(end(FdKind::PipeRead(idx), 0)) {
+            Ok(fd) => fd,
+            Err(e) => return e,
+        };
+        let w = match self.alloc_fd(end(FdKind::PipeWrite(idx), 1)) {
+            Ok(fd) => fd,
+            Err(e) => {
+                self.fds[r as usize] = None;
+                self.fds.truncate(open);
+                return e;
+            }
+        };
+        self.pipes.push(VecDeque::new());
+        let mut buf = [0u8; 8];
+        buf[..4].copy_from_slice(&r.to_le_bytes());
+        buf[4..].copy_from_slice(&w.to_le_bytes());
+        match ctx.mem.kwrite(addr, &buf) {
+            Ok(()) => 0,
+            Err(_) => EFAULT,
+        }
+    }
+
+    /// A new socket's descriptor, its buffer pushed only once it has one.
+    fn open_socket(&mut self) -> u32 {
+        let file = OpenFile {
+            kind: FdKind::Socket(self.sockets.len()),
+            pos: 0,
+            flags: 2,
+        };
+        match self.alloc_fd(file) {
+            Ok(fd) => {
+                self.sockets.push(VecDeque::new());
+                fd
+            }
+            Err(e) => e,
+        }
+    }
+
     fn sys_open(&mut self, path_addr: u32, flags: u32, _mode: u32, ctx: &TrapContext<'_>) -> u32 {
         let path = match read_path(ctx, path_addr) {
             Ok(p) => p,
+            Err(e) => return e,
+        };
+        // The descriptor comes first, so a full table creates no file.
+        let fd = match self.free_fd() {
+            Ok(fd) => fd,
             Err(e) => return e,
         };
         // §5.4: resolve through symlinks to the canonical entry.
@@ -403,11 +456,14 @@ impl Kernel {
             Err(FsError::NotFound) if flags & oflags::O_CREAT != 0 => {
                 let file = InodeKind::File(Vec::new());
                 return match self.fs.create(path, &self.cwd, file, 0o666) {
-                    Ok(id) => self.alloc_fd(OpenFile {
-                        kind: FdKind::File(id),
-                        pos: 0,
-                        flags,
-                    }),
+                    Ok(id) => self.install_fd(
+                        fd,
+                        OpenFile {
+                            kind: FdKind::File(id),
+                            pos: 0,
+                            flags,
+                        },
+                    ),
                     Err(e) => errno(e),
                 };
             }
@@ -431,11 +487,14 @@ impl Kernel {
                 InodeKind::Symlink(_) => return EINVAL, // the walk followed it
             },
         };
-        self.alloc_fd(OpenFile {
-            kind,
-            pos: 0,
-            flags,
-        })
+        self.install_fd(
+            fd,
+            OpenFile {
+                kind,
+                pos: 0,
+                flags,
+            },
+        )
     }
 
     fn sys_close(&mut self, fd: u32) -> u32 {
@@ -575,8 +634,9 @@ impl Kernel {
     }
 
     /// `readv` and `writev`: one transfer per `{ptr u32, len u32}` iovec
-    /// of the array at `args[1]`, at most [`IOV_MAX`] of them; a read stops
-    /// at its first short transfer.
+    /// of the array at `args[1]`, at most [`IOV_MAX`] of them. Both stop at
+    /// their first short transfer, and an error after bytes moved returns
+    /// the bytes moved.
     fn sys_vectored(&mut self, write: bool, args: [u32; 6], ctx: &mut TrapContext<'_>) -> u32 {
         if args[2] > IOV_MAX {
             return EINVAL;
@@ -595,10 +655,13 @@ impl Kernel {
                 self.sys_read(args[0], ptr, len, ctx)
             };
             if (n as i32) < 0 {
-                return n;
+                if total == 0 {
+                    return n;
+                }
+                break;
             }
             total += n;
-            if !write && n < len {
+            if n < len {
                 break;
             }
         }
@@ -633,20 +696,8 @@ impl Kernel {
                 self.fd(fd).expect("checked").pos = (pos + n) as u64;
                 copied
             }
-            FdKind::Socket(idx) => {
-                let sock = &mut self.sockets[idx];
-                let n = sock.len().min(len);
-                let copied = copy_out(ctx, buf, &sock[..n]);
-                sock.drain(..n);
-                copied
-            }
-            FdKind::PipeRead(idx) => {
-                let pipe = &mut self.pipes[idx];
-                let n = pipe.len().min(len);
-                let copied = copy_out(ctx, buf, &pipe.make_contiguous()[..n]);
-                pipe.drain(..n);
-                copied
-            }
+            FdKind::Socket(idx) => drain_out(ctx, buf, &mut self.sockets[idx], len),
+            FdKind::PipeRead(idx) => drain_out(ctx, buf, &mut self.pipes[idx], len),
             FdKind::Null | FdKind::Console => Ok(0),
             FdKind::Stdout | FdKind::Stderr | FdKind::PipeWrite(_) | FdKind::Dir(_) => {
                 return EBADF
@@ -669,11 +720,20 @@ impl Kernel {
             Some(f) => f.kind.clone(),
             None => return EBADF,
         };
-        match kind {
-            FdKind::Stdout => self.stdout.extend_from_slice(data),
-            FdKind::Stderr => self.stderr.extend_from_slice(data),
-            FdKind::Console => self.console.extend_from_slice(data),
-            FdKind::Null => {}
+        let written = match kind {
+            FdKind::Stdout => {
+                self.stdout.extend_from_slice(data);
+                data.len()
+            }
+            FdKind::Stderr => {
+                self.stderr.extend_from_slice(data);
+                data.len()
+            }
+            FdKind::Console => {
+                self.console.extend_from_slice(data);
+                data.len()
+            }
+            FdKind::Null => data.len(),
             FdKind::File(inode) => {
                 let (pos, append) = {
                     let f = self.fd(fd).expect("checked");
@@ -690,16 +750,23 @@ impl Kernel {
                         }
                         d[pos..pos + data.len()].copy_from_slice(data);
                         self.fd(fd).expect("checked").pos = (pos + data.len()) as u64;
+                        data.len()
                     }
                     _ => return errno(FsError::IsADirectory),
                 }
             }
-            FdKind::Socket(idx) => self.sockets[idx].extend_from_slice(data),
-            FdKind::PipeWrite(idx) => self.pipes[idx].extend(data.iter().copied()),
+            FdKind::Socket(idx) => match fill(&mut self.sockets[idx], data) {
+                Ok(n) => n,
+                Err(e) => return e,
+            },
+            FdKind::PipeWrite(idx) => match fill(&mut self.pipes[idx], data) {
+                Ok(n) => n,
+                Err(e) => return e,
+            },
             FdKind::Stdin | FdKind::PipeRead(_) | FdKind::Dir(_) => return EBADF,
-        }
-        self.last_io_bytes = data.len() as u64;
-        data.len() as u32
+        };
+        self.last_io_bytes = written as u64;
+        written as u32
     }
 
     /// Directory entries are written as `{name_len u32, name bytes}`
@@ -735,5 +802,27 @@ impl Kernel {
         self.fd(fd).expect("checked").pos = (pos + consumed) as u64;
         self.last_io_bytes = out.len() as u64;
         out.len() as u32
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{KernelOptions, Personality};
+
+    #[test]
+    fn a_socket_refused_by_a_full_table_pushes_no_buffer() {
+        let mut kernel = Kernel::new(KernelOptions::plain(Personality::Linux));
+        let null = OpenFile {
+            kind: FdKind::Null,
+            pos: 0,
+            flags: 0,
+        };
+        kernel.fds.resize(OPEN_MAX, Some(null));
+        assert_eq!(kernel.open_socket(), EMFILE);
+        assert!(kernel.sockets.is_empty());
+        kernel.fds[700] = None;
+        assert_eq!(kernel.open_socket(), 700);
+        assert_eq!(kernel.sockets.len(), 1);
     }
 }

@@ -50,6 +50,58 @@ pub(crate) struct Entry<'f> {
     pub(crate) name: &'f str,
 }
 
+/// The non-empty `/`-separated components of `head` and then `tail`,
+/// scanned byte by byte. `head` always starts at the next component, or
+/// is empty once none is left.
+struct Components<'p> {
+    head: &'p str,
+    tail: &'p str,
+}
+
+impl<'p> Components<'p> {
+    fn new(head: &'p str, tail: &'p str) -> Self {
+        let mut comps = Components { head, tail };
+        comps.skip_separators();
+        comps
+    }
+
+    /// Whether no component is left.
+    fn is_empty(&self) -> bool {
+        self.head.is_empty()
+    }
+
+    /// Drops the slashes before the next component, going on to `tail`
+    /// when `head` has no component left.
+    fn skip_separators(&mut self) {
+        self.head = skip_slashes(self.head);
+        if self.head.is_empty() {
+            self.head = skip_slashes(std::mem::take(&mut self.tail));
+        }
+    }
+}
+
+impl<'p> Iterator for Components<'p> {
+    type Item = &'p str;
+
+    fn next(&mut self) -> Option<&'p str> {
+        if self.head.is_empty() {
+            return None;
+        }
+        let bytes = self.head.as_bytes();
+        let end = bytes.iter().position(|&b| b == b'/').unwrap_or(bytes.len());
+        // A `/` byte is a whole character, so both halves are `str`s.
+        let (comp, rest) = self.head.split_at(end);
+        self.head = rest;
+        self.skip_separators();
+        Some(comp)
+    }
+}
+
+fn skip_slashes(s: &str) -> &str {
+    let n = s.bytes().take_while(|&b| b == b'/').count();
+    &s[n..]
+}
+
 /// Filesystem errors, mirroring errno values the syscalls translate to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsError {
@@ -226,11 +278,7 @@ impl FileSystem {
         if depth > MAX_LINK_DEPTH {
             return Err(FsError::TooManyLinks);
         }
-        let mut comps = head
-            .split('/')
-            .chain(tail.split('/'))
-            .filter(|c| !c.is_empty())
-            .peekable();
+        let mut comps = Components::new(head, tail);
         while let Some(comp) = comps.next() {
             match comp {
                 "." => {}
@@ -240,7 +288,7 @@ impl FileSystem {
                         return Err(FsError::NotADirectory);
                     };
                     let (name, &id) = entries.get_key_value(name).ok_or(FsError::NotFound)?;
-                    let last = comps.peek().is_none();
+                    let last = comps.is_empty();
                     at = Entry {
                         dir: at.id,
                         id,

@@ -25,6 +25,7 @@ use asc_vm::{MemFault, Memory, SyscallHandler, TrapContext, TrapOutcome};
 use crate::abi::{spec, Personality, SyscallId};
 use crate::alert::Alert;
 use crate::batch::{BatchSession, BatchStats, PidCache};
+use crate::calls::{EMFILE, OPEN_MAX};
 use crate::cost::CostModel;
 use crate::fs::FileSystem;
 use crate::metrics::KernelMetrics;
@@ -438,7 +439,7 @@ pub struct Kernel {
     pub(crate) stdout: Vec<u8>,
     pub(crate) stderr: Vec<u8>,
     pub(crate) console: Vec<u8>,
-    pub(crate) sockets: Vec<Vec<u8>>,
+    pub(crate) sockets: Vec<std::collections::VecDeque<u8>>,
     pub(crate) pipes: Vec<std::collections::VecDeque<u8>>,
     pub(crate) time_us: u64,
     pub(crate) umask: u32,
@@ -776,15 +777,28 @@ impl Kernel {
         self.opts.personality
     }
 
-    pub(crate) fn alloc_fd(&mut self, file: OpenFile) -> u32 {
-        for (i, slot) in self.fds.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = Some(file);
-                return i as u32;
-            }
+    /// The lowest free descriptor, or `EMFILE` once [`OPEN_MAX`] are open.
+    pub(crate) fn free_fd(&self) -> Result<u32, u32> {
+        match self.fds.iter().position(Option::is_none) {
+            Some(fd) => Ok(fd as u32),
+            None if self.fds.len() < OPEN_MAX => Ok(self.fds.len() as u32),
+            None => Err(EMFILE),
         }
-        self.fds.push(Some(file));
-        (self.fds.len() - 1) as u32
+    }
+
+    /// Opens `file` at `fd`, a descriptor [`Kernel::free_fd`] returned.
+    pub(crate) fn install_fd(&mut self, fd: u32, file: OpenFile) -> u32 {
+        match self.fds.get_mut(fd as usize) {
+            Some(slot) => *slot = Some(file),
+            None => self.fds.push(Some(file)),
+        }
+        fd
+    }
+
+    /// Opens `file` at the lowest free descriptor, or returns `EMFILE`.
+    pub(crate) fn alloc_fd(&mut self, file: OpenFile) -> Result<u32, u32> {
+        let fd = self.free_fd()?;
+        Ok(self.install_fd(fd, file))
     }
 
     pub(crate) fn fd(&mut self, fd: u32) -> Option<&mut OpenFile> {

@@ -6,13 +6,22 @@ use asc_kernel::{Kernel, KernelOptions, Personality, MAX_FILE_SIZE};
 use asc_vm::{Machine, RunOutcome};
 
 fn run_with(src: &str, stdin: &[u8], prep: impl FnOnce(&mut Kernel)) -> (RunOutcome, Kernel) {
+    run_for(50_000_000, src, stdin, prep)
+}
+
+fn run_for(
+    cycles: u64,
+    src: &str,
+    stdin: &[u8],
+    prep: impl FnOnce(&mut Kernel),
+) -> (RunOutcome, Kernel) {
     let binary = assemble(src).expect("assembles");
     let mut kernel = Kernel::new(KernelOptions::plain(Personality::Linux));
     kernel.set_stdin(stdin.to_vec());
     kernel.set_brk(binary.highest_addr());
     prep(&mut kernel);
     let mut machine = Machine::load(&binary, kernel).expect("loads");
-    let outcome = machine.run(50_000_000);
+    let outcome = machine.run(cycles);
     (outcome, machine.into_handler())
 }
 
@@ -771,4 +780,384 @@ fn sockets_queue_per_descriptor() {
     );
     let (outcome, _) = run(&src);
     assert_eq!(outcome, RunOutcome::Exited(4));
+}
+
+const EMFILE: u32 = (-24i32) as u32;
+const EAGAIN: u32 = (-11i32) as u32;
+
+/// Closes descriptors 0–2, so the whole table is the guest's, then opens
+/// `/dev/null` `n` times, exiting with 99 unless each open gets the next
+/// descriptor.
+fn fill_table(n: u32) -> String {
+    format!(
+        "
+        movi r4, 0
+        movi r5, 3
+    close_std:
+        movi r0, 6
+        mov r1, r4
+        syscall
+        addi r4, r4, 1
+        bne r4, r5, close_std
+        movi r4, 0
+        movi r5, {n}
+    open_all:
+        movi r0, 5
+        movi r1, null
+        movi r2, 0
+        movi r3, 0
+        syscall
+        bne r0, r4, fail
+        addi r4, r4, 1
+        bne r4, r5, open_all
+        "
+    )
+}
+
+#[test]
+fn the_1025th_descriptor_is_emfile() {
+    // 1,024 opens succeed. Then open, an `O_CREAT` open, `dup` and
+    // `socket` all fail with EMFILE, and the `O_CREAT` creates no file.
+    let src = exit_with(
+        &format!(
+            "{}
+        movi r0, 5
+        movi r1, null
+        movi r2, 0
+        movi r3, 0
+        syscall
+        mov r6, r0
+        movi r0, 5
+        movi r1, new
+        movi r2, 0x41
+        movi r3, 0x1b6
+        syscall
+        bne r0, r6, fail
+        movi r0, 41            ; dup(0)
+        movi r1, 0
+        syscall
+        bne r0, r6, fail
+        movi r0, 102
+        movi r1, 2
+        movi r2, 1
+        movi r3, 0
+        syscall
+        bne r0, r6, fail
+        mov r1, r6
+        jmp done
+    fail:
+        movi r1, 99
+    done:
+        ",
+            fill_table(1024)
+        ),
+        "
+        .rodata
+    null: .asciz \"/dev/null\"
+    new: .asciz \"/tmp/new\"
+    ",
+    );
+    let (outcome, kernel) = run(&src);
+    assert_eq!(outcome, RunOutcome::Exited(EMFILE));
+    assert!(kernel.fs().resolve("/tmp/new", "/").is_err());
+}
+
+#[test]
+fn pipe_with_one_free_slot_is_emfile_and_leaves_the_table() {
+    // 1,023 descriptors open: the pipe fails and writes no descriptors;
+    // the one free slot is still free, and then the table is full.
+    let src = exit_with(
+        &format!(
+            "{}
+        movi r0, 42
+        movi r1, fds
+        syscall
+        mov r6, r0
+        movi r12, fds
+        ldw r7, [r12]
+        movi r8, 0
+        bne r7, r8, fail
+        ldw r7, [r12+4]
+        bne r7, r8, fail
+        movi r0, 5
+        movi r1, null
+        movi r2, 0
+        movi r3, 0
+        syscall
+        movi r7, 1023
+        bne r0, r7, fail
+        movi r0, 5
+        movi r1, null
+        movi r2, 0
+        movi r3, 0
+        syscall
+        bne r0, r6, fail
+        mov r1, r6
+        jmp done
+    fail:
+        movi r1, 99
+    done:
+        ",
+            fill_table(1023)
+        ),
+        "
+        .rodata
+    null: .asciz \"/dev/null\"
+        .bss
+    fds: .space 8
+    ",
+    );
+    let (outcome, _) = run(&src);
+    assert_eq!(outcome, RunOutcome::Exited(EMFILE));
+}
+
+#[test]
+fn open_after_close_gets_the_lowest_free_descriptor() {
+    // Open 3, 4 and 5; close 4 then 3; the next opens get 3, 4, then 6.
+    let open = "
+        movi r0, 5
+        movi r1, null
+        movi r2, 0
+        movi r3, 0
+        syscall";
+    let src = exit_with(
+        &format!(
+            "{open}
+        {open}
+        {open}
+        movi r0, 6
+        movi r1, 4
+        syscall
+        movi r0, 6
+        movi r1, 3
+        syscall
+        {open}
+        mov r4, r0
+        {open}
+        shli r0, r0, 8
+        or r4, r4, r0
+        {open}
+        shli r0, r0, 16
+        or r1, r4, r0
+        "
+        ),
+        "
+        .rodata
+    null: .asciz \"/dev/null\"
+    ",
+    );
+    let (outcome, _) = run(&src);
+    assert_eq!(outcome, RunOutcome::Exited(3 | 4 << 8 | 6 << 16));
+}
+
+/// Sets `r4` to the write descriptor and `r11` to the read descriptor of
+/// a new pipe or socket.
+fn open_buffer(pipe: bool) -> &'static str {
+    if pipe {
+        "
+        movi r0, 42
+        movi r1, fds
+        syscall
+        movi r12, fds
+        ldw r11, [r12]
+        ldw r4, [r12+4]"
+    } else {
+        "
+        movi r0, 102
+        movi r1, 2
+        movi r2, 1
+        movi r3, 0
+        syscall
+        mov r4, r0
+        mov r11, r0"
+    }
+}
+
+#[test]
+fn pipe_and_socket_buffers_stop_at_16_mib() {
+    // 16 writes of 1 MiB - 16 bytes leave 256 bytes of room: a 1 MiB
+    // write writes those 256, one more byte is EAGAIN, an empty write
+    // returns 0, and after a 3-byte read a 5-byte write writes 3. After
+    // a 4-byte read, a `writev` of 2 and 5 bytes writes 4 and stops; the
+    // next one, into the full buffer, is EAGAIN.
+    assert_eq!(MAX_FILE_SIZE, 16 << 20);
+    for pipe in [true, false] {
+        let src = exit_with(
+            &format!(
+                "{}
+        movi r5, 0
+        movi r6, 16
+    fill:
+        movi r0, 4
+        mov r1, r4
+        movi r2, big
+        movi r3, 0xffff0
+        syscall
+        movi r7, 0xffff0
+        bne r0, r7, short
+        addi r5, r5, 1
+        bne r5, r6, fill
+        movi r1, 1
+        movi r0, 4
+        mov r1, r4
+        movi r2, big
+        movi r3, 0x100000
+        syscall
+        movi r7, 256
+        movi r1, 2
+        bne r0, r7, done
+        movi r0, 4
+        mov r1, r4
+        movi r2, big
+        movi r3, 1
+        syscall
+        movi r7, {EAGAIN}
+        movi r1, 3
+        bne r0, r7, done
+        movi r0, 4
+        mov r1, r4
+        movi r2, big
+        movi r3, 0
+        syscall
+        movi r7, 0
+        movi r1, 4
+        bne r0, r7, done
+        movi r0, 3
+        mov r1, r11
+        movi r2, big
+        movi r3, 3
+        syscall
+        movi r7, 3
+        movi r1, 5
+        bne r0, r7, done
+        movi r0, 4
+        mov r1, r4
+        movi r2, big
+        movi r3, 5
+        syscall
+        movi r1, 6
+        bne r0, r7, done
+        movi r0, 3
+        mov r1, r11
+        movi r2, big
+        movi r3, 4
+        syscall
+        movi r12, iov          ; writev of 2 + 5 bytes into 4 bytes of room
+        movi r5, big
+        stw [r12], r5
+        movi r5, 2
+        stw [r12+4], r5
+        movi r5, big
+        stw [r12+8], r5
+        movi r5, 5
+        stw [r12+12], r5
+        movi r0, 146
+        mov r1, r4
+        mov r2, r12
+        movi r3, 2
+        syscall
+        movi r7, 4
+        movi r1, 7
+        bne r0, r7, done
+        movi r0, 146
+        mov r1, r4
+        mov r2, r12
+        movi r3, 2
+        syscall
+        movi r7, {EAGAIN}
+        movi r1, 8
+        bne r0, r7, done
+        movi r1, 0
+        jmp done
+    short:
+        movi r1, 1
+    done:
+        ",
+                open_buffer(pipe)
+            ),
+            "
+        .bss
+    fds: .space 8
+    iov: .space 16
+    big: .space 0x100000
+    ",
+        );
+        // Writing 16 MiB takes about 150M virtual cycles.
+        let (outcome, _) = run_for(500_000_000, &src, b"", |_| {});
+        assert_eq!(outcome, RunOutcome::Exited(0), "pipe: {pipe}");
+    }
+}
+
+#[test]
+fn pipe_and_socket_bytes_keep_their_order_across_the_buffers_wrap() {
+    // 40 rounds of a 7-byte write and a 5-byte read, echoing what is
+    // read, then one read of the rest: the buffer's front keeps moving
+    // while it grows, so its storage wraps.
+    let pattern: Vec<u8> = (0..64u8).map(|i| b'!' + i).collect();
+    let mut expected = Vec::new();
+    for round in 0..40 {
+        let off = round * 7 % 50;
+        expected.extend_from_slice(&pattern[off..off + 7]);
+    }
+    for pipe in [true, false] {
+        let src = exit_with(
+            &format!(
+                "{}
+        movi r5, 0
+        movi r6, 40
+        movi r8, 0
+        movi r9, 50
+    round:
+        movi r0, 4
+        mov r1, r4
+        movi r2, pattern
+        add r2, r2, r8
+        movi r3, 7
+        syscall
+        movi r0, 3
+        mov r1, r11
+        movi r2, buf
+        movi r3, 5
+        syscall
+        mov r3, r0
+        movi r0, 4
+        movi r1, 1
+        movi r2, buf
+        syscall
+        addi r8, r8, 7
+        remu r8, r8, r9
+        addi r5, r5, 1
+        bne r5, r6, round
+        movi r0, 3
+        mov r1, r11
+        movi r2, buf
+        movi r3, 256
+        syscall
+        mov r3, r0
+        movi r0, 4
+        movi r1, 1
+        movi r2, buf
+        syscall
+        movi r1, 0
+        ",
+                open_buffer(pipe)
+            ),
+            &format!(
+                "
+        .rodata
+    pattern: .ascii \"{}\"
+        .bss
+    fds: .space 8
+    buf: .space 256
+    ",
+                String::from_utf8(pattern.clone())
+                    .unwrap()
+                    .replace('\\', "\\\\")
+                    .replace('"', "\\\"")
+            ),
+        );
+        let (outcome, kernel) = run(&src);
+        assert_eq!(outcome, RunOutcome::Exited(0), "pipe: {pipe}");
+        assert_eq!(kernel.stdout(), &expected[..], "pipe: {pipe}");
+    }
 }
