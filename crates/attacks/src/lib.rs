@@ -585,11 +585,6 @@ impl AttackLab {
         let result = Self::classify(outcome, &kernel);
         (result, kernel)
     }
-
-    /// [`AttackLab::gadget_attack_traced`] without the kernel.
-    pub fn gadget_attack(&self, tier: VerifyTier) -> AttackOutcome {
-        self.gadget_attack_traced(tier).0
-    }
 }
 
 /// Placeholder immediate patched to the address of `/bin/sh` once the
@@ -874,7 +869,7 @@ mod tests {
         // The verified-call cache must not let a forged origin through.
         let lab = AttackLab::new(MacKey::from_seed(AT_TACK)).with_verify_cache();
         for tier in VerifyTier::ALL {
-            let outcome = lab.gadget_attack(tier);
+            let outcome = lab.gadget_attack_traced(tier).0;
             assert!(outcome.is_blocked(), "{tier:?}: {outcome:?}");
         }
     }

@@ -323,32 +323,6 @@ impl Bundle {
         self.to_value().to_pretty()
     }
 
-    /// Embeds the fleet's last closed health window
-    /// ([`asc_sentinel::WindowSample`]) into the victim payload, so an
-    /// operator reading the bundle sees what the sentinel saw just
-    /// before the kill next to the victim's own forensics. Replaces any
-    /// previously embedded window. The digest is computed at
-    /// serialization time, so bundles with embedded windows round-trip
-    /// and verify like any other.
-    pub fn embed_health_window(&mut self, window: &asc_sentinel::WindowSample) {
-        let Value::Object(fields) = &mut self.victim else {
-            return;
-        };
-        fields.retain(|(k, _)| k != "health_window");
-        fields.push(("health_window".into(), window.to_value()));
-    }
-
-    /// The embedded health window's JSON payload, if any.
-    pub fn health_window(&self) -> Option<&Value> {
-        let Value::Object(fields) = &self.victim else {
-            return None;
-        };
-        fields
-            .iter()
-            .find(|(k, _)| k == "health_window")
-            .map(|(_, v)| v)
-    }
-
     /// Parses a bundle serialized by [`Bundle::to_value`], verifying the
     /// schema tag and the digest.
     pub fn from_value(value: &Value) -> Result<Bundle, String> {
@@ -424,8 +398,8 @@ macro_rules! expect_eq {
 
 /// Replays a solo bundle against an already-built guest of its workload
 /// (the fault campaign holds one guest per workload and replays many
-/// kills against it). The tier, the weakened check and the fault come
-/// from the bundle's scenario. [`crate::replay`] prepares the guest from
+/// kills against it). The tier and the fault come from the bundle's
+/// scenario. [`crate::replay`] prepares the guest from
 /// the scenario seeds and lands here.
 pub fn replay_solo_in(bundle: &Bundle, spec: &ProgramSpec, guest: &Guest) -> ReplayVerdict {
     let Scenario::Solo(solo) = &bundle.scenario else {

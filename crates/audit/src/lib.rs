@@ -28,8 +28,8 @@ mod scenario;
 
 pub use bundle::{replay_solo_in, Bundle, KillRecord, ReplayVerdict, BUNDLE_SCHEMA};
 pub use scenario::{
-    run_solo, scenario_options, AuditFault, FleetScenario, Scenario, SoloRun, SoloScenario,
-    BUNDLE_SPAN_CAPACITY,
+    flip_byte, run_solo, scenario_options, AuditFault, FleetScenario, Scenario, SoloRun,
+    SoloScenario, BUNDLE_SPAN_CAPACITY,
 };
 
 use asc_core::json::Value;
@@ -45,9 +45,9 @@ pub fn fnv64_bytes(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// FNV-1a over a pid sequence, byte-compatible with the scheduler
-/// benchmarks' interleaving digest (`asc-bench`'s `fnv64`): each pid
-/// contributes its four little-endian bytes.
+/// FNV-1a over a pid sequence, each pid contributing its four
+/// little-endian bytes: the interleaving digest bundles record and the
+/// scheduler benchmarks print.
 pub fn fnv64_pids(pids: &[Pid]) -> u64 {
     let mut bytes = Vec::with_capacity(pids.len() * 4);
     for pid in pids {

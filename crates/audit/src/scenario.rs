@@ -14,11 +14,11 @@ use asc_crypto::MacKey;
 use asc_installer::{Installer, InstallerOptions};
 use asc_kernel::FaultAction;
 use asc_kernel::{
-    Alert, KernelOptions, KernelStats, Personality, TraceEntry, TrapFault, VerifyTier,
+    Alert, Kernel, KernelOptions, KernelStats, Personality, TraceEntry, TrapFault, VerifyTier,
 };
 use asc_sched::{Pid, RecorderConfig, SchedConfig, SchedPolicy, Scheduler};
 use asc_trace::{Event, RingSink};
-use asc_vm::{RunOutcome, StepOutcome};
+use asc_vm::{Machine, Memory, RunOutcome, StepOutcome};
 use asc_workloads::{build, program, Guest, ProgramSpec, RUN_BUDGET};
 
 use asc_core::json::Value;
@@ -195,8 +195,6 @@ pub struct SoloScenario {
     pub personality: Personality,
     /// Verification tier.
     pub tier: VerifyTier,
-    /// Whether the (test-only) weakened string check was active.
-    pub weakened: bool,
     /// Installer program id.
     pub program_id: u16,
     /// Seed of the installation MAC key ([`MacKey::from_seed`]).
@@ -216,7 +214,6 @@ impl SoloScenario {
                 Value::Str(personality_to_str(self.personality).into()),
             ),
             ("tier".into(), Value::Str(self.tier.name().into())),
-            ("weakened".into(), Value::Bool(self.weakened)),
             ("program_id".into(), num(u64::from(self.program_id))),
             ("key_seed".into(), hex64(self.key_seed)),
             (
@@ -239,9 +236,6 @@ impl SoloScenario {
             workload: str_field(value, "workload")?,
             personality: personality_from_str(&str_field(value, "personality")?)?,
             tier: tier_from_str(&str_field(value, "tier")?)?,
-            weakened: field(value, "weakened")?
-                .as_bool()
-                .ok_or("weakened is not a bool")?,
             program_id: u64_field(value, "program_id")? as u16,
             key_seed: u64_field(value, "key_seed")?,
             fault,
@@ -249,9 +243,9 @@ impl SoloScenario {
     }
 
     /// The kernel options of the run: [`scenario_options`] for this
-    /// scenario's personality, tier and weakened check.
+    /// scenario's personality and tier.
     pub fn options(&self) -> KernelOptions {
-        scenario_options(self.personality, self.tier, self.weakened)
+        scenario_options(self.personality, self.tier)
     }
 
     /// Builds and installs the workload, reproducing the artifacts the
@@ -288,21 +282,11 @@ impl SoloScenario {
 }
 
 /// The kernel options of every scenario run, captured or replayed:
-/// enforcing under `tier` with the verified-call cache, and the
-/// (test-only) weakened string check when `weakened`.
-pub fn scenario_options(
-    personality: Personality,
-    tier: VerifyTier,
-    weakened: bool,
-) -> KernelOptions {
-    let opts = KernelOptions::enforcing(personality)
+/// enforcing under `tier` with the verified-call cache.
+pub fn scenario_options(personality: Personality, tier: VerifyTier) -> KernelOptions {
+    KernelOptions::enforcing(personality)
         .with_verify_cache()
-        .with_tier(tier);
-    if weakened {
-        opts.with_weakened_string_check()
-    } else {
-        opts
-    }
+        .with_tier(tier)
 }
 
 /// Everything observable about one solo run, as captured for bundles and
@@ -338,6 +322,40 @@ pub struct SoloRun {
     pub ring_dropped: u64,
 }
 
+impl SoloRun {
+    /// Captures the observables of a run that ended in `outcome` from its
+    /// machine, with an empty span log: [`run_solo`] adds what its ring
+    /// kept.
+    pub fn capture(outcome: RunOutcome, machine: &Machine<Kernel>) -> SoloRun {
+        let kernel = machine.handler();
+        SoloRun {
+            outcome,
+            cycles: machine.cycles(),
+            instret: machine.instret(),
+            stdout: kernel.stdout().to_vec(),
+            stderr: kernel.stderr().to_vec(),
+            trace: kernel.trace().to_vec(),
+            alerts: kernel.alerts().to_vec(),
+            fs_digest: kernel.fs().digest(),
+            stats: *kernel.stats(),
+            cache: kernel.cache_stats(),
+            policy_counter: kernel.policy_counter(),
+            spans: Vec::new(),
+            ring_dropped: 0,
+        }
+    }
+}
+
+/// XORs `mask` into the guest byte at `addr` through the kernel's
+/// physical access path, so page protections do not interfere. Returns
+/// whether the byte was mapped, and so flipped.
+pub fn flip_byte(mem: &mut Memory, addr: u32, mask: u8) -> bool {
+    let Ok(&[byte]) = mem.kread(addr, 1) else {
+        return false;
+    };
+    mem.kwrite(addr, &[byte ^ mask]).is_ok()
+}
+
 /// The canonical solo runner: `guest` booted for `spec` under `opts` (in
 /// practice [`scenario_options`]) with a bounded span ring attached, an
 /// optional armed fault, and full observable capture. Bundle capture
@@ -355,52 +373,35 @@ pub fn run_solo(
     machine
         .handler_mut()
         .set_trace_sink(Box::new(RingSink::new(BUNDLE_SPAN_CAPACITY)));
-    let mut mem_fault = None;
-    match fault {
-        Some(AuditFault::Trap(tf)) => machine.handler_mut().arm_fault(*tf),
-        Some(AuditFault::Mem {
+    let outcome = match fault {
+        Some(&AuditFault::Mem {
             at_instret,
             addr,
             mask,
-        }) => mem_fault = Some((*at_instret, *addr, *mask)),
-        None => {}
-    }
-    let outcome = match mem_fault {
-        Some((at_instret, addr, mask)) => match machine.run_until_instret(at_instret, RUN_BUDGET) {
+        }) => match machine.run_until_instret(at_instret, RUN_BUDGET) {
             StepOutcome::Done(outcome) => outcome, // finished before the flip
             StepOutcome::Running => {
-                if let Ok(byte) = machine.mem().kread(addr, 1).map(|b| b[0]) {
-                    let _ = machine.mem_mut().kwrite(addr, &[byte ^ mask]);
-                }
+                flip_byte(machine.mem_mut(), addr, mask);
                 machine.run(RUN_BUDGET)
             }
         },
+        Some(AuditFault::Trap(tf)) => {
+            machine.handler_mut().arm_fault(*tf);
+            machine.run(RUN_BUDGET)
+        }
         None => machine.run(RUN_BUDGET),
     };
-    let cycles = machine.cycles();
-    let instret = machine.instret();
-    let mut kernel = machine.into_handler();
-    let ring = kernel
+    let ring = machine
+        .handler_mut()
         .take_trace_sink()
         .expect("span ring attached above")
         .into_any()
         .downcast::<RingSink>()
         .expect("sink is the span ring");
-    let stats = *kernel.stats();
     SoloRun {
-        outcome,
-        cycles,
-        instret,
-        stdout: kernel.stdout().to_vec(),
-        stderr: kernel.stderr().to_vec(),
-        trace: kernel.trace().to_vec(),
-        alerts: kernel.alerts().to_vec(),
-        fs_digest: kernel.fs().digest(),
-        stats,
-        cache: kernel.cache_stats(),
-        policy_counter: kernel.policy_counter(),
         spans: ring.events().cloned().collect(),
         ring_dropped: ring.dropped_events(),
+        ..SoloRun::capture(outcome, &machine)
     }
 }
 
@@ -546,7 +547,7 @@ impl FleetScenario {
             budget_cycles: self.budget_cycles,
             batch_depth: self.batch_depth,
         });
-        let opts = scenario_options(self.personality, self.tier, false);
+        let opts = scenario_options(self.personality, self.tier);
         for name in &self.procs {
             let (_, spec, guest) = built.iter().find(|(n, ..)| n == name).expect("built above");
             let machine = guest

@@ -30,6 +30,7 @@
 
 use std::collections::BTreeMap;
 
+use asc_audit::fnv64_pids;
 use asc_core::json::Value;
 use asc_core::pid_shard;
 use asc_kernel::{BatchStats, KernelMetrics, KernelStats};
@@ -37,7 +38,7 @@ use asc_metrics::{Histogram, MetricValue, Snapshot};
 use asc_sched::{Pid, ProcState, SchedConfig, SchedPolicy, Scheduler};
 use asc_workloads::{Guest, ProgramSpec};
 
-use crate::server::{fnv64, server_guests, server_specs, ServerMode, DEFAULT_SEED};
+use crate::server::{server_guests, server_specs, ServerMode, DEFAULT_SEED};
 use crate::{bench_key, sim_seconds};
 
 /// Shard count the fleet's cache family and metric labels use (the
@@ -330,7 +331,7 @@ pub fn run_fleet(config: &FleetConfig, mode: ServerMode) -> FleetRun {
         clock: sched.clock(),
         max_proc_cycles,
         slices: sched.interleaving().len() as u64,
-        interleaving_fnv: fnv64(sched.interleaving()),
+        interleaving_fnv: fnv64_pids(sched.interleaving()),
         spawned,
         shared_probes,
         aes_block_ops,

@@ -15,6 +15,7 @@
 //! Everything is a pure function of the seed: the table is golden-pinned
 //! (`crates/bench/golden/server.txt`) and a fixed-seed run is diffed in CI.
 
+use asc_audit::fnv64_pids;
 use asc_core::json::Value;
 use asc_crypto::MacKey;
 use asc_kernel::{KernelMetrics, KernelOptions, KernelStats, Personality};
@@ -148,17 +149,6 @@ impl ServerRun {
     }
 }
 
-pub(crate) fn fnv64(pids: &[Pid]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for pid in pids {
-        for byte in pid.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
-}
-
 pub(crate) fn server_specs() -> Vec<&'static ProgramSpec> {
     SERVER_WORKLOADS
         .iter()
@@ -264,7 +254,7 @@ pub fn run_server(config: &ServerConfig, mode: ServerMode) -> ServerRun {
         aggregate: sched.aggregate_stats(),
         clock: sched.clock(),
         slices: sched.interleaving().len() as u64,
-        interleaving_fnv: fnv64(sched.interleaving()),
+        interleaving_fnv: fnv64_pids(sched.interleaving()),
         merged_metrics: merged,
     }
 }

@@ -1,7 +1,7 @@
 //! Byte-identity guard for the paper tables: with no trace sink attached
 //! (the default for every table binary), the flight recorder must not
 //! change a single byte of output relative to the checked-in goldens.
-//! Also the exit-status gate of the seeded fault campaign.
+//! Also pins the seeded fault campaign's tables and exit status.
 //!
 //! Regenerate after an intentional change with:
 //!
@@ -10,6 +10,8 @@
 //!     cargo run --release -p asc-bench --bin $t > crates/bench/golden/$t.txt
 //! done
 //! cargo run --release -p asc-bench --bin server -- --fleet > crates/bench/golden/fleet.txt
+//! cargo run --release -p asc-bench --bin faults -- --seed 0x0A5CF417 --trials 3 \
+//!     > crates/bench/golden/faults.txt
 //! ```
 
 use std::process::Command;
@@ -106,20 +108,14 @@ fn fleet_is_byte_identical() {
 }
 
 /// The seeded fault campaign exits nonzero on any silent corruption or
-/// crash, on a false-positive kill from a cache fault, on an origin-class
-/// kill that is not an attributed unrewritten-site fail-stop, or when the
-/// weakened-verifier demo fails to show its expected silent row.
+/// crash, on a false-positive kill from a cache fault, or on an
+/// origin-class kill that is not an attributed unrewritten-site
+/// fail-stop; its campaign and cross-process tables are pinned.
 #[test]
 fn fault_campaign_exits_cleanly() {
-    let out = Command::new(env!("CARGO_BIN_EXE_faults"))
-        .args(["--seed", "0x0A5CF417", "--trials", "3"])
-        .output()
-        .expect("faults binary runs");
-    assert!(
-        out.status.success(),
-        "faults: exit {:?}\n{}{}",
-        out.status,
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
+    check_args(
+        env!("CARGO_BIN_EXE_faults"),
+        &["--seed", "0x0A5CF417", "--trials", "3"],
+        "faults.txt",
     );
 }

@@ -51,4 +51,4 @@ pub use flow::{FlowGraph, FlowParseError, FLOW_START};
 pub use pattern::{match_pattern, produce_hint, Pattern, PatternError};
 pub use policy::{ArgPolicy, ProgramPolicy, SyscallPolicy, MAX_ARGS};
 pub use sites::{SiteRegistry, SitesParseError};
-pub use verify::{verify_call, AuthCallRegs, UserMemory, VerifyHooks, VerifyOutcome, Violation};
+pub use verify::{verify_call, AuthCallRegs, UserMemory, VerifyOutcome, Violation};

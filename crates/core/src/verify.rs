@@ -291,20 +291,6 @@ fn read_as_header(
     Ok((len, mac))
 }
 
-/// Deliberate weakenings of [`verify_call`], used **only** to validate the
-/// fault-injection oracle: a campaign run against a weakened verifier must
-/// report silent corruption, proving the classifier can detect a verifier
-/// that fails open. Production callers always pass
-/// [`VerifyHooks::default()`] (everything off).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct VerifyHooks {
-    /// Skip the authenticated-string contents check (§3.4 step 2): any
-    /// bytes pass as long as the `(addr, len, mac)` tuple still matches
-    /// the call MAC. This is precisely the hole the non-control-data
-    /// attack needs.
-    pub accept_any_string: bool,
-}
-
 /// Derives the per-check cache decision from the cache's counter deltas
 /// around the check (`None` stats means no cache was attached).
 fn cache_decision(
@@ -341,9 +327,7 @@ fn cache_decision(
 /// byte-matches an earlier fully verified pair are accepted without AES
 /// work; every mismatch falls back to the full CMAC computation, so the
 /// accept set is identical to `cache: None` (see the [`crate::cache`]
-/// module docs for the soundness argument). `hooks` weakens the verifier
-/// for fault-oracle validation only; production passes
-/// [`VerifyHooks::default()`].
+/// module docs for the soundness argument).
 ///
 /// When `meter` is recording, every check pushes one [`CheckRecord`] —
 /// kind, pass/fail, *measured* AES blocks (snapshotted around the check,
@@ -361,7 +345,6 @@ fn cache_decision(
 /// kills the process. The failed check's record is pushed before the
 /// early return, so a recording meter always ends with the check that
 /// killed the call.
-#[allow(clippy::too_many_arguments)]
 pub fn verify_call(
     key: &MacKey,
     checker: &mut MemoryChecker,
@@ -369,7 +352,6 @@ pub fn verify_call(
     mem: &mut dyn UserMemory,
     regs: &AuthCallRegs,
     mut cap_check: Option<&mut dyn FnMut(u32) -> bool>,
-    hooks: VerifyHooks,
     meter: &mut CallMeter,
 ) -> Result<VerifyOutcome, Violation> {
     let metering = meter.is_recording();
@@ -489,7 +471,7 @@ pub fn verify_call(
                 let cached = cache
                     .as_deref_mut()
                     .is_some_and(|c| c.check_blob(addr, &mac, contents));
-                if !cached && !hooks.accept_any_string {
+                if !cached {
                     if !key.verify(contents, &mac) {
                         meter_check!(CheckKind::AuthString { arg: i }, begun, false, false, n);
                         return Err(Violation::BadStringMac { arg: i });
@@ -671,8 +653,7 @@ mod tests {
         }
     }
 
-    /// [`verify_call`] under the test key, without weakening hooks or a
-    /// recording meter.
+    /// [`verify_call`] under the test key, without a recording meter.
     fn verify(
         checker: &mut MemoryChecker,
         cache: Option<&mut VerifyCache>,
@@ -681,17 +662,7 @@ mod tests {
         cap_check: Option<&mut dyn FnMut(u32) -> bool>,
     ) -> Result<VerifyOutcome, Violation> {
         let mut meter = CallMeter::disabled();
-        let hooks = VerifyHooks::default();
-        verify_call(
-            &key(),
-            checker,
-            cache,
-            mem,
-            regs,
-            cap_check,
-            hooks,
-            &mut meter,
-        )
+        verify_call(&key(), checker, cache, mem, regs, cap_check, &mut meter)
     }
 
     fn key() -> MacKey {

@@ -19,11 +19,22 @@ pub type Mac = [u8; MAC_LEN];
 /// In the simulated system exactly one of these exists inside the trusted
 /// installer and one inside the kernel; the untrusted application never holds
 /// one.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct Cmac {
     aes: Aes128,
     k1: [u32; 4],
     k2: [u32; 4],
+}
+
+impl std::fmt::Debug for Cmac {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The subkeys are derived from the key: never print them either.
+        f.debug_struct("Cmac")
+            .field("aes", &self.aes)
+            .field("k1", &"<redacted>")
+            .field("k2", &"<redacted>")
+            .finish()
+    }
 }
 
 /// Doubling in GF(2^128): a one-bit left shift of the big-endian block,

@@ -89,6 +89,21 @@ mod tests {
     }
 
     #[test]
+    fn cmac_debug_redacts_its_subkeys() {
+        // RFC 4493's key, whose K1 and K2 the RFC lists.
+        let cmac = Cmac::new(&0x2b7e_1516_28ae_d2a6_abf7_1588_09cf_4f3c_u128.to_be_bytes());
+        let text = format!("{cmac:?}");
+        let k1: [u32; 4] = [0xfbee_d618, 0x3571_3366, 0x7c85_e08f, 0x7236_a8de];
+        let k2: [u32; 4] = [0xf7dd_ac30, 0x6ae2_66cc, 0xf90b_c11e, 0xe46d_513b];
+        for word in k1.into_iter().chain(k2) {
+            for form in [word.to_string(), format!("{word:x}")] {
+                assert!(!text.contains(&form), "subkey word {form} in {text}");
+            }
+        }
+        assert!(text.contains("<redacted>"), "{text}");
+    }
+
+    #[test]
     fn shared_schedule_skips_derivation_and_shares_meter() {
         let master = MacKey::from_seed(42);
         assert_eq!(master.block_ops(), 1, "fresh key burns one derivation op");

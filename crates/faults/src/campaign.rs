@@ -9,17 +9,13 @@
 //! observable behaviour). Anything else is **silent corruption**, the
 //! failure the paper's design promises cannot happen.
 
-use asc_audit::{
-    replay_solo_in, run_solo, scenario_options, AuditFault, Bundle, SoloRun, SoloScenario,
-};
-use asc_kernel::{
-    Alert, FaultAction, KernelOptions, Personality, ReasonCode, TraceEntry, TrapFault, VerifyTier,
-};
+use asc_audit::{replay_solo_in, run_solo, AuditFault, Bundle, SoloRun, SoloScenario};
+use asc_kernel::{Alert, FaultAction, ReasonCode, TrapFault, VerifyTier};
 use asc_testkit::Rng;
 use asc_vm::RunOutcome;
-use asc_workloads::{Guest, ProgramSpec};
 
 use crate::inventory::{scan, Inventory};
+use crate::PERSONALITY;
 
 /// Seed of [`crate::campaign_key`], recorded in forensic bundles so replay can
 /// rebuild the identical installation.
@@ -146,100 +142,18 @@ pub enum Outcome {
     Crashed,
 }
 
-impl Outcome {
-    /// Human-readable label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            Outcome::Killed => "killed-with-alert",
-            Outcome::Benign => "benign",
-            Outcome::SilentCorruption => "SILENT-CORRUPTION",
-            Outcome::Crashed => "crashed",
-        }
-    }
-}
-
-/// Everything observable about one run, as the oracle compares it.
-#[derive(Clone, Debug)]
-pub struct RunRecord {
-    /// How the run ended.
-    pub outcome: RunOutcome,
-    /// Captured standard output.
-    pub stdout: Vec<u8>,
-    /// Captured standard error.
-    pub stderr: Vec<u8>,
-    /// The dispatched-syscall trace.
-    pub trace: Vec<TraceEntry>,
-    /// Structured administrator alerts (call site, syscall, violation).
-    pub alerts: Vec<Alert>,
-    /// Digest of the final filesystem tree.
-    pub fs_digest: u64,
-    /// Syscalls trapped (dispatched or killed).
-    pub syscalls: u64,
-    /// Instructions retired.
-    pub instret: u64,
-    /// Cache entries that no longer matched and fell back cold.
-    pub cache_fallbacks: u64,
-    /// Cache state entries scrubbed for claiming a future epoch.
-    pub cache_scrubs: u64,
-}
-
-/// Runs one (possibly perturbed) enforcing execution of an installed
-/// workload under `opts` and captures the oracle's observables.
-///
-/// A memory fault XORs `mask` into the byte at `addr` once `at_instret`
-/// guest instructions have retired (via the kernel's physical access
-/// path, so page protections do not interfere) and resumes the run; a
-/// trap fault is armed on the kernel before the run starts.
-///
-/// Delegates to the forensic runner [`asc_audit::run_solo`] — the same
-/// code path bundle replay re-executes — so the campaign's observables
-/// and a replayed bundle's observables cannot drift apart.
-pub(crate) fn run_planned(
-    spec: &ProgramSpec,
-    guest: &Guest,
-    opts: KernelOptions,
-    fault: Option<PlannedFault>,
-) -> RunRecord {
-    record_of(&run_solo(
-        spec,
-        guest,
-        opts,
-        fault.map(PlannedFault::audit).as_ref(),
-    ))
-}
-
 /// The scenario of a clean campaign run of `name`: installed under
 /// [`crate::campaign_key`] with `program_id`, enforcing under the MAC
-/// tier. [`SoloScenario::prepare`] builds its guest.
-pub(crate) fn campaign_scenario(
-    name: &str,
-    personality: Personality,
-    program_id: u16,
-) -> SoloScenario {
+/// tier. [`SoloScenario::prepare`] builds its guest, and
+/// [`asc_audit::run_solo`] runs it with or without a fault.
+pub(crate) fn campaign_scenario(name: &str, program_id: u16) -> SoloScenario {
     SoloScenario {
         workload: name.to_string(),
-        personality,
+        personality: PERSONALITY,
         tier: VerifyTier::Mac,
-        weakened: false,
         program_id,
         key_seed: CAMPAIGN_KEY_SEED,
         fault: None,
-    }
-}
-
-/// Projects a forensic [`SoloRun`] onto the oracle's observables.
-pub(crate) fn record_of(run: &SoloRun) -> RunRecord {
-    RunRecord {
-        outcome: run.outcome.clone(),
-        stdout: run.stdout.clone(),
-        stderr: run.stderr.clone(),
-        trace: run.trace.clone(),
-        alerts: run.alerts.clone(),
-        fs_digest: run.fs_digest,
-        syscalls: run.stats.syscalls,
-        instret: run.instret,
-        cache_fallbacks: run.stats.cache_fallbacks,
-        cache_scrubs: run.stats.cache_scrubs,
     }
 }
 
@@ -251,7 +165,7 @@ pub(crate) fn record_of(run: &SoloRun) -> RunRecord {
 /// and the killed call must never have dispatched — the trap counter
 /// exceeding the dispatched-trace length by exactly one proves the
 /// kill happened before any side effect of the offending call.
-pub fn classify(clean: &RunRecord, run: &RunRecord) -> (Outcome, String) {
+pub fn classify(clean: &SoloRun, run: &SoloRun) -> (Outcome, String) {
     match &run.outcome {
         RunOutcome::Killed(msg) => {
             let Some(alert) = run.alerts.last() else {
@@ -268,12 +182,12 @@ pub fn classify(clean: &RunRecord, run: &RunRecord) -> (Outcome, String) {
                     ),
                 );
             }
-            if run.syscalls != run.trace.len() as u64 + 1 {
+            if run.stats.syscalls != run.trace.len() as u64 + 1 {
                 return (
                     Outcome::SilentCorruption,
                     format!(
                         "killed call dispatched: {} trapped vs {} dispatched",
-                        run.syscalls,
+                        run.stats.syscalls,
                         run.trace.len()
                     ),
                 );
@@ -324,37 +238,6 @@ pub fn classify(clean: &RunRecord, run: &RunRecord) -> (Outcome, String) {
     }
 }
 
-/// One planned perturbation.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum PlannedFault {
-    /// XOR `mask` into the byte at `addr` after `at_instret` retires.
-    Mem {
-        at_instret: u64,
-        addr: u32,
-        mask: u8,
-    },
-    /// Kernel-side fault armed for a specific trap.
-    Trap(TrapFault),
-}
-
-impl PlannedFault {
-    /// The forensic-runner form of this fault (same seeds, same effect).
-    pub(crate) fn audit(self) -> AuditFault {
-        match self {
-            PlannedFault::Mem {
-                at_instret,
-                addr,
-                mask,
-            } => AuditFault::Mem {
-                at_instret,
-                addr,
-                mask,
-            },
-            PlannedFault::Trap(tf) => AuditFault::Trap(tf),
-        }
-    }
-}
-
 fn nonzero_byte(rng: &mut Rng) -> u8 {
     rng.range_u32(1, 256) as u8
 }
@@ -373,13 +256,13 @@ fn nonzero_u32(rng: &mut Rng) -> u32 {
 pub(crate) fn plan_fault(
     class: FaultClass,
     inv: &Inventory,
-    clean: &RunRecord,
+    clean: &SoloRun,
     rng: &mut Rng,
-) -> Option<PlannedFault> {
+) -> Option<AuditFault> {
     // Half the trials corrupt the artifact before the first instruction
     // retires (so its first consumption sees the flip); the rest pick a
     // uniform mid-run injection point.
-    let mem = |rng: &mut Rng, addr: u32, mask: u8| PlannedFault::Mem {
+    let mem = |rng: &mut Rng, addr: u32, mask: u8| AuditFault::Mem {
         at_instret: if rng.chance(1, 2) {
             0
         } else {
@@ -435,8 +318,8 @@ pub(crate) fn plan_fault(
             const TARGETS: [u8; 13] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12];
             let index = *rng.pick(&TARGETS);
             let mask = nonzero_u32(rng);
-            Some(PlannedFault::Trap(TrapFault {
-                at_trap: rng.range_u64(1, clean.syscalls + 1),
+            Some(AuditFault::Trap(TrapFault {
+                at_trap: rng.range_u64(1, clean.stats.syscalls + 1),
                 action: FaultAction::XorReg { index, mask },
             }))
         }
@@ -447,21 +330,21 @@ pub(crate) fn plan_fault(
             } else {
                 magnitude
             };
-            Some(PlannedFault::Trap(TrapFault {
-                at_trap: rng.range_u64(1, clean.syscalls + 1),
+            Some(AuditFault::Trap(TrapFault {
+                at_trap: rng.range_u64(1, clean.stats.syscalls + 1),
                 action: FaultAction::SkewCounter { delta },
             }))
         }
         FaultClass::CachePoison => {
             let selector = rng.next_u64();
             let mask = nonzero_byte(rng);
-            Some(PlannedFault::Trap(TrapFault {
-                at_trap: rng.range_u64(1, clean.syscalls + 1),
+            Some(AuditFault::Trap(TrapFault {
+                at_trap: rng.range_u64(1, clean.stats.syscalls + 1),
                 action: FaultAction::CorruptCache { selector, mask },
             }))
         }
-        FaultClass::CacheEpochSkew => Some(PlannedFault::Trap(TrapFault {
-            at_trap: rng.range_u64(1, clean.syscalls + 1),
+        FaultClass::CacheEpochSkew => Some(AuditFault::Trap(TrapFault {
+            at_trap: rng.range_u64(1, clean.stats.syscalls + 1),
             action: FaultAction::SkewCacheEpoch {
                 delta: rng.range_u64(1, 9),
             },
@@ -496,8 +379,6 @@ pub struct CampaignConfig {
     pub trials: u32,
     /// Workload names (must be registered in `asc-workloads`).
     pub workloads: Vec<String>,
-    /// OS personality for builds and kernels.
-    pub personality: Personality,
 }
 
 impl CampaignConfig {
@@ -507,7 +388,6 @@ impl CampaignConfig {
             seed,
             trials,
             workloads: vec!["bison".into(), "calc".into(), "tar".into()],
-            personality: Personality::Linux,
         }
     }
 }
@@ -663,14 +543,7 @@ impl Report {
                 row.irreproducible,
                 row.cache_fallbacks + row.cache_scrubs,
             ));
-            if !row.kill_reasons.is_empty() {
-                let reasons: Vec<String> = row
-                    .kill_reasons
-                    .iter()
-                    .map(|(r, n)| format!("{} x{n}", r.code()))
-                    .collect();
-                out.push_str(&format!("           kills: {}\n", reasons.join(", ")));
-            }
+            render_kills(&mut out, &row.kill_reasons);
             if let Some(note) = &row.note {
                 out.push_str(&format!("           ({note})\n"));
             }
@@ -739,11 +612,11 @@ impl Report {
 pub fn run_campaign(cfg: &CampaignConfig) -> Report {
     let mut rows = Vec::new();
     for (wi, name) in cfg.workloads.iter().enumerate() {
-        let scenario = campaign_scenario(name, cfg.personality, 0x0FA0 + wi as u16);
+        let scenario = campaign_scenario(name, 0x0FA0 + wi as u16);
         let (spec, guest) = scenario.prepare();
         let inv = scan(guest.binary());
         assert!(inv.sites > 0, "{name}: no authenticated sites found");
-        let clean = record_of(&run_solo(spec, &guest, scenario.options(), None));
+        let clean = run_solo(spec, &guest, scenario.options(), None);
         assert!(
             clean.outcome.is_success(),
             "{name}: clean enforcing run failed: {:?} (alerts: {:?})",
@@ -763,21 +636,15 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Report {
                     row.note = Some("no artifacts of this class in the binary".into());
                     break;
                 };
-                let audit_fault = fault.audit();
-                let solo = run_solo(spec, &guest, scenario.options(), Some(&audit_fault));
-                let run = record_of(&solo);
-                row.cache_fallbacks += run.cache_fallbacks;
-                row.cache_scrubs += run.cache_scrubs;
+                let run = run_solo(spec, &guest, scenario.options(), Some(&fault));
+                row.cache_fallbacks += run.stats.cache_fallbacks;
+                row.cache_scrubs += run.stats.cache_scrubs;
                 let (outcome, detail) = classify(&clean, &run);
                 match outcome {
                     Outcome::Killed => {
                         row.killed += 1;
                         if let Some(alert) = run.alerts.last() {
-                            let reason = alert.reason();
-                            match row.kill_reasons.iter_mut().find(|(r, _)| *r == reason) {
-                                Some((_, n)) => *n += 1,
-                                None => row.kill_reasons.push((reason, 1)),
-                            }
+                            count_kill(&mut row.kill_reasons, alert.reason());
                             if row.sample_alert.is_none() {
                                 row.sample_alert = Some(alert.clone());
                             }
@@ -787,10 +654,10 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Report {
                         // kill. A divergence is a determinism bug, not a
                         // verifier bug — reported as its own row class.
                         let scenario = SoloScenario {
-                            fault: Some(audit_fault),
+                            fault: Some(fault),
                             ..scenario.clone()
                         };
-                        match Bundle::from_solo(scenario, &solo) {
+                        match Bundle::from_solo(scenario, &run) {
                             Some(bundle) => {
                                 let verdict = replay_solo_in(&bundle, spec, &guest);
                                 if !verdict.matched {
@@ -832,75 +699,22 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Report {
     }
 }
 
-/// Result of the deliberately-weakened-verifier demonstration.
-#[derive(Clone, Debug)]
-pub struct DemoResult {
-    /// Workload the demo ran against.
-    pub workload: String,
-    /// Fault combinations scanned.
-    pub scanned: u32,
-    /// First silent trial found: `(contents addr, offset, detail)`.
-    pub silent: Option<(u32, u32, String)>,
-    /// The same fault's verdict against the *hardened* verifier.
-    pub hardened_outcome: Option<Outcome>,
+/// Counts one kill under its reason code, in first-seen order.
+pub(crate) fn count_kill(kill_reasons: &mut Vec<(ReasonCode, u32)>, reason: ReasonCode) {
+    match kill_reasons.iter_mut().find(|(r, _)| *r == reason) {
+        Some((_, n)) => *n += 1,
+        None => kill_reasons.push((reason, 1)),
+    }
 }
 
-/// Proves the oracle detects verifier bypasses: with string-contents
-/// verification disabled (a test-only kernel hook), a corrupted
-/// authenticated string passes the call-MAC check (which covers only
-/// the `addr ‖ len ‖ mac` header tuple) and dispatches, so the run
-/// diverges without an alert — a SILENT-CORRUPTION row. The same
-/// fault against the hardened verifier is re-run for contrast.
-///
-/// Scans string blobs and byte offsets deterministically (corrupting
-/// before the first instruction retires) until a silent trial appears
-/// or `max_trials` combinations are exhausted.
-///
-/// # Panics
-///
-/// Panics on harness precondition failures (unknown workload, build
-/// or install errors, failing clean run).
-pub fn run_weakened_demo(workload: &str, personality: Personality, max_trials: u32) -> DemoResult {
-    let (spec, guest) = campaign_scenario(workload, personality, 0x0FDE).prepare();
-    let inv = scan(guest.binary());
-    let weakened = scenario_options(personality, VerifyTier::Mac, true);
-    let clean = run_planned(spec, &guest, weakened.clone(), None);
-    assert!(
-        clean.outcome.is_success(),
-        "{workload}: weakened clean run failed: {:?}",
-        clean.outcome
-    );
-    let mut scanned = 0;
-    for blob in &inv.string_blobs {
-        for offset in 0..blob.len {
-            if scanned >= max_trials {
-                break;
-            }
-            scanned += 1;
-            let fault = Some(PlannedFault::Mem {
-                at_instret: 0,
-                addr: blob.contents_addr + offset,
-                mask: 0x01,
-            });
-            let run = run_planned(spec, &guest, weakened.clone(), fault);
-            let (outcome, detail) = classify(&clean, &run);
-            if outcome == Outcome::SilentCorruption {
-                let hardened = scenario_options(personality, VerifyTier::Mac, false);
-                let hardened = run_planned(spec, &guest, hardened, fault);
-                let (hardened_outcome, _) = classify(&clean, &hardened);
-                return DemoResult {
-                    workload: workload.into(),
-                    scanned,
-                    silent: Some((blob.contents_addr, offset, detail)),
-                    hardened_outcome: Some(hardened_outcome),
-                };
-            }
-        }
+/// Appends a report row's `kills:` line; a row without kills has none.
+pub(crate) fn render_kills(out: &mut String, kill_reasons: &[(ReasonCode, u32)]) {
+    if kill_reasons.is_empty() {
+        return;
     }
-    DemoResult {
-        workload: workload.into(),
-        scanned,
-        silent: None,
-        hardened_outcome: None,
-    }
+    let reasons: Vec<String> = kill_reasons
+        .iter()
+        .map(|(r, n)| format!("{} x{n}", r.code()))
+        .collect();
+    out.push_str(&format!("           kills: {}\n", reasons.join(", ")));
 }

@@ -22,14 +22,15 @@
 
 use std::collections::BTreeMap;
 
-use asc_audit::scenario_options;
-use asc_kernel::{Alert, FaultAction, Personality, ReasonCode, TrapFault, VerifyTier};
+use asc_audit::{scenario_options, SoloRun};
+use asc_kernel::{Alert, FaultAction, ReasonCode, TrapFault, VerifyTier};
 use asc_sched::{Pid, ProcState, SchedConfig, SchedPolicy, Scheduler};
 use asc_testkit::Rng;
 use asc_vm::RunOutcome;
 use asc_workloads::{Guest, ProgramSpec, RUN_BUDGET};
 
-use crate::campaign::{campaign_scenario, classify, Outcome, RunRecord};
+use crate::campaign::{campaign_scenario, classify, count_kill, render_kills, Outcome};
+use crate::PERSONALITY;
 
 /// A fault class that targets one process of a scheduled set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -70,8 +71,6 @@ pub struct CrossConfig {
     pub procs: usize,
     /// Workload names (must be registered in `asc-workloads`).
     pub workloads: Vec<String>,
-    /// OS personality for builds and kernels.
-    pub personality: Personality,
 }
 
 impl CrossConfig {
@@ -82,7 +81,6 @@ impl CrossConfig {
             trials,
             procs: 4,
             workloads: vec!["bison".into(), "calc".into(), "tar".into()],
-            personality: Personality::Linux,
         }
     }
 }
@@ -217,14 +215,7 @@ impl CrossReport {
                 row.silent,
                 row.crashed,
             ));
-            if !row.kill_reasons.is_empty() {
-                let reasons: Vec<String> = row
-                    .kill_reasons
-                    .iter()
-                    .map(|(r, n)| format!("{} x{n}", r.code()))
-                    .collect();
-                out.push_str(&format!("           kills: {}\n", reasons.join(", ")));
-            }
+            render_kills(&mut out, &row.kill_reasons);
         }
         out
     }
@@ -278,7 +269,7 @@ fn build_fleet(cfg: &CrossConfig) -> Fleet {
         .workloads
         .iter()
         .enumerate()
-        .map(|(i, name)| campaign_scenario(name, cfg.personality, 0x0FB0 + i as u16).prepare())
+        .map(|(i, name)| campaign_scenario(name, 0x0FB0 + i as u16).prepare())
         .unzip();
     Fleet { specs, guests }
 }
@@ -294,7 +285,7 @@ fn spawn_fleet(cfg: &CrossConfig, fleet: &Fleet, interleave_seed: u64) -> Schedu
     for m in 0..cfg.procs {
         let i = m % fleet.specs.len();
         let spec = fleet.specs[i];
-        let opts = scenario_options(cfg.personality, VerifyTier::Mac, false);
+        let opts = scenario_options(PERSONALITY, VerifyTier::Mac);
         let machine = fleet.guests[i]
             .boot(opts, spec.fs(), spec.stdin)
             .expect("workload binary fits in guest memory");
@@ -304,35 +295,24 @@ fn spawn_fleet(cfg: &CrossConfig, fleet: &Fleet, interleave_seed: u64) -> Schedu
 }
 
 /// Snapshots one scheduled process into the single-process oracle's
-/// record shape. [`ProcState::Faulted`] collapses to
-/// [`RunOutcome::CycleLimit`] — any VM-level death classifies as
-/// *crashed*, which is all the oracle needs from that variant.
-fn record(sched: &Scheduler, pid: Pid) -> RunRecord {
+/// [`SoloRun`], with no span log: fleet processes here carry no ring.
+/// [`ProcState::Faulted`] collapses to [`RunOutcome::CycleLimit`] — any
+/// VM-level death classifies as *crashed*, which is all the oracle needs
+/// from that variant.
+fn record(sched: &Scheduler, pid: Pid) -> SoloRun {
     let proc = sched.process(pid);
-    let kernel = proc.kernel();
-    let stats = proc.stats();
-    RunRecord {
-        outcome: match proc.state() {
-            ProcState::Exited(code) => RunOutcome::Exited(*code),
-            ProcState::Killed(msg) => RunOutcome::Killed(msg.clone()),
-            ProcState::Faulted(_) | ProcState::Runnable => RunOutcome::CycleLimit,
-        },
-        stdout: kernel.stdout().to_vec(),
-        stderr: kernel.stderr().to_vec(),
-        trace: kernel.trace().to_vec(),
-        alerts: kernel.alerts().to_vec(),
-        fs_digest: kernel.fs().digest(),
-        syscalls: stats.syscalls,
-        instret: proc.machine().instret(),
-        cache_fallbacks: stats.cache_fallbacks,
-        cache_scrubs: stats.cache_scrubs,
-    }
+    let outcome = match proc.state() {
+        ProcState::Exited(code) => RunOutcome::Exited(*code),
+        ProcState::Killed(msg) => RunOutcome::Killed(msg.clone()),
+        ProcState::Faulted(_) | ProcState::Runnable => RunOutcome::CycleLimit,
+    };
+    SoloRun::capture(outcome, proc.machine())
 }
 
 /// Per-pid records of a completed clean run, plus its slice count
 /// (used to place mid-schedule injections).
 struct CleanRun {
-    records: BTreeMap<Pid, RunRecord>,
+    records: BTreeMap<Pid, SoloRun>,
     slices: u64,
 }
 
@@ -414,7 +394,7 @@ pub fn run_cross_campaign(cfg: &CrossConfig) -> CrossReport {
                     // Arm the single-process campaign's EpochCounter fault,
                     // but on exactly one kernel of the fleet.
                     let clean_target = &clean.records[&target];
-                    let at_trap = rng.range_u64(1, clean_target.syscalls + 1);
+                    let at_trap = rng.range_u64(1, clean_target.stats.syscalls + 1);
                     let magnitude = rng.range_u64(1, 9) as i64;
                     let delta = if rng.chance(1, 2) {
                         -magnitude
@@ -438,7 +418,7 @@ pub fn run_cross_campaign(cfg: &CrossConfig) -> CrossReport {
                 let run = record(&sched, pid);
                 let (outcome, detail) = classify(&clean.records[&pid], &run);
                 if pid == target {
-                    row.cache_fallbacks += run.cache_fallbacks;
+                    row.cache_fallbacks += run.stats.cache_fallbacks;
                     match outcome {
                         Outcome::Killed => {
                             row.target_killed += 1;
@@ -450,11 +430,7 @@ pub fn run_cross_campaign(cfg: &CrossConfig) -> CrossReport {
                                         alert.pid
                                     ));
                                 }
-                                let reason = alert.reason();
-                                match row.kill_reasons.iter_mut().find(|(r, _)| *r == reason) {
-                                    Some((_, n)) => *n += 1,
-                                    None => row.kill_reasons.push((reason, 1)),
-                                }
+                                count_kill(&mut row.kill_reasons, alert.reason());
                                 if row.sample_alert.is_none() {
                                     row.sample_alert = Some(alert.clone());
                                 }

@@ -32,18 +32,18 @@
 //! the scheduler through shared references only, so the latencies are
 //! measurements of the *monitoring* layer, not artifacts of it.
 
-use asc_audit::scenario_options;
+use asc_audit::{flip_byte, run_solo, scenario_options, AuditFault, SoloRun};
 use asc_core::json::Value;
-use asc_kernel::{Kernel, Personality, VerifyTier};
+use asc_kernel::{Kernel, VerifyTier};
 use asc_sched::{Pid, SchedConfig, SchedPolicy, Scheduler};
 use asc_sentinel::{Detector, Sentinel, SentinelConfig};
 use asc_testkit::Rng;
 use asc_vm::Machine;
 use asc_workloads::{Guest, ProgramSpec, RUN_BUDGET};
 
-use crate::campaign::{campaign_scenario, plan_fault, run_planned, PlannedFault, RunRecord};
+use crate::campaign::{campaign_scenario, plan_fault};
 use crate::inventory::{scan, Inventory};
-use crate::FaultClass;
+use crate::{FaultClass, PERSONALITY};
 
 /// Workloads the monitored fleet cycles through (the victim is drawn
 /// from this list too — the first workload whose inventory has
@@ -65,8 +65,6 @@ pub struct LatencyConfig {
     /// Seeded draws per class before giving up (every undetectable
     /// class is a campaign failure).
     pub max_trials: u32,
-    /// Guest personality.
-    pub personality: Personality,
     /// Fault classes to measure. Defaults to the pre-origin
     /// [`FaultClass::ALL`] list the golden-pinned health table
     /// enumerates; [`LatencyConfig::with_classes`] narrows or extends
@@ -83,7 +81,6 @@ impl LatencyConfig {
             window_cycles: 50_000,
             bound_windows: 2,
             max_trials: 16,
-            personality: Personality::Linux,
             classes: FaultClass::ALL.to_vec(),
         }
     }
@@ -268,18 +265,18 @@ struct BuiltWorkload {
     spec: &'static ProgramSpec,
     guest: Guest,
     inv: Inventory,
-    clean: RunRecord,
+    clean: SoloRun,
 }
 
-fn build_workloads(personality: Personality) -> Vec<BuiltWorkload> {
+fn build_workloads() -> Vec<BuiltWorkload> {
     FLEET_WORKLOADS
         .iter()
         .enumerate()
         .map(|(i, name)| {
-            let scenario = campaign_scenario(name, personality, 0x1A7E + i as u16);
+            let scenario = campaign_scenario(name, 0x1A7E + i as u16);
             let (spec, guest) = scenario.prepare();
             let inv = scan(guest.binary());
-            let clean = run_planned(spec, &guest, scenario.options(), None);
+            let clean = run_solo(spec, &guest, scenario.options(), None);
             assert!(
                 clean.outcome.is_success(),
                 "{name}: clean enforcing run failed"
@@ -294,8 +291,8 @@ fn build_workloads(personality: Personality) -> Vec<BuiltWorkload> {
         .collect()
 }
 
-fn fleet_machine(built: &BuiltWorkload, personality: Personality) -> Machine<Kernel> {
-    let opts = scenario_options(personality, VerifyTier::Mac, false);
+fn fleet_machine(built: &BuiltWorkload) -> Machine<Kernel> {
+    let opts = scenario_options(PERSONALITY, VerifyTier::Mac);
     built
         .guest
         .boot(opts, built.spec.fs(), built.spec.stdin)
@@ -304,12 +301,7 @@ fn fleet_machine(built: &BuiltWorkload, personality: Personality) -> Machine<Ker
 
 /// Spawns the monitored fleet: the victim workload first (pid 1), then
 /// one of each other workload as background traffic.
-fn spawn_fleet(
-    workloads: &[BuiltWorkload],
-    victim_index: usize,
-    personality: Personality,
-    seed: u64,
-) -> Scheduler {
+fn spawn_fleet(workloads: &[BuiltWorkload], victim_index: usize, seed: u64) -> Scheduler {
     let mut sched = Scheduler::with_shared_cache(SchedConfig {
         policy: SchedPolicy::SeededRandom(seed),
         slice_instrs: 2_000,
@@ -318,11 +310,11 @@ fn spawn_fleet(
     });
     sched.spawn(
         workloads[victim_index].spec.name,
-        fleet_machine(&workloads[victim_index], personality),
+        fleet_machine(&workloads[victim_index]),
     );
     for (i, built) in workloads.iter().enumerate() {
         if i != victim_index {
-            sched.spawn(built.spec.name, fleet_machine(built, personality));
+            sched.spawn(built.spec.name, fleet_machine(built));
         }
     }
     sched
@@ -348,49 +340,36 @@ enum Trial {
 fn run_trial(
     workloads: &[BuiltWorkload],
     victim_index: usize,
-    fault: PlannedFault,
+    fault: AuditFault,
     cfg: &LatencyConfig,
     policy_seed: u64,
 ) -> Trial {
     const VICTIM: Pid = 1;
-    let mut sched = spawn_fleet(workloads, victim_index, cfg.personality, policy_seed);
+    let mut sched = spawn_fleet(workloads, victim_index, policy_seed);
     let mut armed_clock: Option<u64> = None;
-    let trap_at = match fault {
-        PlannedFault::Trap(tf) => {
-            sched.process_mut(VICTIM).kernel_mut().arm_fault(tf);
-            Some(tf.at_trap)
-        }
-        PlannedFault::Mem { .. } => None,
-    };
+    if let AuditFault::Trap(tf) = fault {
+        sched.process_mut(VICTIM).kernel_mut().arm_fault(tf);
+    }
     let mut sentinel = Sentinel::attach(
         &sched,
         SentinelConfig::new(cfg.window_cycles).with_detectors(Detector::signal_suite()),
     );
     let mut effect_clock: Option<u64> = None;
     while sched.step().is_some() {
-        match fault {
-            PlannedFault::Mem {
-                at_instret,
-                addr,
-                mask,
-            } => {
-                if armed_clock.is_none() {
-                    let proc = sched.process(VICTIM);
-                    if proc.machine().instret() >= at_instret {
-                        let machine = sched.process_mut(VICTIM).machine_mut();
-                        if let Ok(byte) = machine.mem().kread(addr, 1).map(|b| b[0]) {
-                            let _ = machine.mem_mut().kwrite(addr, &[byte ^ mask]);
-                            armed_clock = Some(sched.clock());
-                        }
-                    }
+        if armed_clock.is_none() {
+            let landed = match fault {
+                AuditFault::Mem {
+                    at_instret,
+                    addr,
+                    mask,
+                } => {
+                    let victim = sched.process_mut(VICTIM).machine_mut();
+                    victim.instret() >= at_instret && flip_byte(victim.mem_mut(), addr, mask)
                 }
-            }
-            PlannedFault::Trap(_) => {
-                if armed_clock.is_none()
-                    && sched.process(VICTIM).stats().syscalls >= trap_at.unwrap_or(u64::MAX)
-                {
-                    armed_clock = Some(sched.clock());
-                }
+                AuditFault::Trap(tf) => sched.process(VICTIM).stats().syscalls >= tf.at_trap,
+            };
+            if landed {
+                armed_clock = Some(sched.clock());
             }
         }
         // A clean enforcing fleet raises no alerts and degrades nothing,
@@ -428,7 +407,7 @@ fn run_trial(
 /// Runs the full detection-latency campaign: one detected row per fault
 /// class (or an `undetected` entry after the trial budget).
 pub fn run_latency_campaign(cfg: &LatencyConfig) -> LatencyReport {
-    let workloads = build_workloads(cfg.personality);
+    let workloads = build_workloads();
     let bound_cycles = cfg.bound_cycles();
     let mut rows = Vec::new();
     let mut undetected = Vec::new();

@@ -31,11 +31,13 @@
 //!   `asc-sentinel`-observed fleet, recording armed / effect /
 //!   detected clocks and bounding the monitoring lag.
 //!
-//! The same machinery, pointed at a deliberately weakened verifier
-//! ([`campaign::run_weakened_demo`]), demonstrates that the oracle
-//! actually detects bypasses: with string verification disabled, a
-//! corrupted authenticated string dispatches and the run diverges
-//! silently.
+//! Every campaign plans [`asc_audit::AuditFault`]s, runs them through
+//! [`asc_audit::run_solo`] or a scheduled fleet, and classifies the
+//! resulting [`asc_audit::SoloRun`]s against a clean one. The oracle is
+//! not vacuous: the flow-only tier checks no string contents, so the
+//! tier matrix must show its corrupted authenticated strings
+//! dispatching silently where the MAC tier kills them
+//! ([`TierReport::problems`]).
 
 pub mod campaign;
 pub mod crosspid;
@@ -43,16 +45,17 @@ pub mod inventory;
 pub mod latency;
 pub mod tiers;
 
-pub use campaign::{
-    classify, run_campaign, run_weakened_demo, CampaignConfig, DemoResult, FaultClass, Outcome,
-    Report, Row, RunRecord,
-};
+pub use campaign::{classify, run_campaign, CampaignConfig, FaultClass, Outcome, Report, Row};
 pub use crosspid::{run_cross_campaign, CrossConfig, CrossFaultClass, CrossReport, CrossRow};
 pub use inventory::{scan, Blob, Inventory};
 pub use latency::{run_latency_campaign, LatencyConfig, LatencyReport, LatencyRow};
 pub use tiers::{run_tier_matrix, TierMatrixConfig, TierReport, TierRow, FLOW_REORDER};
 
 use asc_crypto::MacKey;
+use asc_kernel::Personality;
+
+/// The OS personality every campaign builds and boots its guests under.
+pub(crate) const PERSONALITY: Personality = Personality::Linux;
 
 /// The fixed campaign key (the simulated security administrator's
 /// secret; independent of the benchmark key so campaigns cannot be

@@ -23,16 +23,16 @@
 //!   every class, and zero silent corruption everywhere.
 
 use asc_attacks::{AttackLab, AttackOutcome};
-use asc_audit::scenario_options;
-use asc_kernel::{Personality, ReasonCode, VerifyTier};
+use asc_audit::{run_solo, scenario_options, SoloRun};
+use asc_kernel::{ReasonCode, VerifyTier};
 use asc_testkit::Rng;
 use asc_workloads::{Guest, ProgramSpec};
 
 use crate::campaign::{
-    campaign_scenario, classify, plan_fault, run_planned, FaultClass, Outcome, RunRecord,
+    campaign_scenario, classify, count_kill, plan_fault, render_kills, FaultClass, Outcome,
 };
-use crate::campaign_key;
 use crate::inventory::{scan, Inventory};
+use crate::{campaign_key, PERSONALITY};
 
 /// Name of the synthetic reorder row (not a [`FaultClass`]: it is a
 /// guest-level attack, not an artifact flip).
@@ -48,12 +48,9 @@ pub struct TierMatrixConfig {
     pub trials: u32,
     /// Workload names (must be registered in `asc-workloads`).
     pub workloads: Vec<String>,
-    /// OS personality for builds and kernels.
-    pub personality: Personality,
     /// Fault classes to replay. Defaults to the pre-origin
     /// [`FaultClass::ALL`] list the golden-pinned bench table
-    /// enumerates; use [`TierMatrixConfig::with_all_classes`] to add
-    /// the syscall-origin classes.
+    /// enumerates.
     pub classes: Vec<FaultClass>,
 }
 
@@ -64,16 +61,8 @@ impl TierMatrixConfig {
             seed,
             trials,
             workloads: vec!["bison".into(), "calc".into(), "tar".into()],
-            personality: Personality::Linux,
             classes: FaultClass::ALL.to_vec(),
         }
-    }
-
-    /// Extends the matrix to [`FaultClass::ALL_EXTENDED`], including
-    /// the gadget-jump and stub-smuggle origin classes.
-    pub fn with_all_classes(mut self) -> TierMatrixConfig {
-        self.classes = FaultClass::ALL_EXTENDED.to_vec();
-        self
     }
 }
 
@@ -112,16 +101,12 @@ impl TierRow {
         }
     }
 
-    fn tally(&mut self, outcome: Outcome, detail: &str, run: &RunRecord, trial_tag: &str) {
+    fn tally(&mut self, outcome: Outcome, detail: &str, run: &SoloRun, trial_tag: &str) {
         match outcome {
             Outcome::Killed => {
                 self.killed += 1;
                 if let Some(alert) = run.alerts.last() {
-                    let reason = alert.reason();
-                    match self.kill_reasons.iter_mut().find(|(r, _)| *r == reason) {
-                        Some((_, n)) => *n += 1,
-                        None => self.kill_reasons.push((reason, 1)),
-                    }
+                    count_kill(&mut self.kill_reasons, alert.reason());
                 }
             }
             Outcome::Benign => self.benign += 1,
@@ -156,7 +141,7 @@ struct Prepared {
     spec: &'static ProgramSpec,
     guest: Guest,
     inv: Inventory,
-    cleans: Vec<RunRecord>,
+    cleans: Vec<SoloRun>,
 }
 
 impl TierReport {
@@ -308,14 +293,7 @@ impl TierReport {
                 "{:<10} {:<17} {:>7} {:>7} {:>8} {:>8}\n",
                 tier_label, row.class, row.killed, row.benign, row.crashed, row.silent
             ));
-            if !row.kill_reasons.is_empty() {
-                let reasons: Vec<String> = row
-                    .kill_reasons
-                    .iter()
-                    .map(|(r, n)| format!("{} x{n}", r.code()))
-                    .collect();
-                out.push_str(&format!("           kills: {}\n", reasons.join(", ")));
-            }
+            render_kills(&mut out, &row.kill_reasons);
         }
         out.push('\n');
         for tier in VerifyTier::ALL {
@@ -351,15 +329,15 @@ impl TierReport {
 /// or install errors, a failing clean run under any tier, or clean
 /// runs that disagree across tiers.
 pub fn run_tier_matrix(cfg: &TierMatrixConfig) -> TierReport {
-    let tier_options = |tier| scenario_options(cfg.personality, tier, false);
+    let tier_options = |tier| scenario_options(PERSONALITY, tier);
     let mut prepared = Vec::new();
     for (wi, name) in cfg.workloads.iter().enumerate() {
-        let (spec, guest) = campaign_scenario(name, cfg.personality, 0x0F10 + wi as u16).prepare();
+        let (spec, guest) = campaign_scenario(name, 0x0F10 + wi as u16).prepare();
         let inv = scan(guest.binary());
-        let cleans: Vec<RunRecord> = VerifyTier::ALL
+        let cleans: Vec<SoloRun> = VerifyTier::ALL
             .iter()
             .map(|&tier| {
-                let clean = run_planned(spec, &guest, tier_options(tier), None);
+                let clean = run_solo(spec, &guest, tier_options(tier), None);
                 assert!(
                     clean.outcome.is_success(),
                     "{name}: clean {} run failed: {:?} (alerts: {:?})",
@@ -372,8 +350,12 @@ pub fn run_tier_matrix(cfg: &TierMatrixConfig) -> TierReport {
             .collect();
         for clean in &cleans[1..] {
             assert_eq!(
-                (clean.instret, clean.syscalls, &clean.stdout),
-                (cleans[0].instret, cleans[0].syscalls, &cleans[0].stdout),
+                (clean.instret, clean.stats.syscalls, &clean.stdout),
+                (
+                    cleans[0].instret,
+                    cleans[0].stats.syscalls,
+                    &cleans[0].stdout
+                ),
                 "{name}: clean runs diverge across tiers"
             );
         }
@@ -405,7 +387,7 @@ pub fn run_tier_matrix(cfg: &TierMatrixConfig) -> TierReport {
                     else {
                         break;
                     };
-                    let run = run_planned(prep.spec, &prep.guest, tier_options(tier), Some(fault));
+                    let run = run_solo(prep.spec, &prep.guest, tier_options(tier), Some(&fault));
                     let (outcome, detail) = classify(clean, &run);
                     let tag = format!("{}/{} trial {trial}", prep.spec.name, class.name());
                     row.tally(outcome, &detail, &run, &tag);
@@ -420,7 +402,7 @@ pub fn run_tier_matrix(cfg: &TierMatrixConfig) -> TierReport {
             AttackOutcome::Succeeded(_) => row.silent += 1,
             AttackOutcome::Blocked(alert) => {
                 row.killed += 1;
-                row.kill_reasons.push((alert.reason(), 1));
+                count_kill(&mut row.kill_reasons, alert.reason());
                 if !kernel.exec_requests().is_empty() {
                     row.anomalies
                         .push("reorder: killed but the forged execve dispatched".into());
@@ -534,27 +516,26 @@ mod tests {
     fn tier_acceptance_forms_the_soundness_lattice() {
         use asc_vm::RunOutcome;
 
-        const PERSONALITY: Personality = Personality::Linux;
         const SEED: u64 = 0xACC3_97ED;
 
         // Prepare each workload once; the seeded cases only re-run.
         let mut prepared = Vec::new();
         for (wi, name) in ["bison", "calc", "tar"].iter().enumerate() {
-            let (spec, guest) = campaign_scenario(name, PERSONALITY, 0x0F20 + wi as u16).prepare();
+            let (spec, guest) = campaign_scenario(name, 0x0F20 + wi as u16).prepare();
             let inv = scan(guest.binary());
-            let clean = run_planned(
+            let clean = run_solo(
                 spec,
                 &guest,
-                scenario_options(PERSONALITY, VerifyTier::Mac, false),
+                scenario_options(PERSONALITY, VerifyTier::Mac),
                 None,
             );
             assert!(clean.outcome.is_success(), "{name}: clean run failed");
             prepared.push((spec, guest, inv, clean));
         }
 
-        let accept = |r: &RunRecord| !matches!(r.outcome, RunOutcome::Killed(_));
-        let kill_trap = |r: &RunRecord| match r.outcome {
-            RunOutcome::Killed(_) => r.syscalls,
+        let accept = |r: &SoloRun| !matches!(r.outcome, RunOutcome::Killed(_));
+        let kill_trap = |r: &SoloRun| match r.outcome {
+            RunOutcome::Killed(_) => r.stats.syscalls,
             _ => u64::MAX,
         };
 
@@ -574,11 +555,11 @@ mod tests {
                 }
                 // The *same* fault replayed under every tier; tier order
                 // follows `VerifyTier::ALL` = [FlowOnly, Mac, MacPlusFlow].
-                let runs: Vec<RunRecord> = VerifyTier::ALL
+                let runs: Vec<SoloRun> = VerifyTier::ALL
                     .iter()
                     .map(|&tier| {
-                        let opts = scenario_options(PERSONALITY, tier, false);
-                        run_planned(spec, guest, opts, fault)
+                        let opts = scenario_options(PERSONALITY, tier);
+                        run_solo(spec, guest, opts, fault.as_ref())
                     })
                     .collect();
                 let (flow_run, mac_run, both_run) = (&runs[0], &runs[1], &runs[2]);
@@ -603,19 +584,19 @@ mod tests {
                 // 2b. ...and kills at the earliest component kill point.
                 if !accept(both_run) {
                     assert_eq!(
-                        both_run.syscalls,
+                        both_run.stats.syscalls,
                         kill_trap(mac_run).min(kill_trap(flow_run)),
                         "{tag}: mac+flow killed at the wrong trap"
                     );
                 }
                 // 3. Accepting tiers observed the identical execution.
-                let accepted: Vec<&RunRecord> = runs.iter().filter(|r| accept(r)).collect();
+                let accepted: Vec<&SoloRun> = runs.iter().filter(|r| accept(r)).collect();
                 for run in accepted.iter().skip(1) {
                     assert_eq!(
-                        (run.instret, run.syscalls, &run.stdout),
+                        (run.instret, run.stats.syscalls, &run.stdout),
                         (
                             accepted[0].instret,
-                            accepted[0].syscalls,
+                            accepted[0].stats.syscalls,
                             &accepted[0].stdout
                         ),
                         "{tag}: accepting tiers diverged"

@@ -408,20 +408,26 @@ impl Kernel {
         };
         let w = match self.alloc_fd(end(FdKind::PipeWrite(idx), 1)) {
             Ok(fd) => fd,
-            Err(e) => {
-                self.fds[r as usize] = None;
-                self.fds.truncate(open);
-                return e;
-            }
+            Err(e) => return self.unwind_fds(&[r], open, e),
         };
-        self.pipes.push(VecDeque::new());
         let mut buf = [0u8; 8];
         buf[..4].copy_from_slice(&r.to_le_bytes());
         buf[4..].copy_from_slice(&w.to_le_bytes());
-        match ctx.mem.kwrite(addr, &buf) {
-            Ok(()) => 0,
-            Err(_) => EFAULT,
+        if ctx.mem.kwrite(addr, &buf).is_err() {
+            return self.unwind_fds(&[r, w], open, EFAULT);
         }
+        self.pipes.push(VecDeque::new());
+        0
+    }
+
+    /// Closes `fds`, opened since the table held `open` slots, and
+    /// returns `errno`: a call that fails leaves no descriptor behind.
+    fn unwind_fds(&mut self, fds: &[u32], open: usize, errno: u32) -> u32 {
+        for &fd in fds {
+            self.fds[fd as usize] = None;
+        }
+        self.fds.truncate(open);
+        errno
     }
 
     /// A new socket's descriptor, its buffer pushed only once it has one.

@@ -15,7 +15,7 @@ use std::rc::Rc;
 
 use asc_core::{
     verify_call, AuthCallRegs, CacheStats, FlowGraph, SharedVerifyCache, SiteRegistry, UserMemory,
-    VerifyCache, VerifyHooks, VerifyOutcome, Violation, FLOW_START,
+    VerifyCache, VerifyOutcome, Violation, FLOW_START,
 };
 use asc_crypto::{CapabilitySet, MacKey, MemoryChecker};
 use asc_isa::Reg;
@@ -249,11 +249,6 @@ pub struct KernelOptions {
     /// performance tables reproduce the paper's (cache-less) prototype;
     /// the fast-path numbers are reported separately.
     pub verify_cache: bool,
-    /// **Test-only** deliberate weakening: skip the authenticated-string
-    /// contents check (`asc_core::VerifyHooks::accept_any_string`). Exists
-    /// so the fault-injection campaign can prove its oracle detects a
-    /// verifier that fails open; never enable outside that experiment.
-    pub weaken_string_check: bool,
     /// Which verification tier enforced calls run (see [`VerifyTier`]).
     /// [`VerifyTier::Mac`] — the default — is byte-identical to the
     /// historical behaviour; the flow tiers additionally require a
@@ -269,7 +264,6 @@ impl KernelOptions {
             enforce: false,
             capability_tracking: false,
             verify_cache: false,
-            weaken_string_check: false,
             verify_tier: VerifyTier::Mac,
         }
     }
@@ -287,15 +281,6 @@ impl KernelOptions {
     pub fn with_verify_cache(self) -> KernelOptions {
         KernelOptions {
             verify_cache: true,
-            ..self
-        }
-    }
-
-    /// **Test-only**: deliberately weakens the verifier (see
-    /// [`KernelOptions::weaken_string_check`]).
-    pub fn with_weakened_string_check(self) -> KernelOptions {
-        KernelOptions {
-            weaken_string_check: true,
             ..self
         }
     }
@@ -983,14 +968,9 @@ impl Kernel {
                     .opts
                     .capability_tracking
                     .then_some(&mut cap_check as &mut dyn FnMut(u32) -> bool);
-                let hooks = VerifyHooks {
-                    accept_any_string: self.opts.weaken_string_check,
-                };
                 let (checker, meter) = (&mut self.checker, &mut meter);
                 let verify = |cache: Option<&mut VerifyCache>| {
-                    verify_call(
-                        key, checker, cache, &mut mem, &regs, cap_check, hooks, meter,
-                    )
+                    verify_call(key, checker, cache, &mut mem, &regs, cap_check, meter)
                 };
                 if cached {
                     // The fallback/scrub deltas come from the very cache

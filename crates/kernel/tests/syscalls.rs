@@ -912,6 +912,39 @@ fn pipe_with_one_free_slot_is_emfile_and_leaves_the_table() {
 }
 
 #[test]
+fn pipe_into_unmapped_memory_is_efault_and_leaves_the_table() {
+    // The descriptor array faults: pipe returns EFAULT and closes both
+    // ends, so the next open gets descriptor 3, as on Linux.
+    let src = exit_with(
+        &format!(
+            "
+        movi r0, 42
+        movi r1, 0xfffffff0
+        syscall
+        movi r7, {EFAULT}
+        bne r0, r7, fail
+        movi r0, 5
+        movi r1, null
+        movi r2, 0
+        movi r3, 0
+        syscall
+        mov r1, r0
+        jmp done
+    fail:
+        movi r1, 99
+    done:
+        "
+        ),
+        "
+        .rodata
+    null: .asciz \"/dev/null\"
+    ",
+    );
+    let (outcome, _) = run(&src);
+    assert_eq!(outcome, RunOutcome::Exited(3));
+}
+
+#[test]
 fn open_after_close_gets_the_lowest_free_descriptor() {
     // Open 3, 4 and 5; close 4 then 3; the next opens get 3, 4, then 6.
     let open = "

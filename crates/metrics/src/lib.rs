@@ -7,8 +7,7 @@
 //! e.g. `asc_verify_cycles{path="warm"}`. The kernel's trap handler, the
 //! installer, and the bench harnesses all record into a [`Registry`];
 //! [`Snapshot`]s are mergeable across kernels (multi-program benchmarks run
-//! tools on separate kernels and report one distribution) and render two
-//! ways: Prometheus-style text exposition ([`Snapshot::to_prometheus`]) and
+//! tools on separate kernels and report one distribution) and render as
 //! [`asc_core::json`] values ([`Snapshot::to_value`]).
 //!
 //! Like the flight recorder, metrics follow the **no-perturbation rule**:
@@ -332,72 +331,6 @@ impl Snapshot {
         }
     }
 
-    /// Prometheus-style text exposition: `# TYPE` comments, cumulative
-    /// `_bucket{le=...}` series with a `+Inf` terminator, `_sum`/`_count`
-    /// per histogram.
-    pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let mut last_name = "";
-        for (key, value) in &self.entries {
-            if key.name != last_name {
-                let _ = writeln!(out, "# TYPE {} {}", key.name, value.type_name());
-                last_name = &key.name;
-            }
-            match value {
-                MetricValue::Counter(c) => {
-                    let _ = writeln!(out, "{} {c}", key.render());
-                }
-                MetricValue::Gauge(g) => {
-                    let _ = writeln!(out, "{} {g}", key.render());
-                }
-                MetricValue::Histogram(h) => {
-                    let mut cumulative = 0u64;
-                    for (upper, count) in h.nonzero_buckets() {
-                        cumulative += count;
-                        let mut labels: Vec<(&str, String)> = key
-                            .labels
-                            .iter()
-                            .map(|(k, v)| (k.as_str(), v.clone()))
-                            .collect();
-                        labels.push(("le", upper.to_string()));
-                        let body: Vec<String> = labels
-                            .iter()
-                            .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
-                            .collect();
-                        let _ = writeln!(
-                            out,
-                            "{}_bucket{{{}}} {cumulative}",
-                            key.name,
-                            body.join(",")
-                        );
-                    }
-                    let mut inf_labels: Vec<String> = key
-                        .labels
-                        .iter()
-                        .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
-                        .collect();
-                    inf_labels.push("le=\"+Inf\"".to_string());
-                    let _ = writeln!(
-                        out,
-                        "{}_bucket{{{}}} {}",
-                        key.name,
-                        inf_labels.join(","),
-                        h.count()
-                    );
-                    let suffixed = |suffix: &str| {
-                        let mut k = key.clone();
-                        k.name = format!("{}{suffix}", key.name);
-                        k.render()
-                    };
-                    let _ = writeln!(out, "{} {}", suffixed("_sum"), h.sum());
-                    let _ = writeln!(out, "{} {}", suffixed("_count"), h.count());
-                }
-            }
-        }
-        out
-    }
-
     /// Renders as an [`asc_core::json`] value: an array of entries, each
     /// `{name, labels, type, ...}`; histograms carry exact count/sum/min/max,
     /// the p50/p90/p99 quantiles, and the non-empty `[upper, count]` buckets.
@@ -546,33 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_exposition_is_cumulative_and_typed() {
-        let mut r = Registry::new();
-        let h = r.histogram("verify_cycles", &[("path", "cold")]);
-        r.observe(h, 10);
-        r.observe(h, 10);
-        r.observe(h, 5000);
-        let text = r.snapshot().to_prometheus();
-        assert!(text.contains("# TYPE verify_cycles histogram"), "{text}");
-        assert!(
-            text.contains("verify_cycles_bucket{path=\"cold\",le=\"10\"} 2"),
-            "{text}"
-        );
-        assert!(
-            text.contains("verify_cycles_bucket{path=\"cold\",le=\"+Inf\"} 3"),
-            "{text}"
-        );
-        assert!(
-            text.contains("verify_cycles_sum{path=\"cold\"} 5020"),
-            "{text}"
-        );
-        assert!(
-            text.contains("verify_cycles_count{path=\"cold\"} 3"),
-            "{text}"
-        );
-    }
-
-    #[test]
     fn json_rendering_parses_back() {
         let mut r = Registry::new();
         let h = r.histogram("h", &[("k", "v")]);
@@ -633,45 +539,12 @@ mod tests {
     }
 
     #[test]
-    fn exposition_escapes_label_values_at_every_site() {
-        let mut r = Registry::new();
-        let hostile = "bad\\path\"with\nnewline";
-        let c = r.counter("hits_total", &[("path", hostile)]);
-        r.inc(c, 1);
-        let g = r.gauge("level", &[("path", hostile)]);
-        r.set(g, 2.0);
-        let h = r.histogram("cost", &[("path", hostile)]);
-        r.observe(h, 3);
-        let text = r.snapshot().to_prometheus();
-        let escaped = "bad\\\\path\\\"with\\nnewline";
-        assert!(
-            text.contains(&format!("hits_total{{path=\"{escaped}\"}} 1")),
-            "counter site: {text}"
+    fn key_render_escapes_hostile_label_values() {
+        let key = MetricKey::new("hits_total", &[("path", "bad\\path\"with\nnewline")]);
+        assert_eq!(
+            key.render(),
+            "hits_total{path=\"bad\\\\path\\\"with\\nnewline\"}"
         );
-        assert!(
-            text.contains(&format!("level{{path=\"{escaped}\"}} 2")),
-            "gauge site: {text}"
-        );
-        assert!(
-            text.contains(&format!("cost_bucket{{path=\"{escaped}\",le=\"3\"}} 1")),
-            "bucket site: {text}"
-        );
-        assert!(
-            text.contains(&format!("cost_bucket{{path=\"{escaped}\",le=\"+Inf\"}} 1")),
-            "+Inf site: {text}"
-        );
-        assert!(
-            text.contains(&format!("cost_sum{{path=\"{escaped}\"}} 3")),
-            "sum site: {text}"
-        );
-        // The exposition format is line-oriented: a raw newline in a label
-        // value would have split this family across a bogus line.
-        for line in text.lines() {
-            assert!(
-                line.is_empty() || line.starts_with('#') || line.contains(' '),
-                "malformed exposition line {line:?}"
-            );
-        }
     }
 
     #[test]

@@ -220,15 +220,6 @@ impl Binary {
         self.symbols.iter().find(|s| s.name == name)
     }
 
-    /// The name of the function symbol at or most closely preceding `addr`,
-    /// for diagnostics.
-    pub fn nearest_func_symbol(&self, addr: u32) -> Option<&Symbol> {
-        self.symbols
-            .iter()
-            .filter(|s| s.kind == SymbolKind::Func && s.addr <= addr)
-            .max_by_key(|s| s.addr)
-    }
-
     /// The relocations.
     pub fn relocations(&self) -> &[Relocation] {
         &self.relocations
@@ -265,17 +256,6 @@ impl Binary {
         let data = &self.sections[reloc.section as usize].data;
         let off = reloc.offset as usize;
         u32::from_le_bytes(data[off..off + 4].try_into().expect("4 bytes"))
-    }
-
-    /// Writes the 4-byte field a relocation points at.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the relocation is out of bounds (malformed binary).
-    pub fn set_reloc_value(&mut self, reloc: Relocation, value: u32) {
-        let data = &mut self.sections[reloc.section as usize].data;
-        let off = reloc.offset as usize;
-        data[off..off + 4].copy_from_slice(&value.to_le_bytes());
     }
 
     /// Installer-assigned program id (0 if not installed).
@@ -385,22 +365,6 @@ mod tests {
         assert_eq!(b.section_at(0x3030).unwrap().name, ".bss");
         assert!(b.section_at(0x5000).is_none());
         assert_eq!(b.section_index(".bss"), Some(2));
-    }
-
-    #[test]
-    fn reloc_read_write() {
-        let mut b = sample();
-        let r = b.relocations()[0];
-        b.set_reloc_value(r, 0x2004);
-        assert_eq!(b.reloc_value(r), 0x2004);
-    }
-
-    #[test]
-    fn nearest_symbol() {
-        let b = sample();
-        assert_eq!(b.nearest_func_symbol(0x1018).unwrap().name, "helper");
-        assert_eq!(b.nearest_func_symbol(0x1004).unwrap().name, "main");
-        assert!(b.nearest_func_symbol(0x0fff).is_none());
     }
 
     #[test]

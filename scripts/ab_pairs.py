@@ -12,7 +12,10 @@ archive` of the revision, or the tracked and untracked files of the
 working tree for `worktree`), builds `hostbench` there with
 its own CARGO_TARGET_DIR and runs `hostbench/run.py` there, as in a
 fresh checkout of each commit: the build directory feeds the crate
-metadata hashes, and with them where the interpreter loop lands.
+metadata hashes, and with them where the interpreter loop lands. Both
+sides build with `-C llvm-args=-align-all-functions=6` added to any
+RUSTFLAGS already set, so every function, the interpreter loop
+included, starts on a 64-byte boundary whatever the directory.
 
 The pairs run seeds 21, 22, ... and the last one the held-out seed
 424242 (so 10 pairs run 21-29 and 424242). The parent runs first in the
@@ -55,6 +58,8 @@ METRIC = {
 }
 WORK_COUNTERS = ("kernel.traps", "verify.verified", "crypto.aes_blocks",
                  "cache.evictions", "verify.vc_per_call")
+# Placement out of the pair: 2^6-byte alignment for every function.
+ALIGN_FUNCTIONS = "-C llvm-args=-align-all-functions=6"
 
 
 def log(msg=""):
@@ -84,7 +89,11 @@ def export(rev, dest):
 
 
 def env_for(side_dir):
-    return dict(os.environ, CARGO_TARGET_DIR=os.path.join(side_dir, "target"))
+    """The build and run environment of one side: its own target
+    directory, and every function aligned to its 64-byte cache line."""
+    rustflags = " ".join(f for f in (os.environ.get("RUSTFLAGS"), ALIGN_FUNCTIONS) if f)
+    return dict(os.environ, CARGO_TARGET_DIR=os.path.join(side_dir, "target"),
+                RUSTFLAGS=rustflags)
 
 
 def build(side_dir):

@@ -321,7 +321,6 @@ fn solo_bundles_replay_bit_identically_and_reject_tampering() {
         workload: "calc".into(),
         personality: PERSONALITY,
         tier: VerifyTier::Mac,
-        weakened: false,
         program_id: 0x0AB1,
         key_seed: 0x3117_0AC5,
         fault: Some(AuditFault::Trap(TrapFault {
@@ -403,99 +402,5 @@ fn fleet_bundles_replay_to_the_same_kill() {
         verdict.matched,
         "round-tripped fleet replay diverged: {}",
         verdict.detail
-    );
-}
-
-/// **Sentinel integration**: a fleet kill bundle embeds the last closed
-/// health window — the operator sees what the sentinel saw just before
-/// the kill next to the victim's forensics — and the embedded payload
-/// survives the digest-verified JSON round-trip without disturbing
-/// replay (the window is evidence, not replayed state).
-#[test]
-fn fleet_bundles_embed_the_last_health_window() {
-    use asc::audit::FleetScenario;
-    use asc::sentinel::{Sentinel, SentinelConfig};
-    let scenario = FleetScenario {
-        procs: vec!["calc".into(), "tar".into(), "bison".into(), "calc".into()],
-        personality: PERSONALITY,
-        tier: VerifyTier::Mac,
-        key_seed: 0x3117_0AC5,
-        program_id_base: 0x0AC0,
-        sched_seed: 0xF1E7_0001,
-        slice_instrs: 2_000,
-        budget_cycles: RUN_BUDGET,
-        batch_depth: Some(4),
-        fault: Some((
-            1,
-            TrapFault {
-                at_trap: 6,
-                action: FaultAction::SkewCounter { delta: 1 },
-            },
-        )),
-    };
-    let mut sched = scenario.build();
-    sched.attach_recorder(RecorderConfig::default());
-    let mut sentinel = Sentinel::attach(&sched, SentinelConfig::new(50_000));
-    while sched.step().is_some() {
-        sentinel.observe(&sched);
-    }
-    sentinel.finish(&sched);
-    let audit = sched.take_audit().expect("recorder attached");
-    assert!(
-        matches!(sched.process(1).state(), ProcState::Killed(_)),
-        "the armed fault must kill pid 1: {:?}",
-        sched.process(1).state()
-    );
-
-    // The sentinel saw the violation: some window records the alert.
-    assert!(
-        sentinel.windows().iter().any(|w| w.alerts_total > 0),
-        "no health window recorded the kill's alert"
-    );
-    let last = sentinel
-        .windows()
-        .last()
-        .expect("the run closed at least one window")
-        .clone();
-
-    let mut bundle =
-        Bundle::from_fleet(&scenario, &sched, &audit, 1).expect("kill yields a bundle");
-    assert!(
-        bundle.health_window().is_none(),
-        "no window before embedding"
-    );
-    bundle.embed_health_window(&last);
-    assert_eq!(
-        bundle.health_window(),
-        Some(&last.to_value()),
-        "embedded window reads back verbatim"
-    );
-    // Embedding is idempotent: re-embedding replaces, not duplicates.
-    bundle.embed_health_window(&last);
-    let json = bundle.to_json();
-    assert_eq!(
-        json.matches("\"health_window\"").count(),
-        1,
-        "re-embedding must replace the previous window"
-    );
-
-    // Round-trip: the digest covers the embedded window and the payload
-    // survives parsing; replay still reproduces the kill.
-    let parsed = Bundle::from_json(&json).expect("round-trip verifies");
-    assert_eq!(parsed.health_window(), Some(&last.to_value()));
-    let verdict = replay(&parsed);
-    assert!(
-        verdict.matched,
-        "replay with an embedded window diverged: {}",
-        verdict.detail
-    );
-
-    // Tampering with the embedded telemetry breaks the digest like any
-    // other recorded observable.
-    let tampered = json.replacen("\"alerts_total\"", "\"alerts_t0tal\"", 1);
-    assert_ne!(tampered, json, "tamper target present");
-    assert!(
-        Bundle::from_json(&tampered).is_err(),
-        "a tampered health window must fail digest verification"
     );
 }
