@@ -768,9 +768,9 @@ mod tests {
         let read = PERSONALITY.nr(asc_kernel::SyscallId::Read).unwrap();
         let write = PERSONALITY.nr(asc_kernel::SyscallId::Write).unwrap();
         let execve = PERSONALITY.nr(asc_kernel::SyscallId::Execve).unwrap();
-        assert!(flow.contains(read, write), "legal edge missing");
-        assert!(flow.contains(write, execve), "legal edge missing");
-        assert!(!flow.contains(read, execve), "digraph too coarse");
+        assert!(flow.contains((read, write)), "legal edge missing");
+        assert!(flow.contains((write, execve)), "legal edge missing");
+        assert!(!flow.contains((read, execve)), "digraph too coarse");
     }
 
     #[test]

@@ -324,7 +324,10 @@ impl Bundle {
     }
 
     /// Parses a bundle serialized by [`Bundle::to_value`], verifying the
-    /// schema tag and the digest.
+    /// schema tag and the digest. The digest is unkeyed, so the scenario
+    /// is checked too: an unknown workload, a zero slice quantum, a fault
+    /// or kill pid outside the fleet, or program ids past `u16::MAX` are
+    /// errors here rather than a panic or an endless loop in [`crate::replay`].
     pub fn from_value(value: &Value) -> Result<Bundle, String> {
         let schema = str_field(value, "schema")?;
         if schema != BUNDLE_SCHEMA {
@@ -339,6 +342,9 @@ impl Bundle {
                 v => Some(v.clone()),
             },
         };
+        if let Scenario::Fleet(fleet) = &bundle.scenario {
+            fleet.check_pid("kill", bundle.kill.pid)?;
+        }
         let recorded = u64_field(value, "digest")?;
         let recomputed = bundle.digest();
         if recorded != recomputed {

@@ -9,6 +9,8 @@
 //! audit benchmark capture bundles through them, and [`crate::replay`]
 //! re-runs them, so capture and replay cannot drift apart.
 
+use std::collections::BTreeSet;
+
 use asc_core::CacheStats;
 use asc_crypto::MacKey;
 use asc_installer::{Installer, InstallerOptions};
@@ -148,6 +150,14 @@ fn personality_from_str(name: &str) -> Result<Personality, String> {
     }
 }
 
+/// `name`, if it names a registered workload.
+fn registered(name: String) -> Result<String, String> {
+    match program(&name) {
+        Some(_) => Ok(name),
+        None => Err(format!("unknown workload {name:?}")),
+    }
+}
+
 fn tier_from_str(name: &str) -> Result<VerifyTier, String> {
     match name {
         "flow-only" => Ok(VerifyTier::FlowOnly),
@@ -233,7 +243,7 @@ impl SoloScenario {
             v => Some(AuditFault::from_value(v)?),
         };
         Ok(SoloScenario {
-            workload: str_field(value, "workload")?,
+            workload: registered(str_field(value, "workload")?)?,
             personality: personality_from_str(&str_field(value, "personality")?)?,
             tier: tier_from_str(&str_field(value, "tier")?)?,
             program_id: u64_field(value, "program_id")? as u16,
@@ -482,9 +492,8 @@ impl FleetScenario {
             .ok_or("procs is not an array")?
             .iter()
             .map(|v| {
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| "proc entry is not a string".to_string())
+                let name = v.as_str().ok_or("proc entry is not a string")?;
+                registered(name.to_string())
             })
             .collect::<Result<Vec<_>, _>>()?;
         let batch_depth = match field(value, "batch_depth")? {
@@ -501,7 +510,7 @@ impl FleetScenario {
                 }
             }
         };
-        Ok(FleetScenario {
+        let scenario = FleetScenario {
             procs,
             personality: personality_from_str(&str_field(value, "personality")?)?,
             tier: tier_from_str(&str_field(value, "tier")?)?,
@@ -512,7 +521,36 @@ impl FleetScenario {
             budget_cycles: u64_field(value, "budget_cycles")?,
             batch_depth,
             fault,
-        })
+        };
+        // A zero quantum never retires an instruction, so no slice would
+        // ever end the victim's run.
+        if scenario.slice_instrs == 0 {
+            return Err("slice_instrs must be positive".into());
+        }
+        if let Some((pid, _)) = scenario.fault {
+            scenario.check_pid("fault", pid)?;
+        }
+        // The i-th distinct workload installs as `program_id_base + i`.
+        let distinct = scenario.procs.iter().collect::<BTreeSet<_>>().len();
+        if usize::from(scenario.program_id_base) + distinct > usize::from(u16::MAX) + 1 {
+            return Err(format!(
+                "program ids from {} for {distinct} workloads pass {}",
+                scenario.program_id_base,
+                u16::MAX
+            ));
+        }
+        Ok(scenario)
+    }
+
+    /// Whether `pid` names one of the fleet's processes.
+    pub(crate) fn check_pid(&self, what: &str, pid: Pid) -> Result<(), String> {
+        if pid == 0 || pid as usize > self.procs.len() {
+            return Err(format!(
+                "{what} pid {pid} is not one of the fleet's {} processes",
+                self.procs.len()
+            ));
+        }
+        Ok(())
     }
 
     /// Builds, installs, and spawns the fleet (shared verify cache, one

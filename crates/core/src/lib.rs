@@ -17,6 +17,11 @@
 //! * the **application** holds all of this data but, lacking the key,
 //!   cannot forge any of it.
 //!
+//! The SFIP tier's digraph ([`FlowGraph`]) and the origin check's
+//! registry ([`SiteRegistry`]) are instances of [`asc_crypto::SortedSet`];
+//! the installer writes their sealed form into the `.ascflow` and
+//! `.ascsites` sections.
+//!
 //! # Example: the policy from §3.1
 //!
 //! ```
@@ -47,8 +52,8 @@ pub mod verify;
 pub use cache::{mix64, pid_shard, CacheStats, SharedVerifyCache, VerifyCache};
 pub use descriptor::PolicyDescriptor;
 pub use encoding::{encode_call, EncodedArg, EncodedCall, Encoding};
-pub use flow::{FlowGraph, FlowParseError, FLOW_START};
+pub use flow::{FlowGraph, FLOW_START};
 pub use pattern::{match_pattern, produce_hint, Pattern, PatternError};
 pub use policy::{ArgPolicy, ProgramPolicy, SyscallPolicy, MAX_ARGS};
-pub use sites::{SiteRegistry, SitesParseError};
+pub use sites::SiteRegistry;
 pub use verify::{verify_call, AuthCallRegs, UserMemory, VerifyOutcome, Violation};

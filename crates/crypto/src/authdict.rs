@@ -10,106 +10,14 @@
 
 use crate::cmac::Mac;
 use crate::key::MacKey;
+use crate::set::SortedSet;
 
 /// A set of `u32` capabilities (file descriptors) stored in untrusted memory.
 ///
-/// The serialised form is `count (4 bytes LE) ‖ sorted values (4 bytes LE
-/// each)`; the accompanying [`Mac`] covers that serialisation concatenated
-/// with the kernel-held counter.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CapabilitySet {
-    values: Vec<u32>,
-}
-
-impl CapabilitySet {
-    /// An empty capability set.
-    pub fn new() -> Self {
-        CapabilitySet::default()
-    }
-
-    /// Whether `value` is present.
-    pub fn contains(&self, value: u32) -> bool {
-        self.values.binary_search(&value).is_ok()
-    }
-
-    /// Number of capabilities held.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Inserts `value`; returns `false` if it was already present.
-    pub fn insert(&mut self, value: u32) -> bool {
-        match self.values.binary_search(&value) {
-            Ok(_) => false,
-            Err(pos) => {
-                self.values.insert(pos, value);
-                true
-            }
-        }
-    }
-
-    /// Removes `value`; returns `false` if it was absent.
-    pub fn remove(&mut self, value: u32) -> bool {
-        match self.values.binary_search(&value) {
-            Ok(pos) => {
-                self.values.remove(pos);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Serialises to the untrusted-memory layout.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + 4 * self.values.len());
-        out.extend_from_slice(&(self.values.len() as u32).to_le_bytes());
-        for v in &self.values {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
-    }
-
-    /// Parses the layout produced by [`CapabilitySet::to_bytes`]. Returns
-    /// `None` on truncation or if the values are not strictly sorted (a
-    /// malformed blob can never have a valid MAC anyway, but rejecting early
-    /// keeps `contains` correct).
-    pub fn parse(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 4 {
-            return None;
-        }
-        let count = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
-        if bytes.len() < 4 + 4 * count {
-            return None;
-        }
-        let mut values = Vec::with_capacity(count);
-        for i in 0..count {
-            let off = 4 + 4 * i;
-            let v = u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes"));
-            if let Some(&last) = values.last() {
-                if v <= last {
-                    return None;
-                }
-            }
-            values.push(v);
-        }
-        Some(CapabilitySet { values })
-    }
-}
-
-impl FromIterator<u32> for CapabilitySet {
-    fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> Self {
-        let mut set = CapabilitySet::new();
-        for v in iter {
-            set.insert(v);
-        }
-        set
-    }
-}
+/// The serialised form is [`SortedSet::to_bytes`]: `count (4 bytes LE) ‖
+/// sorted values (4 bytes LE each)`; the accompanying [`Mac`] covers that
+/// serialisation concatenated with the kernel-held counter.
+pub type CapabilitySet = SortedSet<u32>;
 
 /// The trusted side of the authenticated dictionary: counter plus MAC
 /// computation, analogous to [`crate::memcheck::MemoryChecker`].
@@ -159,39 +67,6 @@ mod tests {
 
     fn key() -> MacKey {
         MacKey::from_seed(5)
-    }
-
-    #[test]
-    fn set_operations() {
-        let mut s = CapabilitySet::new();
-        assert!(s.is_empty());
-        assert!(s.insert(4));
-        assert!(s.insert(3));
-        assert!(!s.insert(4));
-        assert_eq!(s.len(), 2);
-        assert!(s.contains(3));
-        assert!(!s.contains(5));
-        assert!(s.remove(3));
-        assert!(!s.remove(3));
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn roundtrip() {
-        let s: CapabilitySet = [9, 1, 5].into_iter().collect();
-        let parsed = CapabilitySet::parse(&s.to_bytes()).unwrap();
-        assert_eq!(parsed, s);
-    }
-
-    #[test]
-    fn parse_rejects_unsorted_and_truncated() {
-        // count=2, values 5 then 3 (unsorted).
-        let mut bytes = 2u32.to_le_bytes().to_vec();
-        bytes.extend_from_slice(&5u32.to_le_bytes());
-        bytes.extend_from_slice(&3u32.to_le_bytes());
-        assert!(CapabilitySet::parse(&bytes).is_none());
-        assert!(CapabilitySet::parse(&bytes[..7]).is_none());
-        assert!(CapabilitySet::parse(&[]).is_none());
     }
 
     #[test]

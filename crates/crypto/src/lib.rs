@@ -14,6 +14,9 @@
 //!   representation of string constants (§3.2);
 //! * [`memcheck::MemoryChecker`] — the online memory checker keeping the
 //!   control-flow policy state (`lastBlock`/`lbMAC`) in untrusted memory;
+//! * [`set::SortedSet`] — the sorted set of fixed-width entries, with its
+//!   canonical bytes and its MAC-sealed form, that holds the capability
+//!   set, the SFIP flow digraph and the origin-site registry;
 //! * [`authdict`] — the authenticated dictionary used for capability
 //!   (file-descriptor) tracking policies (§5.3).
 //!
@@ -33,6 +36,7 @@ pub mod authstring;
 pub mod cmac;
 pub mod key;
 pub mod memcheck;
+pub mod set;
 
 pub use aes::Aes128;
 pub use authdict::{AuthDict, CapabilitySet};
@@ -40,3 +44,4 @@ pub use authstring::{AuthenticatedString, ParseAsError, AS_HEADER_LEN};
 pub use cmac::{Cmac, Mac, MAC_LEN};
 pub use key::MacKey;
 pub use memcheck::{MemoryChecker, PolicyState, POLICY_STATE_LEN};
+pub use set::{Entry, SealError, SortedSet};

@@ -692,7 +692,7 @@ pub(crate) fn install(
         .map(|s| (s.nr, s.block, s.preds.clone()))
         .collect();
     let flow = asc_analysis::syscall_graph::flow_digraph(&flow_sites);
-    let flow_bytes = flow.to_bytes(key);
+    let flow_bytes = flow.seal(key);
     emit_pass(
         sink,
         SPAN_REWRITE,
@@ -723,7 +723,7 @@ pub(crate) fn install(
     out.push_section(Section::new(
         sections::ASCSITES,
         align_up(flow_addr + flow_len),
-        registry.to_bytes(key),
+        registry.seal(key),
         SectionFlags::RO,
     ));
 

@@ -613,8 +613,8 @@ impl Kernel {
     }
 
     /// Installs the syscall-transition digraph the flow tiers check
-    /// against (parse it from the binary's `.ascflow` section with
-    /// [`FlowGraph::parse`], which verifies its MAC). Required when
+    /// against (open it from the binary's `.ascflow` section with
+    /// [`FlowGraph::open`], which verifies its MAC). Required when
     /// [`KernelOptions::verify_tier`] checks flow; ignored under
     /// [`VerifyTier::Mac`].
     pub fn set_flow_graph(&mut self, flow: FlowGraph) {
@@ -622,8 +622,8 @@ impl Kernel {
     }
 
     /// Installs the rewritten-site registry the origin check enforces
-    /// (parse it from the binary's `.ascsites` section with
-    /// [`SiteRegistry::parse`], which verifies its MAC). Once set, any
+    /// (open it from the binary's `.ascsites` section with
+    /// [`SiteRegistry::open`], which verifies its MAC). Once set, any
     /// trap from a pc outside the set is a fail-stop
     /// [`Violation::UnrewrittenSite`] kill under every tier, before the
     /// flow and MAC paths run.
@@ -945,7 +945,7 @@ impl Kernel {
                 };
                 let from = self.last_syscall.unwrap_or(FLOW_START);
                 let to = regs.nr as u16;
-                let passed = flow.contains(from, to);
+                let passed = flow.contains((from, to));
                 meter.record(CheckRecord {
                     kind: CheckKind::FlowEdge,
                     passed,

@@ -46,7 +46,5 @@ pub use kernel::{
 };
 pub use metrics::{KernelMetrics, VERIFY_PATHS};
 
-pub use asc_core::{
-    CacheStats, FlowGraph, FlowParseError, SiteRegistry, SitesParseError, FLOW_START,
-};
+pub use asc_core::{CacheStats, FlowGraph, SiteRegistry, FLOW_START};
 pub use asc_trace::ReasonCode;

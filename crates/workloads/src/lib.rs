@@ -28,11 +28,8 @@ pub mod tools;
 
 pub use programs::{program, programs, ProgramKind, ProgramSpec};
 
-use asc_crypto::MacKey;
-use asc_kernel::{
-    FileSystem, FlowGraph, FlowParseError, Kernel, KernelOptions, Personality, SiteRegistry,
-    SitesParseError,
-};
+use asc_crypto::{Entry, MacKey, SealError, SortedSet};
+use asc_kernel::{FileSystem, FlowGraph, Kernel, KernelOptions, Personality, SiteRegistry};
 use asc_object::{sections, Binary};
 use asc_vm::{Machine, MemFault, RunOutcome};
 
@@ -135,7 +132,7 @@ impl Guest {
         let key = key.shared_schedule();
         let installed = Installed {
             sites: site_registry_for(&binary, &key),
-            flow: try_flow_graph_of(&binary, &key),
+            flow: try_set_of(&binary, sections::ASCFLOW, &key),
             key,
         };
         Guest {
@@ -184,7 +181,7 @@ impl Guest {
             if tier.checks_flow() {
                 match &installed.flow {
                     Ok(flow) => kernel.set_flow_graph(flow.clone()),
-                    Err(e) => panic!("authenticated binary has a sound flow digraph: {e}"),
+                    Err(e) => panic!("authenticated binary has a sound policy set: {e}"),
                 }
             }
         }
@@ -217,46 +214,54 @@ impl Guest {
 /// Errors loading a policy-artifact section (`.ascflow` / `.ascsites`)
 /// out of an installed binary. Every failure is structured: a missing
 /// section, a truncated payload, and a MAC mismatch are distinguishable,
-/// and none of the fallible loaders panic.
+/// and [`try_set_of`] never panics.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ArtifactError {
     /// The binary carries no section with the given name.
     Missing(&'static str),
-    /// `.ascflow` is present but truncated or rejected by its MAC.
-    BadFlow(FlowParseError),
-    /// `.ascsites` is present but truncated or rejected by its MAC.
-    BadSites(SitesParseError),
+    /// The named section is present but truncated or rejected by its MAC.
+    Rejected(&'static str, SealError),
 }
 
 impl std::fmt::Display for ArtifactError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ArtifactError::Missing(name) => write!(f, "binary carries no {name} section"),
-            ArtifactError::BadFlow(e) => write!(f, "{}: {e}", sections::ASCFLOW),
-            ArtifactError::BadSites(e) => write!(f, "{}: {e}", sections::ASCSITES),
+            ArtifactError::Rejected(name, e) => write!(f, "{name}: {e}"),
         }
     }
 }
 
 impl std::error::Error for ArtifactError {}
 
-/// Parses the MAC-authenticated syscall-transition digraph out of an
-/// installed binary's `.ascflow` section, reporting failures as
-/// structured errors.
+/// Opens the MAC-sealed set in an installed binary's section `name`
+/// under `key`: the syscall-transition digraph of `.ascflow` (a
+/// [`FlowGraph`]) or the rewritten-site registry of `.ascsites` (a
+/// [`SiteRegistry`]).
 ///
 /// # Errors
 ///
 /// [`ArtifactError`] when the section is missing, truncated, or rejected
 /// by its MAC under `key`.
-pub fn try_flow_graph_of(binary: &Binary, key: &MacKey) -> Result<FlowGraph, ArtifactError> {
+pub fn try_set_of<T: Entry>(
+    binary: &Binary,
+    name: &'static str,
+    key: &MacKey,
+) -> Result<SortedSet<T>, ArtifactError> {
     let section = binary
-        .section_by_name(sections::ASCFLOW)
-        .ok_or(ArtifactError::Missing(sections::ASCFLOW))?;
-    FlowGraph::parse(&section.data, key).map_err(ArtifactError::BadFlow)
+        .section_by_name(name)
+        .ok_or(ArtifactError::Missing(name))?;
+    SortedSet::open(&section.data, key).map_err(|e| ArtifactError::Rejected(name, e))
 }
 
-/// Parses the MAC-authenticated syscall-transition digraph out of an
-/// installed binary's `.ascflow` section (the flow tiers' policy).
+/// [`try_set_of`] for a set the caller cannot run without.
+fn sound_set_of<T: Entry>(binary: &Binary, name: &'static str, key: &MacKey) -> SortedSet<T> {
+    try_set_of(binary, name, key)
+        .unwrap_or_else(|e| panic!("authenticated binary has a sound policy set: {e}"))
+}
+
+/// The MAC-authenticated syscall-transition digraph of an installed
+/// binary's `.ascflow` section (the flow tiers' policy).
 ///
 /// # Panics
 ///
@@ -264,38 +269,17 @@ pub fn try_flow_graph_of(binary: &Binary, key: &MacKey) -> Result<FlowGraph, Art
 /// both mean the binary was not produced by this installer/key pair, so
 /// there is no sound digraph to enforce.
 pub fn flow_graph_of(binary: &Binary, key: &MacKey) -> FlowGraph {
-    match try_flow_graph_of(binary, key) {
-        Ok(flow) => flow,
-        Err(e) => panic!("authenticated binary has a sound flow digraph: {e}"),
-    }
+    sound_set_of(binary, sections::ASCFLOW, key)
 }
 
-/// Parses the MAC-authenticated rewritten-site registry out of an
-/// installed binary's `.ascsites` section, reporting failures as
-/// structured errors.
-///
-/// # Errors
-///
-/// [`ArtifactError`] when the section is missing, truncated, or rejected
-/// by its MAC under `key`.
-pub fn try_sites_of(binary: &Binary, key: &MacKey) -> Result<SiteRegistry, ArtifactError> {
-    let section = binary
-        .section_by_name(sections::ASCSITES)
-        .ok_or(ArtifactError::Missing(sections::ASCSITES))?;
-    SiteRegistry::parse(&section.data, key).map_err(ArtifactError::BadSites)
-}
-
-/// Parses the MAC-authenticated rewritten-site registry out of an
-/// installed binary's `.ascsites` section (the origin-privilege policy).
+/// The MAC-authenticated rewritten-site registry of an installed binary's
+/// `.ascsites` section (the origin-privilege policy).
 ///
 /// # Panics
 ///
 /// If the section is missing or its MAC does not verify under `key`.
 pub fn sites_of(binary: &Binary, key: &MacKey) -> SiteRegistry {
-    match try_sites_of(binary, key) {
-        Ok(sites) => sites,
-        Err(e) => panic!("authenticated binary has a sound site registry: {e}"),
-    }
+    sound_set_of(binary, sections::ASCSITES, key)
 }
 
 /// The site registry an enforcing kernel should run `binary` under.
@@ -305,7 +289,7 @@ pub fn sites_of(binary: &Binary, key: &MacKey) -> SiteRegistry {
 /// fail-stops rather than silently dropping origin enforcement
 /// (fail-closed).
 pub fn site_registry_for(binary: &Binary, key: &MacKey) -> Option<SiteRegistry> {
-    match try_sites_of(binary, key) {
+    match try_set_of(binary, sections::ASCSITES, key) {
         Ok(sites) => Some(sites),
         Err(ArtifactError::Missing(_)) => None,
         Err(_) => Some(SiteRegistry::new()),

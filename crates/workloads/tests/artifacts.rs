@@ -10,19 +10,27 @@
 //! the SOF layout a guest boots from: a section that reaches past 4 GiB
 //! is a structured error, never an overflow.
 
+use asc_crypto::SealError;
 use asc_installer::{Installer, InstallerOptions};
-use asc_kernel::{FileSystem, KernelOptions, Personality, ReasonCode, SitesParseError};
+use asc_kernel::{FileSystem, FlowGraph, KernelOptions, Personality, ReasonCode, SiteRegistry};
 use asc_object::{sections, Binary, Section, SectionFlags, SofError};
 use asc_vm::{MemFault, RunOutcome};
 use asc_workloads::{
-    build, program, site_registry_for, try_flow_graph_of, try_sites_of, ArtifactError, Guest,
-    ProgramSpec,
+    build, program, site_registry_for, try_set_of, ArtifactError, Guest, ProgramSpec,
 };
 
 const PERSONALITY: Personality = Personality::Linux;
 
 fn key() -> asc_crypto::MacKey {
     asc_crypto::MacKey::from_seed(0x0A57_1FAC)
+}
+
+fn try_sites_of(b: &Binary, key: &asc_crypto::MacKey) -> Result<SiteRegistry, ArtifactError> {
+    try_set_of(b, sections::ASCSITES, key)
+}
+
+fn try_flow_graph_of(b: &Binary, key: &asc_crypto::MacKey) -> Result<FlowGraph, ArtifactError> {
+    try_set_of(b, sections::ASCFLOW, key)
 }
 
 fn installed() -> (&'static ProgramSpec, Binary) {
@@ -63,13 +71,16 @@ fn clean_artifacts_parse_and_only_under_the_install_key() {
     let wrong = asc_crypto::MacKey::from_seed(0x0A57_1FAD);
     assert_eq!(
         try_sites_of(&auth, &wrong),
-        Err(ArtifactError::BadSites(SitesParseError::BadMac)),
+        Err(ArtifactError::Rejected(
+            sections::ASCSITES,
+            SealError::BadMac
+        )),
         "a registry must not authenticate under a foreign key"
     );
     assert!(
         matches!(
             try_flow_graph_of(&auth, &wrong),
-            Err(ArtifactError::BadFlow(_))
+            Err(ArtifactError::Rejected(sections::ASCFLOW, _))
         ),
         "a digraph must not authenticate under a foreign key"
     );
@@ -110,7 +121,10 @@ fn truncated_sections_never_panic_and_fail_closed() {
         let cut = mutate(&auth, sections::ASCSITES, |d| d.truncate(keep));
         let err = try_sites_of(&cut, &key()).expect_err("truncated registry");
         assert!(
-            matches!(err, ArtifactError::BadSites(SitesParseError::Truncated)),
+            matches!(
+                err,
+                ArtifactError::Rejected(sections::ASCSITES, SealError::Truncated)
+            ),
             "keep={keep}: {err:?}"
         );
         // Fail closed: present-but-unparseable means an empty registry,
@@ -130,7 +144,7 @@ fn truncated_sections_never_panic_and_fail_closed() {
         assert!(
             matches!(
                 try_flow_graph_of(&cut, &key()),
-                Err(ArtifactError::BadFlow(_))
+                Err(ArtifactError::Rejected(sections::ASCFLOW, _))
             ),
             "keep={keep}: truncated digraph must be a structured error"
         );
@@ -154,8 +168,10 @@ fn mac_tampered_registry_fails_closed_to_a_kill() {
         assert!(
             matches!(
                 err,
-                ArtifactError::BadSites(SitesParseError::BadMac)
-                    | ArtifactError::BadSites(SitesParseError::Truncated)
+                ArtifactError::Rejected(
+                    sections::ASCSITES,
+                    SealError::BadMac | SealError::Truncated
+                )
             ),
             "flip={flip}: {err:?}"
         );
@@ -187,7 +203,7 @@ fn mac_tampered_flow_digraph_is_a_structured_error() {
         let forged = mutate(&auth, sections::ASCFLOW, |d| d[flip] ^= 1);
         let err = try_flow_graph_of(&forged, &key()).expect_err("tampered digraph");
         assert!(
-            matches!(err, ArtifactError::BadFlow(_)),
+            matches!(err, ArtifactError::Rejected(sections::ASCFLOW, _)),
             "flip={flip}: {err:?}"
         );
         assert!(!err.to_string().is_empty());

@@ -30,8 +30,10 @@ at least 9 of 10 pairs won, and medians further apart than the
 parent's quartile spread. The compared metric is the one each workload
 isolates unless --metric names another: an end-to-end metric of
 BENCHMARK.json untraced, a per-layer one traced (--trace 1). Traced runs (--trace 1) also compare the five
-work counters CI pins. Exits nonzero if any run is not `correct` or
-has failed operations.
+work counters CI pins; untraced runs mark whether both sides read the
+same `vc_overhead_pct` bit for bit (`vc identical` or `vc DIFFER`) and
+count the identical pairs under each workload's summary. Exits nonzero
+if any run is not `correct` or has failed operations.
 """
 
 import argparse
@@ -58,6 +60,8 @@ METRIC = {
 }
 WORK_COUNTERS = ("kernel.traps", "verify.verified", "crypto.aes_blocks",
                  "cache.evictions", "verify.vc_per_call")
+# The virtual-clock metric, exact on both sides unless the change moves it.
+VC_METRIC = "vc_overhead_pct"
 # Placement out of the pair: 2^6-byte alignment for every function.
 ALIGN_FUNCTIONS = "-C llvm-args=-align-all-functions=6"
 
@@ -224,6 +228,7 @@ def main():
             log(f"\n{workload}: {args.pairs} pairs, {args.seconds:g} s per run, "
                 f"trace {args.trace}")
             pairs = []
+            vc_identical = 0
             for i, seed in enumerate(seeds):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 result = {}
@@ -235,15 +240,22 @@ def main():
                         log(f"  NOT CORRECT: {side} seed {seed}: {result[side]}")
                 p = result["parent"]["metrics"][metric]["value"]
                 c = result["change"]["metrics"][metric]["value"]
-                counters = ""
                 if args.trace:
                     same = all(result["parent"]["metrics"][k] == result["change"]["metrics"][k]
                                for k in WORK_COUNTERS)
-                    counters = "  work counters " + ("match" if same else "DIFFER")
+                    mark = "  work counters " + ("match" if same else "DIFFER")
+                else:
+                    parent_vc, change_vc = (float(result[side]["metrics"][VC_METRIC]["value"])
+                                            for side in ("parent", "change"))
+                    same = parent_vc.hex() == change_vc.hex()
+                    vc_identical += same
+                    mark = "  vc " + ("identical" if same else "DIFFER")
                 log(f"  pair {i + 1:>2} seed {seed:<6} parent {p:<12.6g} change {c:<12.6g} "
-                    f"ratio {ratio(c, p)}  ({order[0]} first){counters}")
+                    f"ratio {ratio(c, p)}  ({order[0]} first){mark}")
                 pairs.append((seed, result["parent"], result["change"]))
             compare(workload, metric, pairs, higher)
+            if not args.trace:
+                log(f"  {VC_METRIC} identical bit for bit in {vc_identical}/{len(pairs)} pairs")
         if bad:
             sys.exit(f"ab_pairs: {bad} runs not correct or with failed operations")
     finally:

@@ -96,7 +96,7 @@ fn benign_traps_all_originate_from_registered_sites() {
             rewritten,
             "{name}: registry size diverges from the installer's count"
         );
-        for pc in registry.pcs() {
+        for pc in registry.iter() {
             let section = auth
                 .section_at(pc)
                 .unwrap_or_else(|| panic!("{name}: registered pc {pc:#x} is unmapped"));
@@ -155,7 +155,7 @@ fn removing_a_hit_site_turns_the_clean_run_into_an_origin_kill() {
             pcs
         };
         let victim = *rng.pick(&hit);
-        let narrowed: SiteRegistry = full.pcs().filter(|&pc| pc != victim).collect();
+        let narrowed: SiteRegistry = full.iter().filter(|&pc| pc != victim).collect();
         assert_eq!(narrowed.len(), full.len() - 1);
 
         let (outcome, kernel) = run_with_registry(spec, &auth, &key, tier, cached, narrowed);

@@ -73,8 +73,9 @@ fn capability_set_roundtrip() {
             .map(|_| rng.next_u32())
             .collect();
         let set: CapabilitySet = values.iter().copied().collect();
-        let parsed = CapabilitySet::parse(&set.to_bytes()).unwrap();
-        assert_eq!(parsed, set);
+        assert!(set.iter().eq(values.iter().copied()), "sorted order");
+        let key = MacKey::from_seed(0xca55);
+        assert_eq!(CapabilitySet::open(&set.seal(&key), &key), Ok(set.clone()));
         for v in &values {
             assert!(set.contains(*v));
         }
