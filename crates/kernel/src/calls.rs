@@ -296,7 +296,9 @@ impl Kernel {
                         if target >= self.fds.len() {
                             self.fds.resize(target + 1, None);
                         }
-                        self.fds[target] = Some(f);
+                        if let Some(old) = self.fds[target].replace(f) {
+                            self.release_unnamed(&old.kind);
+                        }
                         args[1]
                     }
                 }
@@ -504,12 +506,32 @@ impl Kernel {
     }
 
     fn sys_close(&mut self, fd: u32) -> u32 {
-        match self.fds.get_mut(fd as usize) {
-            Some(slot @ Some(_)) => {
-                *slot = None;
+        match self.fds.get_mut(fd as usize).and_then(Option::take) {
+            Some(file) => {
+                self.release_unnamed(&file.kind);
                 0
             }
-            _ => EBADF,
+            None => EBADF,
+        }
+    }
+
+    /// Drops the buffer of the pipe or socket `closed` named once no
+    /// descriptor names it. Its index stays taken, so no other pipe's or
+    /// socket's index moves.
+    fn release_unnamed(&mut self, closed: &FdKind) {
+        let (buffers, i) = match *closed {
+            FdKind::Socket(i) => (&mut self.sockets, i),
+            FdKind::PipeRead(i) | FdKind::PipeWrite(i) => (&mut self.pipes, i),
+            _ => return,
+        };
+        let socket = matches!(closed, FdKind::Socket(_));
+        let names = |kind: &FdKind| match *kind {
+            FdKind::Socket(j) => socket && j == i,
+            FdKind::PipeRead(j) | FdKind::PipeWrite(j) => !socket && j == i,
+            _ => false,
+        };
+        if !self.fds.iter().flatten().any(|f| names(&f.kind)) {
+            buffers[i] = VecDeque::new();
         }
     }
 
@@ -830,5 +852,113 @@ mod tests {
         kernel.fds[700] = None;
         assert_eq!(kernel.open_socket(), 700);
         assert_eq!(kernel.sockets.len(), 1);
+    }
+
+    /// `pipe(fds)`: `r4` is the read end, `r5` the write end.
+    const PIPE: &str = "
+        movi r0, 42
+        movi r1, fds
+        syscall
+        movi r12, fds
+        ldw r4, [r12]
+        ldw r5, [r12+4]";
+
+    /// `write(fd, big, 1 MiB)`, exiting 1 unless it writes it all.
+    fn write_mib(fd: &str) -> String {
+        format!(
+            "
+        movi r0, 4
+        mov r1, {fd}
+        movi r2, big
+        movi r3, 0x100000
+        syscall
+        movi r7, 0x100000
+        bne r0, r7, fail"
+        )
+    }
+
+    /// `close(fd)`.
+    fn close(fd: &str) -> String {
+        format!(
+            "
+        movi r0, 6
+        mov r1, {fd}
+        syscall"
+        )
+    }
+
+    #[test]
+    fn a_pipe_or_socket_buffer_goes_when_its_last_descriptor_closes() {
+        // Pipe 0 closes both ends; pipe 1 closes its write end, and `dup2`
+        // of stdout over its read end closes that; the socket closes a
+        // `dup` and then itself. Pipe 2's read end stays open after its
+        // write end closes.
+        let src = format!(
+            "
+        .text
+        .entry main
+    main:
+        {PIPE}{w5}{c5}{c4}
+        {PIPE}{w5}{c5}
+        movi r0, 63
+        movi r1, 1
+        mov r2, r4
+        syscall
+        movi r0, 102
+        movi r1, 2
+        movi r2, 1
+        movi r3, 0
+        syscall
+        mov r4, r0
+        movi r0, 41
+        mov r1, r4
+        syscall
+        mov r5, r0
+        {w4}{c5}{c4}
+        {PIPE}
+        movi r0, 4
+        mov r1, r5
+        movi r2, msg
+        movi r3, 5
+        syscall{c5}
+        movi r0, 3
+        mov r1, r4
+        movi r2, big
+        movi r3, 16
+        syscall
+        mov r3, r0
+        movi r0, 4
+        movi r1, 1
+        movi r2, big
+        syscall
+        movi r1, 0
+        jmp done
+    fail:
+        movi r1, 1
+    done:
+        movi r0, 1
+        syscall
+        .rodata
+    msg: .ascii \"piped\"
+        .bss
+    fds: .space 8
+    big: .space 0x100000
+    ",
+            w4 = write_mib("r4"),
+            w5 = write_mib("r5"),
+            c4 = close("r4"),
+            c5 = close("r5"),
+        );
+        let binary = asc_asm::assemble(&src).expect("assembles");
+        let mut kernel = Kernel::new(KernelOptions::plain(Personality::Linux));
+        kernel.set_brk(binary.highest_addr());
+        let mut machine = asc_vm::Machine::load(&binary, kernel).expect("loads");
+        assert_eq!(machine.run(100_000_000), asc_vm::RunOutcome::Exited(0));
+        let kernel = machine.into_handler();
+        assert_eq!((kernel.pipes.len(), kernel.sockets.len()), (3, 1));
+        assert_eq!(kernel.pipes[0].capacity(), 0);
+        assert_eq!(kernel.pipes[1].capacity(), 0);
+        assert_eq!(kernel.sockets[0].capacity(), 0);
+        assert_eq!(kernel.stdout(), b"piped");
     }
 }

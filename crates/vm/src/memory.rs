@@ -1,5 +1,9 @@
-//! Flat byte-addressable memory with page-granular protection, and the
-//! predecoded text the interpreter fetches through.
+//! Flat byte-addressable memory with page-granular protection, the
+//! predecoded text the interpreter fetches through, and the per-thread
+//! free list that recycles a dropped memory's buffer.
+
+use std::cell::RefCell;
+use std::ops::Range;
 
 use asc_isa::{DecodeError, Instruction, INSTR_LEN};
 use asc_object::{Binary, SectionFlags};
@@ -104,11 +108,45 @@ impl std::fmt::Display for MemFault {
 
 impl std::error::Error for MemFault {}
 
+/// What a page of a [`Memory`]'s buffer may hold.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Residue {
+    /// Every byte is zero.
+    Zero,
+    /// An earlier memory's bytes, zeroed when this memory first maps the
+    /// page.
+    Stale,
+    /// This memory's bytes: it has mapped the page or loaded into it.
+    Own,
+}
+
+thread_local! {
+    /// The buffers of this thread's dropped memories, each with its pages'
+    /// residues (`Zero` or `Stale`). They are freed only when the thread
+    /// exits: once glibc has freed one, it serves later buffers from its
+    /// heap, where `calloc` zeroes every page and makes it resident.
+    static FREE: RefCell<Vec<(Vec<u8>, Vec<Residue>)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Takes the most recently dropped buffer of `len` bytes, with its pages'
+/// residues, from this thread's free list.
+fn take_free(len: usize) -> Option<(Vec<u8>, Vec<Residue>)> {
+    FREE.try_with(|free| {
+        let mut free = free.borrow_mut();
+        let i = free.iter().rposition(|(bytes, _)| bytes.len() == len)?;
+        Some(free.swap_remove(i))
+    })
+    .ok()
+    .flatten()
+}
+
 /// The simulated physical memory of one process.
-#[derive(Clone)]
 pub struct Memory {
     bytes: Vec<u8>,
     pages: Vec<PageFlags>,
+    /// What each page's bytes may hold. A mapped page is always `Own`, so
+    /// no access can see a byte an earlier memory left.
+    residue: Vec<Residue>,
     /// Predecoded text: slot `i` caches the decode of the instruction at
     /// `slot_base + 8 * i`, over the span of the loaded binary's
     /// executable, non-writable sections. A slot is `Some` only while its
@@ -132,14 +170,62 @@ impl std::fmt::Debug for Memory {
     }
 }
 
+impl Clone for Memory {
+    /// A copy in a buffer taken from this thread's free list when one of
+    /// the same size is there, so that clones, which are dropped like any
+    /// memory, cannot grow the list.
+    fn clone(&self) -> Memory {
+        let bytes = match take_free(self.bytes.len()) {
+            Some((mut bytes, _)) => {
+                bytes.copy_from_slice(&self.bytes);
+                bytes
+            }
+            None => self.bytes.clone(),
+        };
+        Memory {
+            bytes,
+            pages: self.pages.clone(),
+            residue: self.residue.clone(),
+            slots: self.slots.clone(),
+            slot_base: self.slot_base,
+        }
+    }
+}
+
+impl Drop for Memory {
+    /// Returns the buffer to this thread's free list, every page this
+    /// memory owned now stale.
+    fn drop(&mut self) {
+        let bytes = std::mem::take(&mut self.bytes);
+        let mut residue = std::mem::take(&mut self.residue);
+        for r in residue.iter_mut().filter(|r| **r == Residue::Own) {
+            *r = Residue::Stale;
+        }
+        // While the thread exits the list may be gone; the buffer is then
+        // freed.
+        let _ = FREE.try_with(|free| free.borrow_mut().push((bytes, residue)));
+    }
+}
+
 impl Memory {
-    /// Creates zeroed, fully unmapped memory of `size` bytes (rounded up to
-    /// a whole number of pages).
+    /// Creates fully unmapped memory of `size` bytes (rounded up to a whole
+    /// number of pages) that reads zero on every page it maps.
+    ///
+    /// It takes the buffer of a dropped memory of the same size from this
+    /// thread's free list if there is one, else a new zeroed buffer. A
+    /// page of a taken buffer that still holds the dropped memory's bytes
+    /// is zeroed when [`Memory::protect`] first maps it or
+    /// [`Memory::load`] first loads into it, so a memory costs resident
+    /// pages only where some guest has mapped them.
     pub fn new(size: u32) -> Memory {
         let pages = size.div_ceil(PAGE_SIZE) as usize;
+        let len = pages * PAGE_SIZE as usize;
+        let (bytes, residue) =
+            take_free(len).unwrap_or_else(|| (vec![0; len], vec![Residue::Zero; pages]));
         Memory {
-            bytes: vec![0; pages * PAGE_SIZE as usize],
+            bytes,
             pages: vec![PageFlags::NONE; pages],
+            residue,
             slots: Vec::new(),
             slot_base: 0,
         }
@@ -170,6 +256,8 @@ impl Memory {
                 });
             }
             let start = section.addr as usize;
+            let page = PAGE_SIZE as usize;
+            self.own(start / page..(end as usize).div_ceil(page));
             self.bytes[start..start + section.data.len()].copy_from_slice(&section.data);
             // Zero-fill the bss tail.
             for b in &mut self.bytes[start + section.data.len()..end as usize] {
@@ -199,7 +287,9 @@ impl Memory {
     }
 
     /// Sets protection for the pages covering `[addr, addr+len)`, clamped
-    /// to the last page of memory.
+    /// to the last page of memory. A mapped page that this memory had
+    /// neither mapped nor loaded into before reads zero; any other page
+    /// keeps its bytes.
     pub fn protect(&mut self, addr: u32, len: u32, flags: PageFlags) {
         if len == 0 {
             return;
@@ -212,6 +302,21 @@ impl Memory {
             // New flags can make a page writable or non-executable, so every
             // slot on a touched page goes, not just those in the range.
             self.forget(first * page, end * page);
+            if flags.mapped() {
+                self.own(first as usize..end as usize);
+            }
+        }
+    }
+
+    /// Makes the pages of `span` this memory's own, zeroing each that
+    /// still holds a dropped memory's bytes.
+    fn own(&mut self, span: Range<usize>) {
+        let page = PAGE_SIZE as usize;
+        for (p, residue) in span.clone().zip(&mut self.residue[span]) {
+            if *residue == Residue::Stale {
+                self.bytes[p * page..(p + 1) * page].fill(0);
+            }
+            *residue = Residue::Own;
         }
     }
 
@@ -535,6 +640,17 @@ mod tests {
         let before = m.pages.clone();
         m.protect(u32::MAX, 2, PageFlags::R);
         assert_eq!(m.pages, before);
+    }
+
+    #[test]
+    fn clones_dropped_in_a_loop_leave_one_buffer_on_the_free_list() {
+        let m = mem_with_binary();
+        for _ in 0..100 {
+            let mut c = m.clone();
+            c.write_u8(0x2000, 9).unwrap();
+            assert_eq!(m.read_u8(0x2000), Ok(1));
+        }
+        assert_eq!(FREE.with(|free| free.borrow().len()), 1);
     }
 
     #[test]
