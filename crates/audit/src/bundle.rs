@@ -3,7 +3,7 @@
 use asc_core::json::Value;
 use asc_core::{pid_shard, CacheStats};
 use asc_kernel::KernelStats;
-use asc_sched::{AuditLog, Pid, Scheduler};
+use asc_sched::{AuditLog, KernelHandler, Pid, Scheduler};
 use asc_workloads::{Guest, ProgramSpec};
 
 use crate::scenario::{FleetScenario, Scenario, SoloRun};
@@ -200,9 +200,9 @@ impl Bundle {
     /// attached recorder's harvested [`AuditLog`]. Returns `None` if the
     /// victim was not verifier-killed or the audit log has no kill mark
     /// for it.
-    pub fn from_fleet(
+    pub fn from_fleet<H: KernelHandler>(
         scenario: &FleetScenario,
-        sched: &Scheduler,
+        sched: &Scheduler<H>,
         audit: &AuditLog,
         victim: Pid,
     ) -> Option<Bundle> {

@@ -16,6 +16,12 @@
 //!   bit-identically — every production alert becomes a reproducible test
 //!   case.
 //!
+//! The trap-time fault types live here too: [`TrapFault`], its
+//! [`FaultAction`], and [`ArmedKernel`], the handler that wraps a
+//! `Kernel` with one armed fault and fires it through the kernel's one
+//! fault seam, the verify-stage hook of `Kernel::trap_with`. Every run a
+//! bundle records or replays with a trap fault runs on that handler.
+//!
 //! Replay soundness rests on the workspace's determinism discipline: a
 //! scenario is a pure function of its seeds (build → install → key →
 //! fault → schedule), so the only way a replay can diverge is if the
@@ -23,9 +29,11 @@
 //! (`asc-faults`) replays every kill it induces and classifies any
 //! divergence as `IRREPRODUCIBLE` — asserted zero.
 
+mod armed;
 mod bundle;
 mod scenario;
 
+pub use armed::{ArmedKernel, FaultAction, TrapFault};
 pub use bundle::{replay_solo_in, Bundle, KillRecord, ReplayVerdict, BUNDLE_SCHEMA};
 pub use scenario::{
     flip_byte, run_solo, scenario_options, AuditFault, FleetScenario, Scenario, SoloRun,

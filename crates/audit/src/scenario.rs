@@ -14,17 +14,15 @@ use std::collections::BTreeSet;
 use asc_core::CacheStats;
 use asc_crypto::MacKey;
 use asc_installer::{Installer, InstallerOptions};
-use asc_kernel::FaultAction;
-use asc_kernel::{
-    Alert, Kernel, KernelOptions, KernelStats, Personality, TraceEntry, TrapFault, VerifyTier,
-};
-use asc_sched::{Pid, RecorderConfig, SchedConfig, SchedPolicy, Scheduler};
+use asc_kernel::{Alert, KernelOptions, KernelStats, Personality, TraceEntry, VerifyTier};
+use asc_sched::{KernelHandler, Pid, RecorderConfig, SchedConfig, SchedPolicy, Scheduler};
 use asc_trace::{Event, RingSink};
 use asc_vm::{Machine, Memory, RunOutcome, StepOutcome};
 use asc_workloads::{build, program, Guest, ProgramSpec, RUN_BUDGET};
 
 use asc_core::json::Value;
 
+use crate::armed::{ArmedKernel, FaultAction, TrapFault};
 use crate::{field, hex64, num, str_field, u64_field};
 
 /// Ring capacity for bundle span capture: the victim's last events.
@@ -42,8 +40,8 @@ pub enum AuditFault {
         /// XOR mask (nonzero).
         mask: u8,
     },
-    /// A trap-time fault armed on the kernel (register corruption, counter
-    /// skew, cache poisoning — see [`TrapFault`]).
+    /// A trap-time fault armed on the kernel's handler (register
+    /// corruption, counter skew, cache poisoning — see [`TrapFault`]).
     Trap(TrapFault),
 }
 
@@ -336,8 +334,8 @@ impl SoloRun {
     /// Captures the observables of a run that ended in `outcome` from its
     /// machine, with an empty span log: [`run_solo`] adds what its ring
     /// kept.
-    pub fn capture(outcome: RunOutcome, machine: &Machine<Kernel>) -> SoloRun {
-        let kernel = machine.handler();
+    pub fn capture<H: KernelHandler>(outcome: RunOutcome, machine: &Machine<H>) -> SoloRun {
+        let kernel = machine.handler().kernel();
         SoloRun {
             outcome,
             cycles: machine.cycles(),
@@ -377,11 +375,17 @@ pub fn run_solo(
     opts: KernelOptions,
     fault: Option<&AuditFault>,
 ) -> SoloRun {
+    let trap_fault = match fault {
+        Some(AuditFault::Trap(tf)) => Some(*tf),
+        _ => None,
+    };
     let mut machine = guest
         .boot(opts, spec.fs(), spec.stdin)
-        .expect("workload fits in memory");
+        .expect("workload fits in memory")
+        .map_handler(|kernel| ArmedKernel::new(kernel, trap_fault));
     machine
         .handler_mut()
+        .kernel_mut()
         .set_trace_sink(Box::new(RingSink::new(BUNDLE_SPAN_CAPACITY)));
     let outcome = match fault {
         Some(&AuditFault::Mem {
@@ -395,14 +399,11 @@ pub fn run_solo(
                 machine.run(RUN_BUDGET)
             }
         },
-        Some(AuditFault::Trap(tf)) => {
-            machine.handler_mut().arm_fault(*tf);
-            machine.run(RUN_BUDGET)
-        }
-        None => machine.run(RUN_BUDGET),
+        Some(AuditFault::Trap(_)) | None => machine.run(RUN_BUDGET),
     };
     let ring = machine
         .handler_mut()
+        .kernel_mut()
         .take_trace_sink()
         .expect("span ring attached above")
         .into_any()
@@ -554,13 +555,14 @@ impl FleetScenario {
     }
 
     /// Builds, installs, and spawns the fleet (shared verify cache, one
-    /// kernel per pid, the fault armed), without running any slice.
+    /// [`ArmedKernel`] per pid, the fault armed on its pid's), without
+    /// running any slice.
     ///
     /// # Panics
     ///
     /// Panics on harness preconditions: unknown workload, build/install
     /// failure, fault pid out of range.
-    pub fn build(&self) -> Scheduler {
+    pub fn build(&self) -> Scheduler<ArmedKernel> {
         let key = MacKey::from_seed(self.key_seed);
         let mut built: Vec<(&str, &'static ProgramSpec, Guest)> = Vec::new();
         for name in &self.procs {
@@ -585,16 +587,19 @@ impl FleetScenario {
             budget_cycles: self.budget_cycles,
             batch_depth: self.batch_depth,
         });
+        if let Some((pid, _)) = self.fault {
+            self.check_pid("fault", pid)
+                .unwrap_or_else(|e| panic!("{e}"));
+        }
         let opts = scenario_options(self.personality, self.tier);
-        for name in &self.procs {
+        for (pid, name) in (1..).zip(&self.procs) {
             let (_, spec, guest) = built.iter().find(|(n, ..)| n == name).expect("built above");
+            let fault = self.fault.filter(|(p, _)| *p == pid).map(|(_, tf)| tf);
             let machine = guest
                 .boot(opts.clone(), spec.fs(), spec.stdin)
-                .expect("workload fits in memory");
+                .expect("workload fits in memory")
+                .map_handler(|kernel| ArmedKernel::new(kernel, fault));
             sched.spawn(name, machine);
-        }
-        if let Some((pid, tf)) = &self.fault {
-            sched.process_mut(*pid).kernel_mut().arm_fault(*tf);
         }
         sched
     }
@@ -602,7 +607,7 @@ impl FleetScenario {
     /// Builds the fleet and runs it to completion, optionally with the
     /// flight recorder attached (attachment is perturbation-free, so the
     /// run is bit-identical either way).
-    pub fn run(&self, recorder: Option<RecorderConfig>) -> Scheduler {
+    pub fn run(&self, recorder: Option<RecorderConfig>) -> Scheduler<ArmedKernel> {
         let mut sched = self.build();
         if let Some(cfg) = recorder {
             sched.attach_recorder(cfg);
@@ -614,7 +619,7 @@ impl FleetScenario {
     /// Builds the fleet and steps the seeded interleaving only until
     /// `victim` stops being runnable (the replay-to-kill path). Returns
     /// the scheduler frozen at that point.
-    pub fn run_to_kill(&self, victim: Pid) -> Scheduler {
+    pub fn run_to_kill(&self, victim: Pid) -> Scheduler<ArmedKernel> {
         let mut sched = self.build();
         while sched.process(victim).state().is_runnable() {
             if sched.step().is_none() {

@@ -5,9 +5,11 @@
 //! panic (an unknown workload, a pid outside the fleet, program ids past
 //! `u16::MAX`) or never return (a zero slice quantum).
 
-use asc_audit::{Bundle, FleetScenario, KillRecord, Scenario, SoloScenario};
+use asc_audit::{
+    Bundle, FaultAction, FleetScenario, KillRecord, Scenario, SoloScenario, TrapFault,
+};
 use asc_core::json::Value;
-use asc_kernel::{FaultAction, Personality, TrapFault, VerifyTier};
+use asc_kernel::{Personality, VerifyTier};
 
 fn kill(pid: u32) -> KillRecord {
     KillRecord {

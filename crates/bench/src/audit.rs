@@ -19,9 +19,11 @@
 //! `crates/bench/golden/audit.txt` (`golden_tables.rs`) and the binary
 //! exits nonzero on any [`AuditReport::problems`] entry.
 
-use asc_audit::{fnv64_pids, replay, Bundle, FleetScenario, ReplayVerdict};
+use asc_audit::{
+    fnv64_pids, replay, ArmedKernel, Bundle, FaultAction, FleetScenario, ReplayVerdict, TrapFault,
+};
 use asc_core::json::Value;
-use asc_kernel::{FaultAction, Personality, TrapFault, VerifyTier};
+use asc_kernel::{Personality, VerifyTier};
 use asc_sched::{AuditLog, Pid, ProcState, RecorderConfig, Scheduler};
 use asc_workloads::RUN_BUDGET;
 
@@ -178,7 +180,10 @@ fn state_label(state: &ProcState) -> String {
 }
 
 /// Compares the recorded run against the bare twin, field by field.
-fn check_overhead(with: &Scheduler, without: &Scheduler) -> OverheadCheck {
+fn check_overhead(
+    with: &Scheduler<ArmedKernel>,
+    without: &Scheduler<ArmedKernel>,
+) -> OverheadCheck {
     let fnv = fnv64_pids(with.interleaving());
     let diverged = |detail: String| OverheadCheck {
         identical: false,
@@ -223,7 +228,7 @@ fn check_overhead(with: &Scheduler, without: &Scheduler) -> OverheadCheck {
     }
 }
 
-fn pid_rows(sched: &Scheduler, audit: &AuditLog) -> Vec<PidSummary> {
+fn pid_rows(sched: &Scheduler<ArmedKernel>, audit: &AuditLog) -> Vec<PidSummary> {
     sched
         .processes()
         .iter()

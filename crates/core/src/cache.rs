@@ -514,22 +514,6 @@ impl SharedVerifyCache {
         total
     }
 
-    /// Behaviour counters summed over the namespaces living in one shard.
-    pub fn shard_stats(&self, shard: usize) -> CacheStats {
-        let mut total = CacheStats::default();
-        for cache in self.shards[shard].caches.values() {
-            let s = cache.stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.blob_hits += s.blob_hits;
-            total.state_hits += s.state_hits;
-            total.evictions += s.evictions;
-            total.stale_misses += s.stale_misses;
-            total.scrubs += s.scrubs;
-        }
-        total
-    }
-
     /// Hot-path probe count for one shard (pid-keyed traversals of that
     /// shard's map; observability only, never part of per-pid outputs).
     pub fn shard_probes(&self, shard: usize) -> u64 {
@@ -539,11 +523,6 @@ impl SharedVerifyCache {
     /// Hot-path probes summed over all shards.
     pub fn probes(&self) -> u64 {
         self.shards.iter().map(|s| s.probes).sum()
-    }
-
-    /// Number of live namespaces in one shard.
-    pub fn shard_len(&self, shard: usize) -> usize {
-        self.shards[shard].caches.len()
     }
 
     /// The pids that currently hold a namespace, in ascending order.
@@ -833,8 +812,6 @@ mod tests {
                 .record_call(0x1000 + pid, b"enc", &[7u8; 16]);
         }
         assert_eq!(shared.pids(), (1..=200).collect::<Vec<u32>>());
-        let per_shard: usize = (0..shared.shard_count()).map(|s| shared.shard_len(s)).sum();
-        assert_eq!(per_shard, 200, "every namespace lives in exactly one shard");
         for pid in 1..=200u32 {
             assert_eq!(
                 shared.shard_of(pid),
@@ -895,12 +872,7 @@ mod tests {
         assert!(shared.pid_cache(b).check_call(0x1000, b"enc", &mac));
         let agg = shared.stats();
         assert_eq!(agg.hits, 1);
-        assert_eq!(
-            shared.shard_stats(shared.shard_of(b)).hits,
-            1,
-            "hit attributed to b's shard"
-        );
-        assert_eq!(shared.shard_stats(shared.shard_of(a)).hits, 0);
+        assert_eq!(shared.pid_stats(b).hits, 1, "hit attributed to b");
     }
 
     #[test]

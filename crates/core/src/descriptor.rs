@@ -76,14 +76,6 @@ impl PolicyDescriptor {
         self.0 & arg_bit(CAP_SHIFT, i) != 0
     }
 
-    /// Whether argument `i` is constrained in any way.
-    pub fn arg_constrained(self, i: usize) -> bool {
-        self.arg_is_immediate(i)
-            || self.arg_is_string(i)
-            || self.arg_is_pattern(i)
-            || self.arg_is_capability(i)
-    }
-
     /// Whether the call site is constrained.
     pub fn call_site_constrained(self) -> bool {
         self.0 & CALL_SITE_BIT != 0
@@ -205,8 +197,6 @@ mod tests {
         assert!(d2.arg_is_capability(3));
         assert!(d2.returns_capability());
         assert!(!d2.revokes_capability());
-        assert!(d2.arg_constrained(0));
-        assert!(!d2.arg_constrained(4));
         assert!(d2.validate().is_ok());
     }
 

@@ -134,23 +134,6 @@ impl SyscallPolicy {
         }
         d
     }
-
-    /// Number of constrained arguments.
-    pub fn constrained_args(&self) -> usize {
-        self.args.iter().filter(|a| a.is_constrained()).count()
-    }
-
-    /// Serialises the predecessor set to the byte layout stored in its
-    /// authenticated string: each block id as 4 bytes LE, ascending.
-    pub fn predecessor_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        if let Some(preds) = &self.predecessors {
-            for p in preds {
-                out.extend_from_slice(&p.to_le_bytes());
-            }
-        }
-        out
-    }
 }
 
 /// The overall policy of a program: one [`SyscallPolicy`] per call site,
@@ -221,18 +204,16 @@ mod tests {
         assert!(d.arg_is_string(0));
         assert!(d.arg_is_immediate(1));
         assert!(d.arg_is_pattern(2));
-        assert!(!d.arg_constrained(3));
         assert!(d.control_flow_constrained());
         assert!(d.returns_capability());
-        assert_eq!(p.constrained_args(), 3);
         assert!(d.validate().is_ok());
     }
 
     #[test]
-    fn predecessor_bytes_are_sorted_and_deduplicated() {
+    fn predecessors_are_sorted_and_deduplicated() {
         let p = SyscallPolicy::new(1, 0, 9).with_predecessors([3u32, 1, 2, 3]);
-        let expected: Vec<u8> = [1u32, 2, 3].iter().flat_map(|b| b.to_le_bytes()).collect();
-        assert_eq!(p.predecessor_bytes(), expected);
+        let preds: Vec<u32> = p.predecessors.expect("set").into_iter().collect();
+        assert_eq!(preds, [1, 2, 3]);
     }
 
     #[test]
@@ -242,7 +223,6 @@ mod tests {
         assert!(!none.descriptor().control_flow_constrained());
         let empty = SyscallPolicy::new(1, 0, 9).with_predecessors(std::iter::empty::<u32>());
         assert!(empty.descriptor().control_flow_constrained());
-        assert!(empty.predecessor_bytes().is_empty());
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! observable behaviour). Anything else is **silent corruption**, the
 //! failure the paper's design promises cannot happen.
 
-use asc_audit::{replay_solo_in, run_solo, AuditFault, Bundle, SoloRun, SoloScenario};
-use asc_kernel::{Alert, FaultAction, ReasonCode, TrapFault, VerifyTier};
+use asc_audit::{
+    replay_solo_in, run_solo, AuditFault, Bundle, FaultAction, SoloRun, SoloScenario, TrapFault,
+};
+use asc_kernel::{Alert, ReasonCode, VerifyTier};
 use asc_testkit::Rng;
 use asc_vm::RunOutcome;
 

@@ -22,8 +22,8 @@
 
 use std::collections::BTreeMap;
 
-use asc_audit::{scenario_options, SoloRun};
-use asc_kernel::{Alert, FaultAction, ReasonCode, TrapFault, VerifyTier};
+use asc_audit::{scenario_options, ArmedKernel, FaultAction, SoloRun, TrapFault};
+use asc_kernel::{Alert, ReasonCode, VerifyTier};
 use asc_sched::{Pid, ProcState, SchedConfig, SchedPolicy, Scheduler};
 use asc_testkit::Rng;
 use asc_vm::RunOutcome;
@@ -275,7 +275,7 @@ fn build_fleet(cfg: &CrossConfig) -> Fleet {
 }
 
 /// Spawns the fleet under a fresh shared-cache scheduler.
-fn spawn_fleet(cfg: &CrossConfig, fleet: &Fleet, interleave_seed: u64) -> Scheduler {
+fn spawn_fleet(cfg: &CrossConfig, fleet: &Fleet, interleave_seed: u64) -> Scheduler<ArmedKernel> {
     let mut sched = Scheduler::with_shared_cache(SchedConfig {
         policy: SchedPolicy::SeededRandom(interleave_seed),
         slice_instrs: 10_000,
@@ -288,7 +288,8 @@ fn spawn_fleet(cfg: &CrossConfig, fleet: &Fleet, interleave_seed: u64) -> Schedu
         let opts = scenario_options(PERSONALITY, VerifyTier::Mac);
         let machine = fleet.guests[i]
             .boot(opts, spec.fs(), spec.stdin)
-            .expect("workload binary fits in guest memory");
+            .expect("workload binary fits in guest memory")
+            .map_handler(|kernel| ArmedKernel::new(kernel, None));
         sched.spawn(spec.name, machine);
     }
     sched
@@ -299,7 +300,7 @@ fn spawn_fleet(cfg: &CrossConfig, fleet: &Fleet, interleave_seed: u64) -> Schedu
 /// [`ProcState::Faulted`] collapses to [`RunOutcome::CycleLimit`] — any
 /// VM-level death classifies as *crashed*, which is all the oracle needs
 /// from that variant.
-fn record(sched: &Scheduler, pid: Pid) -> SoloRun {
+fn record(sched: &Scheduler<ArmedKernel>, pid: Pid) -> SoloRun {
     let proc = sched.process(pid);
     let outcome = match proc.state() {
         ProcState::Exited(code) => RunOutcome::Exited(*code),
@@ -401,10 +402,14 @@ pub fn run_cross_campaign(cfg: &CrossConfig) -> CrossReport {
                     } else {
                         magnitude
                     };
-                    sched.process_mut(target).kernel_mut().arm_fault(TrapFault {
-                        at_trap,
-                        action: FaultAction::SkewCounter { delta },
-                    });
+                    sched
+                        .process_mut(target)
+                        .machine_mut()
+                        .handler_mut()
+                        .arm(TrapFault {
+                            at_trap,
+                            action: FaultAction::SkewCounter { delta },
+                        });
                     landed = true;
                     sched.run();
                 }

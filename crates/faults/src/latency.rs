@@ -32,9 +32,9 @@
 //! the scheduler through shared references only, so the latencies are
 //! measurements of the *monitoring* layer, not artifacts of it.
 
-use asc_audit::{flip_byte, run_solo, scenario_options, AuditFault, SoloRun};
+use asc_audit::{flip_byte, run_solo, scenario_options, ArmedKernel, AuditFault, SoloRun};
 use asc_core::json::Value;
-use asc_kernel::{Kernel, VerifyTier};
+use asc_kernel::VerifyTier;
 use asc_sched::{Pid, SchedConfig, SchedPolicy, Scheduler};
 use asc_sentinel::{Detector, Sentinel, SentinelConfig};
 use asc_testkit::Rng;
@@ -291,17 +291,22 @@ fn build_workloads() -> Vec<BuiltWorkload> {
         .collect()
 }
 
-fn fleet_machine(built: &BuiltWorkload) -> Machine<Kernel> {
+fn fleet_machine(built: &BuiltWorkload) -> Machine<ArmedKernel> {
     let opts = scenario_options(PERSONALITY, VerifyTier::Mac);
     built
         .guest
         .boot(opts, built.spec.fs(), built.spec.stdin)
         .expect("workload fits in guest memory")
+        .map_handler(|kernel| ArmedKernel::new(kernel, None))
 }
 
 /// Spawns the monitored fleet: the victim workload first (pid 1), then
 /// one of each other workload as background traffic.
-fn spawn_fleet(workloads: &[BuiltWorkload], victim_index: usize, seed: u64) -> Scheduler {
+fn spawn_fleet(
+    workloads: &[BuiltWorkload],
+    victim_index: usize,
+    seed: u64,
+) -> Scheduler<ArmedKernel> {
     let mut sched = Scheduler::with_shared_cache(SchedConfig {
         policy: SchedPolicy::SeededRandom(seed),
         slice_instrs: 2_000,
@@ -348,7 +353,11 @@ fn run_trial(
     let mut sched = spawn_fleet(workloads, victim_index, policy_seed);
     let mut armed_clock: Option<u64> = None;
     if let AuditFault::Trap(tf) = fault {
-        sched.process_mut(VICTIM).kernel_mut().arm_fault(tf);
+        sched
+            .process_mut(VICTIM)
+            .machine_mut()
+            .handler_mut()
+            .arm(tf);
     }
     let mut sentinel = Sentinel::attach(
         &sched,

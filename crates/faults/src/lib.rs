@@ -32,11 +32,14 @@
 //!   detected clocks and bounding the monitoring lag.
 //!
 //! Every campaign plans [`asc_audit::AuditFault`]s, runs them through
-//! [`asc_audit::run_solo`] or a scheduled fleet, and classifies the
-//! resulting [`asc_audit::SoloRun`]s against a clean one. The oracle is
-//! not vacuous: the flow-only tier checks no string contents, so the
-//! tier matrix must show its corrupted authenticated strings
-//! dispatching silently where the MAC tier kills them
+//! [`asc_audit::run_solo`] or a scheduled fleet of
+//! [`asc_audit::ArmedKernel`]s, and classifies the resulting
+//! [`asc_audit::SoloRun`]s against a clean one. A trap fault is armed on
+//! the handler that wraps the kernel, never on the kernel itself, which
+//! holds no fault state. The oracle is not vacuous: the flow-only tier
+//! checks no string contents, so the tier matrix must show its corrupted
+//! authenticated strings dispatching silently where the MAC tier kills
+//! them
 //! ([`TierReport::problems`]).
 
 pub mod campaign;

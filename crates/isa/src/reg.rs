@@ -76,12 +76,6 @@ impl Reg {
     pub fn args() -> [Reg; 6] {
         [Reg::R1, Reg::R2, Reg::R3, Reg::R4, Reg::R5, Reg::R6]
     }
-
-    /// The five authenticated-call registers `R7..=R11` in order
-    /// (`polDes`, `blockID`, `predSet`, `lbPtr`, `callMAC`).
-    pub fn auth_args() -> [Reg; 5] {
-        [Reg::R7, Reg::R8, Reg::R9, Reg::R10, Reg::R11]
-    }
 }
 
 impl std::fmt::Display for Reg {
@@ -156,8 +150,5 @@ mod tests {
     #[test]
     fn register_groups() {
         assert_eq!(Reg::args().len(), 6);
-        assert_eq!(Reg::auth_args().len(), 5);
-        assert_eq!(Reg::auth_args()[0], Reg::R7);
-        assert_eq!(Reg::auth_args()[4], Reg::R11);
     }
 }

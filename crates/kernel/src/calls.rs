@@ -222,7 +222,11 @@ impl Kernel {
                     .map(|_| 0)
             }),
             Rmdir => self.path_op(ctx, args[0], |k, p| k.fs.rmdir(p, &k.cwd).map(|_| 0)),
-            Unlink => self.path_op(ctx, args[0], |k, p| k.fs.unlink(p, &k.cwd).map(|_| 0)),
+            Unlink => self.path_op(ctx, args[0], |k, p| {
+                let id = k.fs.unlink(p, &k.cwd)?;
+                k.release_unnamed(&FdKind::File(id));
+                Ok(0)
+            }),
             Link => self.path2_op(ctx, args[0], args[1], |k, a, b| {
                 k.fs.link(a, b, &k.cwd).map(|_| 0)
             }),
@@ -230,7 +234,10 @@ impl Kernel {
                 k.fs.symlink(a, b, &k.cwd).map(|_| 0)
             }),
             Rename => self.path2_op(ctx, args[0], args[1], |k, a, b| {
-                k.fs.rename(a, b, &k.cwd).map(|_| 0)
+                if let Some(replaced) = k.fs.rename(a, b, &k.cwd)? {
+                    k.release_unnamed(&FdKind::File(replaced));
+                }
+                Ok(0)
             }),
             Readlink => match read_path(ctx, args[0]) {
                 Ok(p) => match self.fs.resolve_nofollow(p, &self.cwd) {
@@ -516,22 +523,27 @@ impl Kernel {
     }
 
     /// Drops the buffer of the pipe or socket `closed` named once no
-    /// descriptor names it. Its index stays taken, so no other pipe's or
-    /// socket's index moves.
+    /// descriptor names it, and the bytes of the file it named once no
+    /// descriptor and no directory entry does. Its index or inode id
+    /// stays taken, so no other pipe's, socket's or file's moves.
     fn release_unnamed(&mut self, closed: &FdKind) {
-        let (buffers, i) = match *closed {
-            FdKind::Socket(i) => (&mut self.sockets, i),
-            FdKind::PipeRead(i) | FdKind::PipeWrite(i) => (&mut self.pipes, i),
-            _ => return,
-        };
-        let socket = matches!(closed, FdKind::Socket(_));
-        let names = |kind: &FdKind| match *kind {
-            FdKind::Socket(j) => socket && j == i,
-            FdKind::PipeRead(j) | FdKind::PipeWrite(j) => !socket && j == i,
+        let names = |kind: &FdKind| match (closed, kind) {
+            (FdKind::Socket(i), FdKind::Socket(j))
+            | (FdKind::File(i), FdKind::File(j))
+            | (
+                FdKind::PipeRead(i) | FdKind::PipeWrite(i),
+                FdKind::PipeRead(j) | FdKind::PipeWrite(j),
+            ) => i == j,
             _ => false,
         };
-        if !self.fds.iter().flatten().any(|f| names(&f.kind)) {
-            buffers[i] = VecDeque::new();
+        if self.fds.iter().flatten().any(|f| names(&f.kind)) {
+            return;
+        }
+        match *closed {
+            FdKind::Socket(i) => self.sockets[i] = VecDeque::new(),
+            FdKind::PipeRead(i) | FdKind::PipeWrite(i) => self.pipes[i] = VecDeque::new(),
+            FdKind::File(id) => self.fs.release_if_unnamed(id),
+            _ => {}
         }
     }
 
@@ -960,5 +972,93 @@ mod tests {
         assert_eq!(kernel.pipes[1].capacity(), 0);
         assert_eq!(kernel.sockets[0].capacity(), 0);
         assert_eq!(kernel.stdout(), b"piped");
+    }
+
+    /// `nr(args..)`: each argument a register (`r4`), else an immediate
+    /// or a label.
+    fn sys(nr: u32, args: &[&str]) -> String {
+        let mut asm = format!("\n        movi r0, {nr}");
+        for (i, arg) in args.iter().enumerate() {
+            let reg = arg.len() == 2 && arg.starts_with('r');
+            let op = if reg { "mov" } else { "movi" };
+            asm += &format!("\n        {op} r{}, {arg}", i + 1);
+        }
+        asm + "\n        syscall"
+    }
+
+    #[test]
+    fn a_file_bytes_go_when_no_name_and_no_descriptor_names_it() {
+        // 32 rounds of create, write 1 MiB, close and unlink. Then `keep`
+        // is unlinked while open and read back through its descriptor,
+        // which `dup2` closes; `a` keeps its bytes under a second name,
+        // `b`; and a rename replaces a 1 MiB `r`.
+        let create = |path| sys(5, &[path, "0x42", "420"]) + "\n        mov r4, r0";
+        let src = format!(
+            "
+        .text
+        .entry main
+    main:
+        movi r8, 32
+    round:
+        {t}{w4}{c4}{unlink_t}
+        addi r8, r8, -1
+        movi r9, 0
+        bne r8, r9, round
+        {keep}{msg4}{unlink_keep}{seek}{read}
+        mov r3, r0{echo}{dup2}
+        {a}{msg4}{c4}{link}{unlink_a}
+        {r}{w4}{c4}{s}{c4}{rename}
+        movi r1, 0
+        jmp done
+    fail:
+        movi r1, 1
+    done:
+        movi r0, 1
+        syscall
+        .rodata
+    msg: .ascii \"piped\"
+    pt: .asciz \"/tmp/t\"
+    pkeep: .asciz \"/tmp/keep\"
+    pa: .asciz \"/tmp/a\"
+    pb: .asciz \"/tmp/b\"
+    pr: .asciz \"/tmp/r\"
+    ps: .asciz \"/tmp/s\"
+        .bss
+    big: .space 0x100000
+    ",
+            t = create("pt"),
+            keep = create("pkeep"),
+            a = create("pa"),
+            r = create("pr"),
+            s = create("ps"),
+            w4 = write_mib("r4"),
+            c4 = close("r4"),
+            msg4 = sys(4, &["r4", "msg", "5"]),
+            unlink_t = sys(10, &["pt"]),
+            unlink_keep = sys(10, &["pkeep"]),
+            unlink_a = sys(10, &["pa"]),
+            seek = sys(19, &["r4", "0", "0"]),
+            read = sys(3, &["r4", "big", "16"]),
+            echo = sys(4, &["1", "big"]),
+            dup2 = sys(63, &["1", "r4"]),
+            link = sys(9, &["pa", "pb"]),
+            rename = sys(38, &["ps", "pr"]),
+        );
+        let binary = asc_asm::assemble(&src).expect("assembles");
+        let mut kernel = Kernel::new(KernelOptions::plain(Personality::Linux));
+        let held = kernel.fs.file_capacity();
+        kernel.set_brk(binary.highest_addr());
+        let mut machine = asc_vm::Machine::load(&binary, kernel).expect("loads");
+        assert_eq!(machine.run(1_000_000_000), asc_vm::RunOutcome::Exited(0));
+        let kernel = machine.into_handler();
+        assert_eq!(kernel.stdout(), b"piped");
+        assert_eq!(kernel.fs.read_file("/tmp/b"), Ok(&b"piped"[..]));
+        assert_eq!(kernel.fs.read_file("/tmp/r"), Ok(&b""[..]));
+        // `b` is the only file the guest left holding bytes.
+        let b = kernel.fs.resolve("/tmp/b", "/").expect("linked");
+        let InodeKind::File(bytes) = &kernel.fs.inode(b).kind else {
+            panic!("a file")
+        };
+        assert_eq!(kernel.fs.file_capacity() - held, bytes.capacity());
     }
 }

@@ -38,6 +38,8 @@ pub struct Inode {
     /// Exact for directories, which have one entry since `link` refuses
     /// them; the root is its own parent.
     parent: InodeId,
+    /// Directory entries that name this inode (0 for the root).
+    links: u32,
 }
 
 /// Where a path walk stands: the inode reached, the directory whose entry
@@ -177,6 +179,7 @@ impl FileSystem {
                 mode: 0o755,
                 mtime: 0,
                 parent: 0,
+                links: 0,
             }],
             root: 0,
         };
@@ -404,6 +407,7 @@ impl FileSystem {
             mode,
             mtime: 0,
             parent: dir_id,
+            links: 1,
         });
         self.entries_mut(dir_id).insert(name.to_string(), id);
         Ok(id)
@@ -467,15 +471,16 @@ impl FileSystem {
             return Err(FsError::AlreadyExists);
         }
         entries.insert(name.to_string(), id);
+        self.inodes[id].links += 1;
         Ok(())
     }
 
-    /// Removes a non-directory entry.
+    /// Removes a non-directory entry and returns the inode it named.
     ///
     /// # Errors
     ///
     /// [`FsError::IsADirectory`] for directories, plus resolution errors.
-    pub fn unlink(&mut self, path: &str, cwd: &str) -> Result<(), FsError> {
+    pub fn unlink(&mut self, path: &str, cwd: &str) -> Result<InodeId, FsError> {
         let (dir_id, name) = self.resolve_parent(path, cwd)?;
         let &id = self
             .entries_mut(dir_id)
@@ -485,7 +490,8 @@ impl FileSystem {
             return Err(FsError::IsADirectory);
         }
         self.entries_mut(dir_id).remove(name);
-        Ok(())
+        self.inodes[id].links -= 1;
+        Ok(id)
     }
 
     /// Removes an empty directory.
@@ -506,15 +512,17 @@ impl FileSystem {
             _ => return Err(FsError::NotADirectory),
         }
         self.entries_mut(dir_id).remove(name);
+        self.inodes[id].links -= 1;
         Ok(())
     }
 
-    /// Renames an entry (same simple semantics as `mv` within the tree).
+    /// Renames an entry (same simple semantics as `mv` within the tree)
+    /// and returns the inode a replaced destination named.
     ///
     /// # Errors
     ///
     /// Resolution errors; the destination is replaced if it exists.
-    pub fn rename(&mut self, from: &str, to: &str, cwd: &str) -> Result<(), FsError> {
+    pub fn rename(&mut self, from: &str, to: &str, cwd: &str) -> Result<Option<InodeId>, FsError> {
         let (from_dir, from_name) = self.resolve_parent(from, cwd)?;
         let &id = self
             .entries_mut(from_dir)
@@ -522,9 +530,34 @@ impl FileSystem {
             .ok_or(FsError::NotFound)?;
         let (to_dir, to_name) = self.resolve_parent(to, cwd)?;
         self.entries_mut(from_dir).remove(from_name);
-        self.entries_mut(to_dir).insert(to_name.to_string(), id);
+        let replaced = self.entries_mut(to_dir).insert(to_name.to_string(), id);
         self.inodes[id].parent = to_dir;
-        Ok(())
+        if let Some(old) = replaced {
+            self.inodes[old].links -= 1;
+        }
+        Ok(replaced)
+    }
+
+    /// Capacity held by every regular file's bytes, named or not.
+    #[cfg(test)]
+    pub(crate) fn file_capacity(&self) -> usize {
+        self.inodes
+            .iter()
+            .map(|inode| match &inode.kind {
+                InodeKind::File(data) => data.capacity(),
+                _ => 0,
+            })
+            .sum()
+    }
+
+    /// Drops the bytes of file `id` if no directory entry names it; the
+    /// caller has checked that no descriptor does. The inode and its id
+    /// stay, so no other inode's id moves.
+    pub(crate) fn release_if_unnamed(&mut self, id: InodeId) {
+        let inode = &mut self.inodes[id];
+        if let (0, InodeKind::File(data)) = (inode.links, &mut inode.kind) {
+            *data = Vec::new();
+        }
     }
 
     /// Directory listing (sorted names), for `getdents`/`getdirentries`.

@@ -2,13 +2,19 @@
 //! authenticated-system-call checking glue.
 //!
 //! The paper's kernel modification is ~250 lines inside the trap handler;
-//! the analogue here is the enforced path of [`Kernel::handle_trap`], in
+//! the analogue here is the enforced path of [`Kernel::trap_with`], in
 //! three stages. The *verify* stage runs the origin check, the SFIP flow
 //! pre-filter and the three checks of §3.4 (delegated to
 //! `asc_core::verify_call`) and returns one [`TrapRecord`]. Then the call
 //! is either dispatched or, on any [`Violation`], killed fail-stop with an
 //! administrator alert. The *account* stage folds the record into
 //! [`KernelStats`], the metrics registry and the trace sink.
+//!
+//! The kernel holds no fault state. Its one seam for fault injection is
+//! the hook [`Kernel::trap_with`] runs on the verify stage's
+//! [`VerifyInputs`]; [`SyscallHandler::syscall`] passes a no-op, and the
+//! fault campaigns' handler (`asc_audit::ArmedKernel`) passes the armed
+//! fault.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -294,90 +300,26 @@ impl KernelOptions {
     }
 }
 
-/// A kernel-side fault the campaign can arm: when trap number `at_trap`
-/// (1-based, counted over all trapped system calls) arrives, `action` is
-/// applied once, before verification.
-#[derive(Clone, Copy, Debug)]
-pub struct TrapFault {
-    /// Which trap fires the fault (compared against `KernelStats::syscalls`
-    /// after it is incremented for the arriving trap).
-    pub at_trap: u64,
-    /// What to corrupt.
-    pub action: FaultAction,
+/// What a [`Kernel::trap_with`] hook may change before the verify stage
+/// runs: the verifier's copy of the trapped registers, the anti-replay
+/// counter, and this pid's verified-call cache. The machine's own
+/// register file is not lent, so a register change reaches only the
+/// checks.
+pub struct VerifyInputs<'a> {
+    /// The verifier's copy of the trapped registers.
+    pub regs: &'a mut AuthCallRegs,
+    /// The in-kernel anti-replay counter.
+    pub checker: &'a mut MemoryChecker,
+    cache: &'a mut PidCache,
+    pid: u32,
 }
 
-/// The kernel-side state a [`TrapFault`] corrupts. These model faults in
-/// what the *kernel* trusts beyond raw user memory: the trapped register
-/// values it reads, its anti-replay counter, and its verified-call cache.
-#[derive(Clone, Copy, Debug)]
-pub enum FaultAction {
-    /// XOR `mask` into the verifier's copy of the register selected by
-    /// `index` (the [`AuthCallRegs`] field order: 0 = syscall number,
-    /// 1–6 = arguments, 7 = descriptor, 8 = block id, 9 = predecessor-set
-    /// pointer, 10 = state pointer, 11 = MAC pointer, 12 = hint pointer).
-    /// Only the copy handed to the verifier is corrupted — the machine's
-    /// real register file is untouched, so a *benign* outcome stays
-    /// possible when the verifier provably ignores the register.
-    XorReg {
-        /// Register index (0–12) as listed above.
-        index: u8,
-        /// XOR mask (forced to 1 if zero).
-        mask: u32,
-    },
-    /// Skew the memory checker's anti-replay counter by `delta`.
-    SkewCounter {
-        /// Signed counter shift.
-        delta: i64,
-    },
-    /// Corrupt one byte of one verified-call cache entry
-    /// (`VerifyCache::corrupt_entry_for_fault`).
-    CorruptCache {
-        /// Deterministic entry/byte selector.
-        selector: u64,
-        /// XOR mask (forced to 1 if zero).
-        mask: u8,
-    },
-    /// Shift the cached state entry's epoch into the future
-    /// (`VerifyCache::skew_state_epoch_for_fault`), which the next check
-    /// must scrub.
-    SkewCacheEpoch {
-        /// Epoch shift (forced to at least 1).
-        delta: u64,
-    },
-}
-
-impl FaultAction {
-    /// Corrupts the verifier's register copy, the anti-replay counter, or
-    /// this pid's cache wherever it currently lives.
-    fn apply(
-        self,
-        regs: &mut AuthCallRegs,
-        checker: &mut MemoryChecker,
-        cache: &mut PidCache,
-        pid: u32,
-    ) {
-        match self {
-            FaultAction::XorReg { index, mask } => {
-                let mask = if mask == 0 { 1 } else { mask };
-                match index {
-                    0 => regs.nr ^= mask,
-                    1..=6 => regs.args[index as usize - 1] ^= mask,
-                    7 => regs.pol_des ^= mask,
-                    8 => regs.block_id ^= mask,
-                    9 => regs.pred_set_ptr ^= mask,
-                    10 => regs.lb_ptr ^= mask,
-                    11 => regs.call_mac_ptr ^= mask,
-                    _ => regs.hint_ptr ^= mask,
-                }
-            }
-            FaultAction::SkewCounter { delta } => checker.skew_counter_for_fault(delta),
-            FaultAction::CorruptCache { selector, mask } => {
-                cache.with(pid, |c| c.corrupt_entry_for_fault(selector, mask));
-            }
-            FaultAction::SkewCacheEpoch { delta } => {
-                cache.with(pid, |c| c.skew_state_epoch_for_fault(delta));
-            }
-        }
+impl VerifyInputs<'_> {
+    /// Runs `f` on this pid's verified-call cache, wherever it lives now
+    /// (private, resident in the shared family or detached into a batch
+    /// window).
+    pub fn with_cache<R>(&mut self, f: impl FnOnce(&mut VerifyCache) -> R) -> R {
+        self.cache.with(self.pid, f)
     }
 }
 
@@ -433,7 +375,6 @@ pub struct Kernel {
     trace: Vec<TraceEntry>,
     log: Vec<Alert>,
     stats: KernelStats,
-    fault: Option<TrapFault>,
     /// Flight-recorder sink. `None` (the default) means telemetry is off
     /// and the trap handler builds no events at all.
     trace_sink: Option<Box<dyn TraceSink>>,
@@ -518,7 +459,6 @@ impl Kernel {
             trace: Vec::new(),
             log: Vec::new(),
             stats: KernelStats::default(),
-            fault: None,
             trace_sink: None,
             metrics: None,
             next_span: 0,
@@ -636,13 +576,6 @@ impl Kernel {
     /// node. Isolation tests assert this never leaks across pids.
     pub fn last_syscall(&self) -> Option<u16> {
         self.last_syscall
-    }
-
-    /// Arms one kernel-side fault for the fault-injection campaign; it
-    /// fires on trap number `fault.at_trap` and is then disarmed. Only one
-    /// fault can be armed at a time (campaigns inject exactly one per run).
-    pub fn arm_fault(&mut self, fault: TrapFault) {
-        self.fault = Some(fault);
     }
 
     /// Provides the process's standard input.
@@ -790,7 +723,16 @@ impl Kernel {
         self.fds.get_mut(fd as usize).and_then(|s| s.as_mut())
     }
 
-    fn handle_trap(&mut self, ctx: &mut TrapContext<'_>) -> TrapOutcome {
+    /// Handles one trap as [`SyscallHandler::syscall`] does, and runs
+    /// `hook` once on the verify stage's inputs before the origin check.
+    /// An enforcing kernel calls it after the batch window detaches this
+    /// pid's cache; a plain kernel, or one without a key, never calls it.
+    /// This is the kernel's one fault-injection seam.
+    pub fn trap_with(
+        &mut self,
+        ctx: &mut TrapContext<'_>,
+        hook: impl FnOnce(&mut VerifyInputs<'_>),
+    ) -> TrapOutcome {
         self.stats.syscalls += 1;
         if let Some(m) = self.metrics.as_mut() {
             m.count_syscall();
@@ -799,7 +741,7 @@ impl Kernel {
 
         // --- The paper's kernel modification: verify before dispatch. ---
         if self.opts.enforce {
-            let rec = match self.verify(ctx) {
+            let rec = match self.verify(ctx, hook) {
                 Ok(rec) => rec,
                 Err(misconfigured) => return TrapOutcome::Kill(misconfigured.into()),
             };
@@ -876,7 +818,11 @@ impl Kernel {
     /// the MAC suite, in that order, on the trapped call. Builds the trap's
     /// one record; `Err` is a misconfigured kernel, killed without an
     /// alert.
-    fn verify(&mut self, ctx: &mut TrapContext<'_>) -> Result<TrapRecord, &'static str> {
+    fn verify(
+        &mut self,
+        ctx: &mut TrapContext<'_>,
+        hook: impl FnOnce(&mut VerifyInputs<'_>),
+    ) -> Result<TrapRecord, &'static str> {
         let tier = self.opts.verify_tier;
         let cached = self.opts.verify_cache && tier.checks_mac();
         // The first enforced cached call of a batch window detaches this
@@ -895,11 +841,12 @@ impl Kernel {
             return Err("kernel misconfigured: enforcing without a key");
         };
         let mut regs = trapped_regs(ctx);
-        if let Some(fault) = self.fault.take_if(|f| f.at_trap == self.stats.syscalls) {
-            fault
-                .action
-                .apply(&mut regs, &mut self.checker, &mut self.cache, self.pid);
-        }
+        hook(&mut VerifyInputs {
+            regs: &mut regs,
+            checker: &mut self.checker,
+            cache: &mut self.cache,
+            pid: self.pid,
+        });
         if self.window.is_some() {
             self.batch_stats.pass_through();
         }
@@ -935,8 +882,8 @@ impl Kernel {
                 break 'suite Err(Violation::UnrewrittenSite { pc: ctx.pc });
             }
             // --- The SFIP flow tier: digraph membership pre-filter. ---
-            // Checked on the verifier's copy of the registers (so armed
-            // faults hit it like every other check) and *before* the MAC
+            // Checked on the verifier's copy of the registers (so a hook's
+            // change hits it like every other check) and *before* the MAC
             // suite and dispatch: a bad edge fail-stops with zero side
             // effects and zero AES work.
             if tier.checks_flow() {
@@ -1097,7 +1044,7 @@ fn trapped_regs(ctx: &TrapContext<'_>) -> AuthCallRegs {
 
 impl SyscallHandler for Kernel {
     fn syscall(&mut self, ctx: &mut TrapContext<'_>) -> TrapOutcome {
-        self.handle_trap(ctx)
+        self.trap_with(ctx, |_| {})
     }
 }
 

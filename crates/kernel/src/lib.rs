@@ -41,8 +41,7 @@ pub use calls::{oflags, MAX_FILE_SIZE};
 pub use cost::CostModel;
 pub use fs::{FileSystem, FsError, Inode, InodeId, InodeKind};
 pub use kernel::{
-    FaultAction, FdKind, Kernel, KernelOptions, KernelStats, OpenFile, TraceEntry, TrapFault,
-    VerifyTier,
+    FdKind, Kernel, KernelOptions, KernelStats, OpenFile, TraceEntry, VerifyInputs, VerifyTier,
 };
 pub use metrics::{KernelMetrics, VERIFY_PATHS};
 

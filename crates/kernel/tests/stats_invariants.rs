@@ -7,8 +7,8 @@
 
 use asc_crypto::MacKey;
 use asc_installer::{Installer, InstallerOptions};
-use asc_kernel::{FaultAction, Kernel, KernelOptions, KernelStats, Personality, TrapFault};
-use asc_vm::{Machine, RunOutcome, StepOutcome};
+use asc_kernel::{Kernel, KernelOptions, KernelStats, Personality};
+use asc_vm::{Machine, RunOutcome, SyscallHandler, TrapContext, TrapOutcome};
 use asc_workloads::{Guest, RUN_BUDGET};
 
 const PERSONALITY: Personality = Personality::Linux;
@@ -185,6 +185,23 @@ fn absorb_sums_every_counter() {
     assert_eq!(a.cache_scrubs, 2);
 }
 
+/// Poisons one byte of this pid's cache, through the kernel's verify-stage
+/// hook, before every enforced trap from the second on.
+struct Poisoner(Kernel);
+
+impl SyscallHandler for Poisoner {
+    fn syscall(&mut self, ctx: &mut TrapContext<'_>) -> TrapOutcome {
+        let earlier = self.0.stats().syscalls;
+        self.0.trap_with(ctx, |inputs| {
+            if earlier >= 1 {
+                inputs.with_cache(|c| {
+                    c.corrupt_entry_for_fault(earlier.wrapping_mul(0x9e37_79b9_7f4a_7c15), 1)
+                });
+            }
+        })
+    }
+}
+
 /// A poisoned cache entry degrades to the cold path, and fallbacks are
 /// counted per check: one verified call can add both a hit (its call MAC)
 /// and a fallback (a stale blob or state entry). So hits plus fallbacks
@@ -202,24 +219,10 @@ fn poisoned_cache_hits_and_fallbacks_may_exceed_verified_calls() {
     let opts = KernelOptions::enforcing(PERSONALITY).with_verify_cache();
     let mut machine = Guest::installed(auth, &key)
         .boot(opts, spec.fs(), spec.stdin)
-        .expect("fits in memory");
-    let outcome = loop {
-        let traps = machine.handler().stats().syscalls;
-        if traps >= 1 {
-            machine.handler_mut().arm_fault(TrapFault {
-                at_trap: traps + 1,
-                action: FaultAction::CorruptCache {
-                    selector: traps.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                    mask: 1,
-                },
-            });
-        }
-        if let StepOutcome::Done(outcome) = machine.step() {
-            break outcome;
-        }
-        assert!(machine.cycles() < RUN_BUDGET, "run budget exhausted");
-    };
-    let kernel = machine.handler();
+        .expect("fits in memory")
+        .map_handler(Poisoner);
+    let outcome = machine.run(RUN_BUDGET);
+    let kernel = &machine.handler().0;
     assert_eq!(
         outcome,
         RunOutcome::Exited(0),

@@ -8,6 +8,13 @@
 //! time-slices them on the shared virtual cycle clock with
 //! [`Machine::run_until_instret`] preemption.
 //!
+//! A machine's trap handler is any [`KernelHandler`]: a
+//! [`SyscallHandler`] that lends the [`Kernel`] it runs. The bare
+//! `Kernel` is the default; a harness that wraps the kernel (the fault
+//! campaigns' armed handler, a timing probe) schedules its wrapper, and
+//! the scheduler, the recorder and every observer keep reading the
+//! kernel through [`Process::kernel`].
+//!
 //! Two properties make the scheduler useful as a test substrate rather
 //! than just a harness:
 //!
@@ -31,7 +38,7 @@ use asc_core::SharedVerifyCache;
 use asc_kernel::{BatchStats, Kernel, KernelStats};
 use asc_testkit::Rng;
 use asc_trace::RingSink;
-use asc_vm::{Machine, RunOutcome, StepOutcome};
+use asc_vm::{Machine, RunOutcome, StepOutcome, SyscallHandler};
 
 pub mod recorder;
 
@@ -39,6 +46,26 @@ use recorder::{map_ring_events, Recorder};
 pub use recorder::{
     AuditLog, KillMark, PidAudit, RecorderConfig, SliceEnd, SliceWindow, TimelineEntry,
 };
+
+/// A trap handler the scheduler can run: it handles traps and lends the
+/// [`Kernel`] it runs, which the scheduler, the recorder and the
+/// observers read.
+pub trait KernelHandler: SyscallHandler {
+    /// The kernel this handler runs.
+    fn kernel(&self) -> &Kernel;
+    /// Mutable access to the kernel.
+    fn kernel_mut(&mut self) -> &mut Kernel;
+}
+
+impl KernelHandler for Kernel {
+    fn kernel(&self) -> &Kernel {
+        self
+    }
+
+    fn kernel_mut(&mut self) -> &mut Kernel {
+        self
+    }
+}
 
 /// Process identifier, 1-based (pid 1 is the historical single-process
 /// default; the scheduler assigns 1, 2, 3, … in spawn order).
@@ -106,17 +133,17 @@ impl ProcState {
     }
 }
 
-/// One scheduled process: a machine (whose handler is its private
+/// One scheduled process: a machine (whose handler runs its private
 /// [`Kernel`]) plus scheduling state.
-pub struct Process {
+pub struct Process<H = Kernel> {
     pid: Pid,
     name: String,
-    machine: Machine<Kernel>,
+    machine: Machine<H>,
     state: ProcState,
     slices: u64,
 }
 
-impl Process {
+impl<H: KernelHandler> Process<H> {
     /// The process id.
     pub fn pid(&self) -> Pid {
         self.pid
@@ -138,24 +165,24 @@ impl Process {
     }
 
     /// The underlying machine.
-    pub fn machine(&self) -> &Machine<Kernel> {
+    pub fn machine(&self) -> &Machine<H> {
         &self.machine
     }
 
     /// Mutable machine access (isolation tests corrupt memory mid-run the
-    /// same way the fault campaigns do).
-    pub fn machine_mut(&mut self) -> &mut Machine<Kernel> {
+    /// same way the fault campaigns do, and arm faults on its handler).
+    pub fn machine_mut(&mut self) -> &mut Machine<H> {
         &mut self.machine
     }
 
     /// The process's kernel.
     pub fn kernel(&self) -> &Kernel {
-        self.machine.handler()
+        self.machine.handler().kernel()
     }
 
-    /// Mutable kernel access (arming faults, attaching metrics).
+    /// Mutable kernel access (attaching metrics).
     pub fn kernel_mut(&mut self) -> &mut Kernel {
-        self.machine.handler_mut()
+        self.machine.handler_mut().kernel_mut()
     }
 
     /// Captured standard output.
@@ -175,9 +202,9 @@ impl Process {
 /// to completion or drive slices manually with [`Scheduler::step`] /
 /// [`Scheduler::run_slice`] (the campaign and isolation tests inject
 /// faults between slices this way).
-pub struct Scheduler {
+pub struct Scheduler<H = Kernel> {
     config: SchedConfig,
-    procs: Vec<Process>,
+    procs: Vec<Process<H>>,
     shared_cache: Option<Rc<RefCell<SharedVerifyCache>>>,
     rng: Option<Rng>,
     cursor: usize,
@@ -186,9 +213,9 @@ pub struct Scheduler {
     recorder: Option<Recorder>,
 }
 
-impl Scheduler {
+impl<H: KernelHandler> Scheduler<H> {
     /// A scheduler whose processes keep private per-kernel verify caches.
-    pub fn new(config: SchedConfig) -> Scheduler {
+    pub fn new(config: SchedConfig) -> Scheduler<H> {
         Scheduler {
             rng: match config.policy {
                 SchedPolicy::SeededRandom(seed) => Some(Rng::new(seed)),
@@ -207,7 +234,7 @@ impl Scheduler {
     /// A scheduler owning a pid-namespaced [`SharedVerifyCache`]; every
     /// spawned kernel gets a handle and operates only on its own pid's
     /// namespace (still gated on the kernel's `verify_cache` option).
-    pub fn with_shared_cache(config: SchedConfig) -> Scheduler {
+    pub fn with_shared_cache(config: SchedConfig) -> Scheduler<H> {
         let mut sched = Scheduler::new(config);
         sched.shared_cache = Some(Rc::new(RefCell::new(SharedVerifyCache::new())));
         sched
@@ -221,18 +248,17 @@ impl Scheduler {
     /// Adds a process; returns its pid (assigned 1, 2, 3, … in spawn
     /// order). Sets the kernel's pid and, when this scheduler owns a
     /// shared cache, hands the kernel its handle.
-    pub fn spawn(&mut self, name: &str, mut machine: Machine<Kernel>) -> Pid {
+    pub fn spawn(&mut self, name: &str, mut machine: Machine<H>) -> Pid {
         let pid = (self.procs.len() + 1) as Pid;
-        machine.handler_mut().set_pid(pid);
+        let kernel = machine.handler_mut().kernel_mut();
+        kernel.set_pid(pid);
         if let Some(shared) = self.shared_cache.as_ref() {
-            machine.handler_mut().share_cache(Rc::clone(shared));
+            kernel.share_cache(Rc::clone(shared));
         }
         if let Some(rec) = self.recorder.as_mut() {
             if rec.config.samples(pid) {
                 rec.sampled.push(pid);
-                machine
-                    .handler_mut()
-                    .set_trace_sink(Box::new(RingSink::new(rec.config.ring_capacity)));
+                kernel.set_trace_sink(Box::new(RingSink::new(rec.config.ring_capacity)));
             } else {
                 rec.unsampled.push(pid);
             }
@@ -272,13 +298,13 @@ impl Scheduler {
         let target = proc.machine.instret() + self.config.slice_instrs;
         let remaining = self.config.budget_cycles.saturating_sub(before).max(1);
         if let Some(depth) = self.config.batch_depth {
-            proc.machine.handler_mut().open_batch_window(depth);
+            proc.kernel_mut().open_batch_window(depth);
         }
         let outcome = proc.machine.run_until_instret(target, remaining);
         if self.config.batch_depth.is_some() {
             // Close regardless of outcome: a killed/faulted process must
             // not leave its namespace detached from the shared family.
-            proc.machine.handler_mut().close_batch_window();
+            proc.kernel_mut().close_batch_window();
         }
         self.clock += proc.machine.cycles() - before;
         match outcome {
@@ -469,17 +495,17 @@ impl Scheduler {
     }
 
     /// All processes, in spawn (pid) order.
-    pub fn processes(&self) -> &[Process] {
+    pub fn processes(&self) -> &[Process<H>] {
         &self.procs
     }
 
     /// The process with the given pid.
-    pub fn process(&self, pid: Pid) -> &Process {
+    pub fn process(&self, pid: Pid) -> &Process<H> {
         &self.procs[(pid - 1) as usize]
     }
 
     /// Mutable access to the process with the given pid.
-    pub fn process_mut(&mut self, pid: Pid) -> &mut Process {
+    pub fn process_mut(&mut self, pid: Pid) -> &mut Process<H> {
         &mut self.procs[(pid - 1) as usize]
     }
 
@@ -503,7 +529,7 @@ impl Scheduler {
     }
 }
 
-impl std::fmt::Debug for Scheduler {
+impl<H> std::fmt::Debug for Scheduler<H> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scheduler")
             .field("policy", &self.config.policy)

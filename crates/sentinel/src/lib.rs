@@ -37,7 +37,7 @@ use std::collections::BTreeMap;
 
 use asc_kernel::{BatchStats, KernelStats};
 use asc_metrics::Histogram;
-use asc_sched::Scheduler;
+use asc_sched::{KernelHandler, Scheduler};
 
 use detector::DetectorState;
 
@@ -94,7 +94,7 @@ struct Cumulative {
 
 impl Cumulative {
     /// Reads every cumulative counter through shared references only.
-    fn read(sched: &Scheduler) -> Cumulative {
+    fn read<H: KernelHandler>(sched: &Scheduler<H>) -> Cumulative {
         let mut alerts: BTreeMap<&'static str, u64> = BTreeMap::new();
         let mut verify_cycles: [Histogram; 4] = Default::default();
         for proc in sched.processes() {
@@ -189,7 +189,7 @@ impl Sentinel {
     /// # Panics
     ///
     /// Panics if `config.window_cycles` is zero.
-    pub fn attach(sched: &Scheduler, config: SentinelConfig) -> Sentinel {
+    pub fn attach<H: KernelHandler>(sched: &Scheduler<H>, config: SentinelConfig) -> Sentinel {
         assert!(config.window_cycles > 0, "window_cycles must be positive");
         let clock = sched.clock();
         let next_boundary = (clock / config.window_cycles + 1) * config.window_cycles;
@@ -212,7 +212,7 @@ impl Sentinel {
     /// One observation: closes a window (samples, evaluates detectors)
     /// iff the clock has reached the next boundary. Call after every
     /// scheduler step; between boundaries this is one comparison.
-    pub fn observe(&mut self, sched: &Scheduler) {
+    pub fn observe<H: KernelHandler>(&mut self, sched: &Scheduler<H>) {
         let clock = sched.clock();
         if clock < self.next_boundary {
             return;
@@ -223,7 +223,7 @@ impl Sentinel {
 
     /// Closes the final partial window, if any time has elapsed since the
     /// last close. Call once when the run ends.
-    pub fn finish(&mut self, sched: &Scheduler) {
+    pub fn finish<H: KernelHandler>(&mut self, sched: &Scheduler<H>) {
         let clock = sched.clock();
         if clock > self.window_start {
             self.close_window(sched, clock);
@@ -232,7 +232,7 @@ impl Sentinel {
 
     /// Runs `sched` to completion under observation and returns the
     /// sentinel with its final window closed.
-    pub fn drive(sched: &mut asc_sched::Scheduler, config: SentinelConfig) -> Sentinel {
+    pub fn drive<H: KernelHandler>(sched: &mut Scheduler<H>, config: SentinelConfig) -> Sentinel {
         let mut sentinel = Sentinel::attach(sched, config);
         while sched.step().is_some() {
             sentinel.observe(sched);
@@ -241,7 +241,7 @@ impl Sentinel {
         sentinel
     }
 
-    fn close_window(&mut self, sched: &Scheduler, clock: u64) {
+    fn close_window<H: KernelHandler>(&mut self, sched: &Scheduler<H>, clock: u64) {
         let current = Cumulative::read(sched);
         let mut sample =
             current.delta(&self.baseline, self.windows_total, self.window_start, clock);

@@ -23,12 +23,13 @@
 //! handler, tests the flag in place; a range that crosses a page takes the
 //! page walk. Either way an access faults with the same kind and address.
 //!
-//! A dropped [`Memory`] returns its buffer to a per-thread free list, and
-//! [`Memory::new`] and `clone` take one of the same size from it before
-//! allocating. A recycled page is zeroed when the new memory first maps
-//! it, so every page a guest can reach reads zero until it writes there,
-//! and resident host memory is the pages some guest has mapped, not the
-//! full size of every guest's memory.
+//! A dropped [`Memory`] returns its buffer to a free list that all of the
+//! process's threads share, and [`Memory::new`] and `clone` take one of
+//! the same size from it before allocating. A recycled page is zeroed
+//! when the new memory first maps it, so every page a guest can reach
+//! reads zero until it writes there, and resident host memory is the
+//! pages some guest has mapped, not the full size of every guest's
+//! memory.
 //!
 //! Page protection is deliberately period-accurate: section permissions are
 //! honoured (no writes to `.text`), but the *stack is executable*, because

@@ -215,7 +215,26 @@ impl<H: SyscallHandler> Machine<H> {
         self.handler
     }
 
+    /// The same machine with its handler replaced by `wrap(handler)`: a
+    /// harness wraps the kernel of a machine someone else loaded.
+    pub fn map_handler<G>(self, wrap: impl FnOnce(H) -> G) -> Machine<G> {
+        Machine {
+            regs: self.regs,
+            pc: self.pc,
+            cycles: self.cycles,
+            mem: self.mem,
+            handler: wrap(self.handler),
+            instret: self.instret,
+        }
+    }
+
     /// Executes one instruction.
+    ///
+    /// Always inlined: `run` and `run_until_instret` are compiled in each
+    /// crate that names the handler, and where both are, LLVM would
+    /// otherwise leave one out-of-line copy called per instruction
+    /// (DESIGN.md §23).
+    #[inline(always)]
     pub fn step(&mut self) -> StepOutcome {
         use Opcode::*;
         let instr = match self.mem.fetch_decoded(self.pc) {

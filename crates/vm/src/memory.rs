@@ -1,9 +1,9 @@
 //! Flat byte-addressable memory with page-granular protection, the
-//! predecoded text the interpreter fetches through, and the per-thread
+//! predecoded text the interpreter fetches through, and the process-wide
 //! free list that recycles a dropped memory's buffer.
 
-use std::cell::RefCell;
 use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 
 use asc_isa::{DecodeError, Instruction, INSTR_LEN};
 use asc_object::{Binary, SectionFlags};
@@ -120,24 +120,24 @@ enum Residue {
     Own,
 }
 
-thread_local! {
-    /// The buffers of this thread's dropped memories, each with its pages'
-    /// residues (`Zero` or `Stale`). They are freed only when the thread
-    /// exits: once glibc has freed one, it serves later buffers from its
-    /// heap, where `calloc` zeroes every page and makes it resident.
-    static FREE: RefCell<Vec<(Vec<u8>, Vec<Residue>)>> = const { RefCell::new(Vec::new()) };
+/// The buffers of the process's dropped memories, each with its pages'
+/// residues (`Zero` or `Stale`), shared by all of its threads. They are
+/// never freed: once glibc has freed one, it serves later buffers from
+/// its heap, where `calloc` zeroes every page and makes it resident.
+static FREE: Mutex<Vec<(Vec<u8>, Vec<Residue>)>> = Mutex::new(Vec::new());
+
+/// The free list. No code that can panic runs while it is locked, so a
+/// poisoned lock still guards a whole list.
+fn free_list() -> std::sync::MutexGuard<'static, Vec<(Vec<u8>, Vec<Residue>)>> {
+    FREE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Takes the most recently dropped buffer of `len` bytes, with its pages'
-/// residues, from this thread's free list.
+/// residues, from the free list.
 fn take_free(len: usize) -> Option<(Vec<u8>, Vec<Residue>)> {
-    FREE.try_with(|free| {
-        let mut free = free.borrow_mut();
-        let i = free.iter().rposition(|(bytes, _)| bytes.len() == len)?;
-        Some(free.swap_remove(i))
-    })
-    .ok()
-    .flatten()
+    let mut free = free_list();
+    let i = free.iter().rposition(|(bytes, _)| bytes.len() == len)?;
+    Some(free.swap_remove(i))
 }
 
 /// The simulated physical memory of one process.
@@ -171,8 +171,8 @@ impl std::fmt::Debug for Memory {
 }
 
 impl Clone for Memory {
-    /// A copy in a buffer taken from this thread's free list when one of
-    /// the same size is there, so that clones, which are dropped like any
+    /// A copy in a buffer taken from the free list when one of the same
+    /// size is there, so that clones, which are dropped like any
     /// memory, cannot grow the list.
     fn clone(&self) -> Memory {
         let bytes = match take_free(self.bytes.len()) {
@@ -193,17 +193,15 @@ impl Clone for Memory {
 }
 
 impl Drop for Memory {
-    /// Returns the buffer to this thread's free list, every page this
-    /// memory owned now stale.
+    /// Returns the buffer to the free list, every page this memory owned
+    /// now stale.
     fn drop(&mut self) {
         let bytes = std::mem::take(&mut self.bytes);
         let mut residue = std::mem::take(&mut self.residue);
         for r in residue.iter_mut().filter(|r| **r == Residue::Own) {
             *r = Residue::Stale;
         }
-        // While the thread exits the list may be gone; the buffer is then
-        // freed.
-        let _ = FREE.try_with(|free| free.borrow_mut().push((bytes, residue)));
+        free_list().push((bytes, residue));
     }
 }
 
@@ -211,8 +209,8 @@ impl Memory {
     /// Creates fully unmapped memory of `size` bytes (rounded up to a whole
     /// number of pages) that reads zero on every page it maps.
     ///
-    /// It takes the buffer of a dropped memory of the same size from this
-    /// thread's free list if there is one, else a new zeroed buffer. A
+    /// It takes the buffer of a dropped memory of the same size from the
+    /// process's free list if there is one, else a new zeroed buffer. A
     /// page of a taken buffer that still holds the dropped memory's bytes
     /// is zeroed when [`Memory::protect`] first maps it or
     /// [`Memory::load`] first loads into it, so a memory costs resident
@@ -644,13 +642,21 @@ mod tests {
 
     #[test]
     fn clones_dropped_in_a_loop_leave_one_buffer_on_the_free_list() {
-        let m = mem_with_binary();
+        // A size no other test here uses: the list is the process's.
+        const SIZE: usize = 37 * PAGE_SIZE as usize;
+        let mut m = Memory::new(SIZE as u32);
+        m.protect(0x2000, 1, PageFlags::RW);
+        m.write_u8(0x2000, 1).unwrap();
         for _ in 0..100 {
             let mut c = m.clone();
             c.write_u8(0x2000, 9).unwrap();
             assert_eq!(m.read_u8(0x2000), Ok(1));
         }
-        assert_eq!(FREE.with(|free| free.borrow().len()), 1);
+        let listed = free_list()
+            .iter()
+            .filter(|(bytes, _)| bytes.len() == SIZE)
+            .count();
+        assert_eq!(listed, 1);
     }
 
     #[test]

@@ -149,8 +149,9 @@ impl Guest {
     /// Builds a kernel over `fs` and `stdin` and loads the binary into a
     /// machine. An enforcing boot installs a handle to the key, the site
     /// registry when the binary carries `.ascsites`, and the digraph under
-    /// a flow tier. Observers and faults attach afterwards through
-    /// [`Machine::handler_mut`].
+    /// a flow tier. Observers attach afterwards through
+    /// [`Machine::handler_mut`]; a fault harness wraps the kernel with
+    /// [`Machine::map_handler`].
     ///
     /// # Errors
     ///

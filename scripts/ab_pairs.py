@@ -22,7 +22,8 @@ The pairs run seeds 21, 22, ... and the last one the held-out seed
 first pair, the change in the second, and so on.
 
 Before the pairs it prints the size of each build's `Machine<H>::run`
-and the byte offset at which it starts in its 64-byte cache line. For
+and the byte offset at which it starts in its 64-byte cache line, and
+whether the build left `Machine<H>::step` out of line. For
 each workload it prints every pair, then each metric's median and
 quartiles on both sides, the ratio and the pairs the change won, and
 the verdict of the rule a claimed gain must meet on the compared metric:
@@ -111,19 +112,26 @@ def build(side_dir):
 
 
 def run_placements(exe):
-    """Address, size and cache-line offset of each `Machine<H>::run`."""
+    """Address, size and cache-line offset of each `Machine<H>::run`, and
+    whether `Machine<H>::step` was left out of line (it is meant to be
+    inlined into the loops that call it once per instruction)."""
     try:
         out = subprocess.run(["nm", "-C", "-S", exe], check=True,
                              stdout=subprocess.PIPE, text=True).stdout
     except (OSError, subprocess.CalledProcessError) as e:
         return f"nm failed: {e}"
-    found = []
+    found, steps = [], []
     for line in out.splitlines():
         parts = line.split(maxsplit=3)
         if len(parts) == 4 and parts[3].endswith("Machine<H>::run"):
             addr, size = int(parts[0], 16), int(parts[1], 16)
             found.append(f"{parts[3]} at {addr:#x}, {size} bytes, offset {addr % 64}")
-    return "; ".join(found) or "no Machine<H>::run symbol"
+        if len(parts) == 4 and parts[3].endswith("Machine<H>::step"):
+            steps.append(f"{parts[3]} ({int(parts[1], 16)} bytes)")
+    found = found or ["no Machine<H>::run symbol"]
+    found.append(f"OUT-OF-LINE {', '.join(steps)}" if steps
+                 else "no out-of-line Machine<H>::step")
+    return "; ".join(found)
 
 
 def run_once(side_dir, workload, seed, seconds, trace):

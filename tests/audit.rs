@@ -19,12 +19,10 @@
 
 use std::sync::OnceLock;
 
-use asc::audit::{replay, AuditFault, Bundle, SoloScenario};
+use asc::audit::{replay, AuditFault, Bundle, FaultAction, SoloScenario, TrapFault};
 use asc::crypto::MacKey;
 use asc::installer::{Installer, InstallerOptions};
-use asc::kernel::{
-    FaultAction, Kernel, KernelOptions, KernelStats, Personality, TrapFault, VerifyTier,
-};
+use asc::kernel::{Kernel, KernelOptions, KernelStats, Personality, VerifyTier};
 use asc::object::Binary;
 use asc::sched::{Pid, ProcState, RecorderConfig, SchedConfig, SchedPolicy, Scheduler, SliceEnd};
 use asc::trace::EventKind;
