@@ -8,8 +8,8 @@ use asc_workloads::{Guest, ProgramSpec};
 
 use crate::scenario::{FleetScenario, Scenario, SoloRun};
 use crate::{
-    event_to_value, field, fnv64_bytes, fnv64_pids, hex64, num, run_solo, str_field, u64_field,
-    BUNDLE_SPAN_CAPACITY,
+    event_to_value, field, fnv64_bytes, fnv64_pids, hex64, int_field, num, run_solo, str_field,
+    u64_field, BUNDLE_SPAN_CAPACITY,
 };
 
 /// Bundle schema identifier (bumped on incompatible layout changes).
@@ -80,9 +80,9 @@ impl KillRecord {
             }
         };
         Ok(KillRecord {
-            pid: u64_field(value, "pid")? as u32,
-            site: u64_field(value, "site")? as u32,
-            nr: u64_field(value, "nr")? as u16,
+            pid: int_field(value, "pid")?,
+            site: int_field(value, "site")?,
+            nr: int_field(value, "nr")?,
             syscall: str_field(value, "syscall")?,
             reason: str_field(value, "reason")?,
             alert: str_field(value, "alert")?,
@@ -263,7 +263,7 @@ impl Bundle {
             .collect();
         let dropped_total: u64 = audit.pids.iter().map(|p| p.dropped).sum();
         let schedule = Value::Object(vec![
-            ("sched_seed".into(), hex64(scenario.sched_seed)),
+            ("sched_seed".into(), scenario.sched_seed()),
             ("slice_instrs".into(), num(scenario.slice_instrs)),
             (
                 "batch_depth".into(),

@@ -16,6 +16,11 @@
 //!   bit-identically — every production alert becomes a reproducible test
 //!   case.
 //!
+//! Every enforcing fleet in the workspace is a [`FleetScenario`], installed
+//! once by [`FleetScenario::prepare`] and spawned per run by
+//! [`FleetScenario::spawn`], which refuses another scenario's guests: so
+//! every fleet a test or campaign runs is one its bundle replays.
+//!
 //! The trap-time fault types live here too: [`TrapFault`], its
 //! [`FaultAction`], and [`ArmedKernel`], the handler that wraps a
 //! `Kernel` with one armed fault and fires it through the kernel's one
@@ -36,8 +41,8 @@ mod scenario;
 pub use armed::{ArmedKernel, FaultAction, TrapFault};
 pub use bundle::{replay_solo_in, Bundle, KillRecord, ReplayVerdict, BUNDLE_SCHEMA};
 pub use scenario::{
-    flip_byte, run_solo, scenario_options, AuditFault, FleetScenario, Scenario, SoloRun,
-    SoloScenario, BUNDLE_SPAN_CAPACITY,
+    flip_byte, run_solo, scenario_options, AuditFault, FleetGuests, FleetScenario, Scenario,
+    SoloRun, SoloScenario, BUNDLE_SPAN_CAPACITY,
 };
 
 use asc_core::json::Value;
@@ -101,6 +106,13 @@ pub(crate) fn str_field(value: &Value, key: &str) -> Result<String, String> {
 
 pub(crate) fn u64_field(value: &Value, key: &str) -> Result<u64, String> {
     parse_u64(field(value, key)?).map_err(|e| format!("field {key:?}: {e}"))
+}
+
+/// A [`u64_field`] that must fit `T`: a value past `T`'s range is an
+/// error naming the field, never a wrapped number.
+pub(crate) fn int_field<T: TryFrom<u64>>(value: &Value, key: &str) -> Result<T, String> {
+    let n = u64_field(value, key)?;
+    T::try_from(n).map_err(|_| format!("field {key:?}: {n} is out of range"))
 }
 
 /// Serializes one trace event for a bundle's span log. `at` is the event's

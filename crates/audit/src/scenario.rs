@@ -4,10 +4,12 @@
 //! A [`Scenario`] is everything needed to reproduce a run from seeds: the
 //! workload(s), the OS personality, the verification tier, the
 //! installation-key seed, the armed fault, and — for fleets — the
-//! scheduler's policy seed and slicing parameters. The runners here are
-//! the *single* implementation both sides use: the fault campaign and the
-//! audit benchmark capture bundles through them, and [`crate::replay`]
-//! re-runs them, so capture and replay cannot drift apart.
+//! scheduler's policy (a seed, or round-robin) and slicing parameters.
+//! The runners here are the *single* implementation both sides use: the
+//! fault campaign and the audit benchmark capture bundles through them,
+//! and [`crate::replay`] re-runs them, so capture and replay cannot drift
+//! apart. A fleet is installed once ([`FleetScenario::prepare`]) and
+//! spawned per run ([`FleetScenario::spawn`]).
 
 use std::collections::BTreeSet;
 
@@ -23,7 +25,7 @@ use asc_workloads::{build, program, Guest, ProgramSpec, RUN_BUDGET};
 use asc_core::json::Value;
 
 use crate::armed::{ArmedKernel, FaultAction, TrapFault};
-use crate::{field, hex64, num, str_field, u64_field};
+use crate::{field, hex64, int_field, num, str_field, u64_field};
 
 /// Ring capacity for bundle span capture: the victim's last events.
 pub const BUNDLE_SPAN_CAPACITY: usize = 32;
@@ -94,32 +96,26 @@ impl AuditFault {
         match str_field(value, "type")?.as_str() {
             "mem" => Ok(AuditFault::Mem {
                 at_instret: u64_field(value, "at_instret")?,
-                addr: u64_field(value, "addr")? as u32,
-                mask: u64_field(value, "mask")? as u8,
+                addr: int_field(value, "addr")?,
+                mask: int_field(value, "mask")?,
             }),
             "trap" => {
                 let action_value = field(value, "action")?;
                 let action = match str_field(action_value, "type")?.as_str() {
                     "xor-reg" => FaultAction::XorReg {
-                        index: u64_field(action_value, "index")? as u8,
-                        mask: u64_field(action_value, "mask")? as u32,
+                        index: int_field(action_value, "index")?,
+                        mask: int_field(action_value, "mask")?,
                     },
-                    "skew-counter" => {
-                        let delta = field(action_value, "delta")?;
-                        let delta = match delta.as_u64() {
-                            Some(n) => n as i64,
-                            None => {
-                                let text = delta.to_pretty();
-                                text.trim()
-                                    .parse::<i64>()
-                                    .map_err(|e| format!("bad delta: {e}"))?
-                            }
-                        };
-                        FaultAction::SkewCounter { delta }
-                    }
+                    // The one signed field: read from its JSON text.
+                    "skew-counter" => FaultAction::SkewCounter {
+                        delta: field(action_value, "delta")?
+                            .to_pretty()
+                            .parse()
+                            .map_err(|e| format!("field \"delta\": {e}"))?,
+                    },
                     "corrupt-cache" => FaultAction::CorruptCache {
                         selector: u64_field(action_value, "selector")?,
-                        mask: u64_field(action_value, "mask")? as u8,
+                        mask: int_field(action_value, "mask")?,
                     },
                     "skew-cache-epoch" => FaultAction::SkewCacheEpoch {
                         delta: u64_field(action_value, "delta")?,
@@ -244,7 +240,7 @@ impl SoloScenario {
             workload: registered(str_field(value, "workload")?)?,
             personality: personality_from_str(&str_field(value, "personality")?)?,
             tier: tier_from_str(&str_field(value, "tier")?)?,
-            program_id: u64_field(value, "program_id")? as u16,
+            program_id: int_field(value, "program_id")?,
             key_seed: u64_field(value, "key_seed")?,
             fault,
         })
@@ -265,19 +261,8 @@ impl SoloScenario {
     /// Panics on harness preconditions: unknown workload, build or
     /// install failure.
     pub fn prepare(&self) -> (&'static ProgramSpec, Guest) {
-        let spec =
-            program(&self.workload).unwrap_or_else(|| panic!("unknown workload {}", self.workload));
-        let plain =
-            build(spec, self.personality).unwrap_or_else(|e| panic!("{}: {e}", self.workload));
         let key = MacKey::from_seed(self.key_seed);
-        let installer = Installer::new(
-            key.clone(),
-            InstallerOptions::new(self.personality).with_program_id(self.program_id),
-        );
-        let (auth, _) = installer
-            .install(&plain, spec.name)
-            .unwrap_or_else(|e| panic!("{}: {e}", self.workload));
-        (spec, Guest::installed(auth, &key))
+        install(&self.workload, self.personality, &key, self.program_id)
     }
 
     /// Prepares and runs the scenario once (replay path; harnesses that
@@ -287,6 +272,26 @@ impl SoloScenario {
         let (spec, guest) = self.prepare();
         run_solo(spec, &guest, self.options(), self.fault.as_ref())
     }
+}
+
+/// Builds `name` and installs it under `key` as `program_id`: the one
+/// install step of solo and fleet scenarios.
+fn install(
+    name: &str,
+    personality: Personality,
+    key: &MacKey,
+    program_id: u16,
+) -> (&'static ProgramSpec, Guest) {
+    let spec = program(name).unwrap_or_else(|| panic!("unknown workload {name}"));
+    let plain = build(spec, personality).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let installer = Installer::new(
+        key.clone(),
+        InstallerOptions::new(personality).with_program_id(program_id),
+    );
+    let (auth, _) = installer
+        .install(&plain, spec.name)
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    (spec, Guest::installed(auth, key))
 }
 
 /// The kernel options of every scenario run, captured or replayed:
@@ -416,7 +421,7 @@ pub fn run_solo(
     }
 }
 
-/// A scheduled fleet scenario: per-pid workloads, a seeded interleaving,
+/// A scheduled fleet scenario: per-pid workloads, the scheduler's policy,
 /// and an optional trap fault armed on one pid.
 #[derive(Clone, Debug)]
 pub struct FleetScenario {
@@ -431,8 +436,9 @@ pub struct FleetScenario {
     /// Program id of the first distinct workload; the `i`-th distinct
     /// workload (in order of first appearance) installs as `base + i`.
     pub program_id_base: u16,
-    /// Scheduler policy seed ([`SchedPolicy::SeededRandom`]).
-    pub sched_seed: u64,
+    /// The interleaving policy. A bundle records it as `sched_seed`: the
+    /// seed, or `null` for round-robin.
+    pub policy: SchedPolicy,
     /// Retired-instruction quantum per slice.
     pub slice_instrs: u64,
     /// Per-process cycle budget.
@@ -441,6 +447,22 @@ pub struct FleetScenario {
     pub batch_depth: Option<usize>,
     /// A trap fault armed on one pid's kernel before the run.
     pub fault: Option<(Pid, TrapFault)>,
+}
+
+/// The guests [`FleetScenario::prepare`] installed, one per distinct
+/// workload, and the key seed and personality that spawn checks.
+pub struct FleetGuests {
+    guests: Vec<(&'static ProgramSpec, Guest)>,
+    key_seed: u64,
+    personality: Personality,
+}
+
+impl FleetGuests {
+    /// Each distinct workload's spec and guest, in order of first
+    /// appearance (solo baselines run these).
+    pub fn guests(&self) -> &[(&'static ProgramSpec, Guest)] {
+        &self.guests
+    }
 }
 
 impl FleetScenario {
@@ -462,7 +484,7 @@ impl FleetScenario {
                 "program_id_base".into(),
                 num(u64::from(self.program_id_base)),
             ),
-            ("sched_seed".into(), hex64(self.sched_seed)),
+            ("sched_seed".into(), self.sched_seed()),
             ("slice_instrs".into(), num(self.slice_instrs)),
             ("budget_cycles".into(), num(self.budget_cycles)),
             (
@@ -486,6 +508,14 @@ impl FleetScenario {
         ])
     }
 
+    /// The policy as bundles record it: the seed, or `null` for round-robin.
+    pub(crate) fn sched_seed(&self) -> Value {
+        match self.policy {
+            SchedPolicy::SeededRandom(seed) => hex64(seed),
+            SchedPolicy::RoundRobin => Value::Null,
+        }
+    }
+
     /// Parses a scenario serialized by [`FleetScenario::to_value`].
     pub fn from_value(value: &Value) -> Result<FleetScenario, String> {
         let procs = field(value, "procs")?
@@ -499,12 +529,16 @@ impl FleetScenario {
             .collect::<Result<Vec<_>, _>>()?;
         let batch_depth = match field(value, "batch_depth")? {
             Value::Null => None,
-            v => Some(parse_usize(v)?),
+            _ => Some(int_field(value, "batch_depth")?),
+        };
+        let policy = match field(value, "sched_seed")? {
+            Value::Null => SchedPolicy::RoundRobin,
+            _ => SchedPolicy::SeededRandom(u64_field(value, "sched_seed")?),
         };
         let fault = match field(value, "fault")? {
             Value::Null => None,
             v => {
-                let pid = u64_field(v, "pid")? as Pid;
+                let pid = int_field(v, "pid")?;
                 match AuditFault::from_value(field(v, "trap")?)? {
                     AuditFault::Trap(tf) => Some((pid, tf)),
                     AuditFault::Mem { .. } => return Err("fleet faults must be trap faults".into()),
@@ -516,8 +550,8 @@ impl FleetScenario {
             personality: personality_from_str(&str_field(value, "personality")?)?,
             tier: tier_from_str(&str_field(value, "tier")?)?,
             key_seed: u64_field(value, "key_seed")?,
-            program_id_base: u64_field(value, "program_id_base")? as u16,
-            sched_seed: u64_field(value, "sched_seed")?,
+            program_id_base: int_field(value, "program_id_base")?,
+            policy,
             slice_instrs: u64_field(value, "slice_instrs")?,
             budget_cycles: u64_field(value, "budget_cycles")?,
             batch_depth,
@@ -554,46 +588,74 @@ impl FleetScenario {
         Ok(())
     }
 
-    /// Builds, installs, and spawns the fleet (shared verify cache, one
+    /// The program id `name` installs as: `program_id_base` plus the
+    /// number of distinct workloads before its first appearance.
+    fn program_id(&self, name: &str) -> u16 {
+        let first = self.procs.iter().position(|w| w == name);
+        let before = &self.procs[..first.expect("a workload of the fleet")];
+        self.program_id_base + before.iter().collect::<BTreeSet<_>>().len() as u16
+    }
+
+    /// Builds and installs each distinct workload once, as
+    /// [`FleetScenario::spawn`] boots it. A harness that runs many
+    /// schedules over one set of binaries prepares once and spawns per
+    /// run.
+    ///
+    /// # Panics
+    ///
+    /// Panics on harness preconditions: unknown workload, build or
+    /// install failure.
+    pub fn prepare(&self) -> FleetGuests {
+        let key = MacKey::from_seed(self.key_seed);
+        let mut guests: Vec<(&'static ProgramSpec, Guest)> = Vec::new();
+        for name in &self.procs {
+            if !guests.iter().any(|(spec, _)| spec.name == name) {
+                guests.push(install(name, self.personality, &key, self.program_id(name)));
+            }
+        }
+        FleetGuests {
+            guests,
+            key_seed: self.key_seed,
+            personality: self.personality,
+        }
+    }
+
+    /// Spawns the fleet from prepared guests (shared verify cache, one
     /// [`ArmedKernel`] per pid, the fault armed on its pid's), without
     /// running any slice.
     ///
     /// # Panics
     ///
-    /// Panics on harness preconditions: unknown workload, build/install
-    /// failure, fault pid out of range.
-    pub fn build(&self) -> Scheduler<ArmedKernel> {
-        let key = MacKey::from_seed(self.key_seed);
-        let mut built: Vec<(&str, &'static ProgramSpec, Guest)> = Vec::new();
-        for name in &self.procs {
-            if built.iter().any(|(n, ..)| n == name) {
-                continue;
-            }
-            let spec = program(name).unwrap_or_else(|| panic!("unknown workload {name}"));
-            let plain = build(spec, self.personality).unwrap_or_else(|e| panic!("{name}: {e}"));
-            let program_id = self.program_id_base + built.len() as u16;
-            let installer = Installer::new(
-                key.clone(),
-                InstallerOptions::new(self.personality).with_program_id(program_id),
-            );
-            let (auth, _) = installer
-                .install(&plain, spec.name)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            built.push((name, spec, Guest::installed(auth, &key)));
-        }
-        let mut sched = Scheduler::with_shared_cache(SchedConfig {
-            policy: SchedPolicy::SeededRandom(self.sched_seed),
-            slice_instrs: self.slice_instrs,
-            budget_cycles: self.budget_cycles,
-            batch_depth: self.batch_depth,
-        });
+    /// Panics on a fault pid out of range, and on guests this scenario's
+    /// [`FleetScenario::prepare`] would not make (another key seed,
+    /// personality or program id, or a workload missing), so a spawned
+    /// fleet is one its bundle replays.
+    pub fn spawn(&self, guests: &FleetGuests) -> Scheduler<ArmedKernel> {
+        assert!(
+            (guests.key_seed, guests.personality) == (self.key_seed, self.personality),
+            "guests of another key seed or personality than {:#x}, {}",
+            self.key_seed,
+            self.personality.name()
+        );
         if let Some((pid, _)) = self.fault {
             self.check_pid("fault", pid)
                 .unwrap_or_else(|e| panic!("{e}"));
         }
+        let mut sched = Scheduler::with_shared_cache(SchedConfig {
+            policy: self.policy,
+            slice_instrs: self.slice_instrs,
+            budget_cycles: self.budget_cycles,
+            batch_depth: self.batch_depth,
+        });
         let opts = scenario_options(self.personality, self.tier);
         for (pid, name) in (1..).zip(&self.procs) {
-            let (_, spec, guest) = built.iter().find(|(n, ..)| n == name).expect("built above");
+            let (spec, guest) = guests
+                .guests
+                .iter()
+                .find(|(spec, _)| spec.name == name)
+                .unwrap_or_else(|| panic!("no guest prepared for {name}"));
+            let (id, want) = (guest.binary().program_id(), self.program_id(name));
+            assert_eq!(id, want, "{name}: program id {id:#x}, not {want:#x}");
             let fault = self.fault.filter(|(p, _)| *p == pid).map(|(_, tf)| tf);
             let machine = guest
                 .boot(opts.clone(), spec.fs(), spec.stdin)
@@ -602,6 +664,12 @@ impl FleetScenario {
             sched.spawn(name, machine);
         }
         sched
+    }
+
+    /// Prepares and spawns the fleet: [`FleetScenario::spawn`] over
+    /// [`FleetScenario::prepare`].
+    pub fn build(&self) -> Scheduler<ArmedKernel> {
+        self.spawn(&self.prepare())
     }
 
     /// Builds the fleet and runs it to completion, optionally with the
@@ -616,9 +684,9 @@ impl FleetScenario {
         sched
     }
 
-    /// Builds the fleet and steps the seeded interleaving only until
-    /// `victim` stops being runnable (the replay-to-kill path). Returns
-    /// the scheduler frozen at that point.
+    /// Builds the fleet and steps its interleaving only until `victim`
+    /// stops being runnable (the replay-to-kill path). Returns the
+    /// scheduler frozen at that point.
     pub fn run_to_kill(&self, victim: Pid) -> Scheduler<ArmedKernel> {
         let mut sched = self.build();
         while sched.process(victim).state().is_runnable() {
@@ -628,11 +696,4 @@ impl FleetScenario {
         }
         sched
     }
-}
-
-fn parse_usize(value: &Value) -> Result<usize, String> {
-    value
-        .as_u64()
-        .map(|n| n as usize)
-        .ok_or_else(|| "expected a number".to_string())
 }

@@ -24,7 +24,7 @@ use asc_audit::{
 };
 use asc_core::json::Value;
 use asc_kernel::{Personality, VerifyTier};
-use asc_sched::{AuditLog, Pid, ProcState, RecorderConfig, Scheduler};
+use asc_sched::{AuditLog, Pid, ProcState, RecorderConfig, SchedPolicy, Scheduler};
 use asc_workloads::RUN_BUDGET;
 
 /// The demo fleet: eight processes over the paper's three policy
@@ -43,7 +43,7 @@ pub fn demo_scenario() -> FleetScenario {
         tier: VerifyTier::Mac,
         key_seed: 0x0AD1_7C0D,
         program_id_base: 0x0AD0,
-        sched_seed: 0x0AD1_75ED,
+        policy: SchedPolicy::SeededRandom(0x0AD1_75ED),
         slice_instrs: 2_000,
         budget_cycles: RUN_BUDGET,
         batch_depth: Some(4),
@@ -325,13 +325,17 @@ pub fn render_audit(report: &AuditReport) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     let s = &report.scenario;
+    let sched_seed = match s.policy {
+        SchedPolicy::SeededRandom(seed) => format!("{seed:#x}"),
+        SchedPolicy::RoundRobin => "null".into(),
+    };
     let _ = writeln!(out, "Forensic flight recorder: black box, bundle, replay");
     let _ = writeln!(out);
     let _ = writeln!(
         out,
-        "fleet: {} procs  sched_seed={:#x}  slice={}  batch={:?}  tier={}",
+        "fleet: {} procs  sched_seed={}  slice={}  batch={:?}  tier={}",
         s.procs.len(),
-        s.sched_seed,
+        sched_seed,
         s.slice_instrs,
         s.batch_depth,
         s.tier.name()

@@ -20,14 +20,15 @@
 //! the healthy fleet fires any quiet-SLO detector or the latency
 //! campaign reports a problem.
 
+use asc_audit::FleetScenario;
 use asc_core::json::Value;
 use asc_faults::{run_latency_campaign, LatencyConfig, LatencyReport};
-use asc_kernel::{KernelMetrics, KernelOptions, Personality, VerifyTier};
-use asc_sched::{SchedConfig, SchedPolicy, Scheduler};
+use asc_kernel::{KernelMetrics, Personality, VerifyTier};
+use asc_sched::{Pid, SchedPolicy};
 use asc_sentinel::{HealthReport, Sentinel, SentinelConfig, Series, WindowSample};
-use asc_workloads::{program, RUN_BUDGET};
+use asc_workloads::RUN_BUDGET;
 
-use crate::build_and_install;
+use crate::BENCH_KEY_SEED;
 
 /// Workloads the monitored dashboard fleet runs (two kernels each).
 const HEALTH_WORKLOADS: [&str; 3] = ["bison", "calc", "tar"];
@@ -83,37 +84,31 @@ impl HealthRun {
     }
 }
 
-fn spawn_monitored_fleet(config: &HealthConfig) -> Scheduler {
-    let personality = Personality::Linux;
-    let mut sched = Scheduler::with_shared_cache(SchedConfig {
+/// Runs the monitored fleet and the latency campaign. Fully
+/// deterministic for a given config.
+pub fn run_health(config: &HealthConfig) -> HealthRun {
+    // Two kernels of each workload at the strongest tier, batched.
+    let mut sched = FleetScenario {
+        procs: HEALTH_WORKLOADS
+            .repeat(2)
+            .iter()
+            .map(|w| w.to_string())
+            .collect(),
+        personality: Personality::Linux,
+        tier: VerifyTier::MacPlusFlow,
+        key_seed: BENCH_KEY_SEED,
+        program_id_base: 0x4EA0,
         policy: SchedPolicy::SeededRandom(config.seed),
         slice_instrs: 2_000,
         budget_cycles: RUN_BUDGET,
         batch_depth: Some(8),
-    });
-    for copy in 0..2u16 {
-        for (i, name) in HEALTH_WORKLOADS.iter().enumerate() {
-            let spec = program(name).expect("health workload is registered");
-            let (_, auth) = build_and_install(spec, personality, 0x4EA0 + copy * 0x10 + i as u16);
-            let opts = KernelOptions::enforcing(personality)
-                .with_verify_cache()
-                .with_tier(VerifyTier::MacPlusFlow);
-            let mut machine = auth
-                .boot(opts, spec.fs(), spec.stdin)
-                .expect("workload binary fits in guest memory");
-            machine
-                .handler_mut()
-                .set_metrics(Box::new(KernelMetrics::new()));
-            sched.spawn(spec.name, machine);
-        }
+        fault: None,
     }
-    sched
-}
-
-/// Runs the monitored fleet and the latency campaign. Fully
-/// deterministic for a given config.
-pub fn run_health(config: &HealthConfig) -> HealthRun {
-    let mut sched = spawn_monitored_fleet(config);
+    .build();
+    for pid in 1..=sched.processes().len() as Pid {
+        let kernel = sched.process_mut(pid).kernel_mut();
+        kernel.set_metrics(Box::new(KernelMetrics::new()));
+    }
     let sentinel = Sentinel::drive(&mut sched, SentinelConfig::new(config.window_cycles));
     let report = sentinel.report();
     let latency = run_latency_campaign(&LatencyConfig::new(config.seed));

@@ -16,9 +16,12 @@ use asc_trace::{CheckKind, Profile, ProfileTotals, SiteProfile, CHECK_FAMILIES};
 use asc_workloads::tools::{iteration_plan, setup_corpus};
 use asc_workloads::{program, Guest, ProgramSpec, RunReport};
 
+/// Seed of [`bench_key`].
+pub(crate) const BENCH_KEY_SEED: u64 = 0x0DD5_EED5;
+
 /// The fixed experiment key (the security administrator's secret).
 pub fn bench_key() -> MacKey {
-    MacKey::from_seed(0x0DD5_EED5)
+    MacKey::from_seed(BENCH_KEY_SEED)
 }
 
 /// Simulated clock for converting cycles to "seconds" in reports (100 MHz

@@ -22,14 +22,14 @@
 
 use std::collections::BTreeMap;
 
-use asc_audit::{scenario_options, ArmedKernel, FaultAction, SoloRun, TrapFault};
+use asc_audit::{ArmedKernel, FaultAction, FleetScenario, SoloRun, TrapFault};
 use asc_kernel::{Alert, ReasonCode, VerifyTier};
-use asc_sched::{Pid, ProcState, SchedConfig, SchedPolicy, Scheduler};
+use asc_sched::{Pid, ProcState, SchedPolicy, Scheduler};
 use asc_testkit::Rng;
 use asc_vm::RunOutcome;
-use asc_workloads::{Guest, ProgramSpec, RUN_BUDGET};
+use asc_workloads::RUN_BUDGET;
 
-use crate::campaign::{campaign_scenario, classify, count_kill, render_kills, Outcome};
+use crate::campaign::{classify, count_kill, render_kills, Outcome, CAMPAIGN_KEY_SEED};
 use crate::PERSONALITY;
 
 /// A fault class that targets one process of a scheduled set.
@@ -258,41 +258,24 @@ impl CrossReport {
     }
 }
 
-/// Built artifacts shared by every trial.
-struct Fleet {
-    specs: Vec<&'static ProgramSpec>,
-    guests: Vec<Guest>,
-}
-
-fn build_fleet(cfg: &CrossConfig) -> Fleet {
-    let (specs, guests) = cfg
-        .workloads
-        .iter()
-        .enumerate()
-        .map(|(i, name)| campaign_scenario(name, 0x0FB0 + i as u16).prepare())
-        .unzip();
-    Fleet { specs, guests }
-}
-
-/// Spawns the fleet under a fresh shared-cache scheduler.
-fn spawn_fleet(cfg: &CrossConfig, fleet: &Fleet, interleave_seed: u64) -> Scheduler<ArmedKernel> {
-    let mut sched = Scheduler::with_shared_cache(SchedConfig {
+/// The campaign's fleet under one interleaving seed: `cfg.procs`
+/// processes cycling over the workloads, installed under the campaign key
+/// from program id 0x0FB0.
+fn fleet(cfg: &CrossConfig, interleave_seed: u64) -> FleetScenario {
+    FleetScenario {
+        procs: (0..cfg.procs)
+            .map(|m| cfg.workloads[m % cfg.workloads.len()].clone())
+            .collect(),
+        personality: PERSONALITY,
+        tier: VerifyTier::Mac,
+        key_seed: CAMPAIGN_KEY_SEED,
+        program_id_base: 0x0FB0,
         policy: SchedPolicy::SeededRandom(interleave_seed),
         slice_instrs: 10_000,
         budget_cycles: RUN_BUDGET,
         batch_depth: None,
-    });
-    for m in 0..cfg.procs {
-        let i = m % fleet.specs.len();
-        let spec = fleet.specs[i];
-        let opts = scenario_options(PERSONALITY, VerifyTier::Mac);
-        let machine = fleet.guests[i]
-            .boot(opts, spec.fs(), spec.stdin)
-            .expect("workload binary fits in guest memory")
-            .map_handler(|kernel| ArmedKernel::new(kernel, None));
-        sched.spawn(spec.name, machine);
+        fault: None,
     }
-    sched
 }
 
 /// Snapshots one scheduled process into the single-process oracle's
@@ -317,8 +300,7 @@ struct CleanRun {
     slices: u64,
 }
 
-fn clean_run(cfg: &CrossConfig, fleet: &Fleet) -> CleanRun {
-    let mut sched = spawn_fleet(cfg, fleet, cfg.seed ^ 0xC1EA_4C1E);
+fn clean_run(mut sched: Scheduler<ArmedKernel>) -> CleanRun {
     sched.run();
     let mut records = BTreeMap::new();
     for proc in sched.processes() {
@@ -349,8 +331,8 @@ fn clean_run(cfg: &CrossConfig, fleet: &Fleet) -> CleanRun {
 /// preconditions, not campaign findings.
 pub fn run_cross_campaign(cfg: &CrossConfig) -> CrossReport {
     assert!(cfg.procs >= 2, "cross-process faults need at least 2 procs");
-    let fleet = build_fleet(cfg);
-    let clean = clean_run(cfg, &fleet);
+    let guests = fleet(cfg, 0).prepare();
+    let clean = clean_run(fleet(cfg, cfg.seed ^ 0xC1EA_4C1E).spawn(&guests));
 
     let mut rows = Vec::new();
     for (ci, class) in CrossFaultClass::ALL.iter().copied().enumerate() {
@@ -359,7 +341,7 @@ pub fn run_cross_campaign(cfg: &CrossConfig) -> CrossReport {
             let mut rng = Rng::new(cfg.seed ^ ((ci as u64 + 1) << 40) ^ (u64::from(trial) + 1));
             let interleave_seed = rng.next_u64();
             let target = rng.range_u32(1, cfg.procs as u32 + 1);
-            let mut sched = spawn_fleet(cfg, &fleet, interleave_seed);
+            let mut sched = fleet(cfg, interleave_seed).spawn(&guests);
             let mut landed = false;
 
             match class {

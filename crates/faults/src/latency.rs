@@ -32,16 +32,17 @@
 //! the scheduler through shared references only, so the latencies are
 //! measurements of the *monitoring* layer, not artifacts of it.
 
-use asc_audit::{flip_byte, run_solo, scenario_options, ArmedKernel, AuditFault, SoloRun};
+use asc_audit::{
+    flip_byte, run_solo, scenario_options, AuditFault, FleetGuests, FleetScenario, SoloRun,
+};
 use asc_core::json::Value;
 use asc_kernel::VerifyTier;
-use asc_sched::{Pid, SchedConfig, SchedPolicy, Scheduler};
+use asc_sched::{Pid, SchedPolicy};
 use asc_sentinel::{Detector, Sentinel, SentinelConfig};
 use asc_testkit::Rng;
-use asc_vm::Machine;
-use asc_workloads::{Guest, ProgramSpec, RUN_BUDGET};
+use asc_workloads::RUN_BUDGET;
 
-use crate::campaign::{campaign_scenario, plan_fault};
+use crate::campaign::{plan_fault, CAMPAIGN_KEY_SEED};
 use crate::inventory::{scan, Inventory};
 use crate::{FaultClass, PERSONALITY};
 
@@ -260,69 +261,48 @@ impl LatencyReport {
     }
 }
 
-/// One built workload, reusable across trials.
-struct BuiltWorkload {
-    spec: &'static ProgramSpec,
-    guest: Guest,
+/// The monitored fleet: the victim workload first (pid 1), then one of
+/// each other workload as background traffic, installed under the
+/// campaign key from program id 0x1A7E.
+fn fleet(victim: &str, policy_seed: u64) -> FleetScenario {
+    let background = FLEET_WORKLOADS.iter().filter(|w| **w != victim);
+    FleetScenario {
+        procs: std::iter::once(&victim)
+            .chain(background)
+            .map(|w| w.to_string())
+            .collect(),
+        personality: PERSONALITY,
+        tier: VerifyTier::Mac,
+        key_seed: CAMPAIGN_KEY_SEED,
+        program_id_base: 0x1A7E,
+        policy: SchedPolicy::SeededRandom(policy_seed),
+        slice_instrs: 2_000,
+        budget_cycles: RUN_BUDGET,
+        batch_depth: None,
+        fault: None,
+    }
+}
+
+/// One victim's fleet, prepared once for all its trials, and the
+/// inventory and clean solo run of the guest it boots as the victim,
+/// which every fault is planned on.
+struct VictimFleet {
+    guests: FleetGuests,
     inv: Inventory,
     clean: SoloRun,
 }
 
-fn build_workloads() -> Vec<BuiltWorkload> {
-    FLEET_WORKLOADS
-        .iter()
-        .enumerate()
-        .map(|(i, name)| {
-            let scenario = campaign_scenario(name, 0x1A7E + i as u16);
-            let (spec, guest) = scenario.prepare();
-            let inv = scan(guest.binary());
-            let clean = run_solo(spec, &guest, scenario.options(), None);
-            assert!(
-                clean.outcome.is_success(),
-                "{name}: clean enforcing run failed"
-            );
-            BuiltWorkload {
-                spec,
-                guest,
-                inv,
-                clean,
-            }
-        })
-        .collect()
-}
-
-fn fleet_machine(built: &BuiltWorkload) -> Machine<ArmedKernel> {
+fn victim_fleet(victim: &str) -> VictimFleet {
+    let guests = fleet(victim, 0).prepare();
+    let (spec, guest) = &guests.guests()[0];
+    let inv = scan(guest.binary());
     let opts = scenario_options(PERSONALITY, VerifyTier::Mac);
-    built
-        .guest
-        .boot(opts, built.spec.fs(), built.spec.stdin)
-        .expect("workload fits in guest memory")
-        .map_handler(|kernel| ArmedKernel::new(kernel, None))
-}
-
-/// Spawns the monitored fleet: the victim workload first (pid 1), then
-/// one of each other workload as background traffic.
-fn spawn_fleet(
-    workloads: &[BuiltWorkload],
-    victim_index: usize,
-    seed: u64,
-) -> Scheduler<ArmedKernel> {
-    let mut sched = Scheduler::with_shared_cache(SchedConfig {
-        policy: SchedPolicy::SeededRandom(seed),
-        slice_instrs: 2_000,
-        budget_cycles: RUN_BUDGET,
-        batch_depth: None,
-    });
-    sched.spawn(
-        workloads[victim_index].spec.name,
-        fleet_machine(&workloads[victim_index]),
+    let clean = run_solo(spec, guest, opts, None);
+    assert!(
+        clean.outcome.is_success(),
+        "{victim}: clean enforcing run failed"
     );
-    for (i, built) in workloads.iter().enumerate() {
-        if i != victim_index {
-            sched.spawn(built.spec.name, fleet_machine(built));
-        }
-    }
-    sched
+    VictimFleet { guests, inv, clean }
 }
 
 /// Outcome of one monitored trial.
@@ -343,22 +323,22 @@ enum Trial {
 }
 
 fn run_trial(
-    workloads: &[BuiltWorkload],
-    victim_index: usize,
+    scenario: FleetScenario,
+    guests: &FleetGuests,
     fault: AuditFault,
     cfg: &LatencyConfig,
-    policy_seed: u64,
 ) -> Trial {
     const VICTIM: Pid = 1;
-    let mut sched = spawn_fleet(workloads, victim_index, policy_seed);
-    let mut armed_clock: Option<u64> = None;
-    if let AuditFault::Trap(tf) = fault {
-        sched
-            .process_mut(VICTIM)
-            .machine_mut()
-            .handler_mut()
-            .arm(tf);
+    let trap = match fault {
+        AuditFault::Trap(tf) => Some((VICTIM, tf)),
+        AuditFault::Mem { .. } => None,
+    };
+    let mut sched = FleetScenario {
+        fault: trap,
+        ..scenario
     }
+    .spawn(guests);
+    let mut armed_clock: Option<u64> = None;
     let mut sentinel = Sentinel::attach(
         &sched,
         SentinelConfig::new(cfg.window_cycles).with_detectors(Detector::signal_suite()),
@@ -416,20 +396,25 @@ fn run_trial(
 /// Runs the full detection-latency campaign: one detected row per fault
 /// class (or an `undetected` entry after the trial budget).
 pub fn run_latency_campaign(cfg: &LatencyConfig) -> LatencyReport {
-    let workloads = build_workloads();
+    // Each victim's fleet is prepared the first time a class looks at it.
+    let mut fleets: Vec<Option<VictimFleet>> = FLEET_WORKLOADS.iter().map(|_| None).collect();
     let bound_cycles = cfg.bound_cycles();
     let mut rows = Vec::new();
     let mut undetected = Vec::new();
     for (ci, class) in cfg.classes.iter().copied().enumerate() {
         // The victim is the first workload whose binary has artifacts of
         // this class (trap classes need no artifacts, so index 0 works).
-        let victim_index = (0..workloads.len())
+        let victim_index = (0..FLEET_WORKLOADS.len())
             .find(|&i| {
+                let victim = fleets[i].get_or_insert_with(|| victim_fleet(FLEET_WORKLOADS[i]));
                 let mut probe = Rng::new(cfg.seed ^ 0x9E37_79B9);
-                plan_fault(class, &workloads[i].inv, &workloads[i].clean, &mut probe).is_some()
+                plan_fault(class, &victim.inv, &victim.clean, &mut probe).is_some()
             })
             .unwrap_or(0);
-        let victim = &workloads[victim_index];
+        let name = FLEET_WORKLOADS[victim_index];
+        let victim = fleets[victim_index]
+            .as_ref()
+            .expect("prepared while choosing");
         let mut detected = None;
         let mut trials = 0;
         for trial in 0..cfg.max_trials {
@@ -439,7 +424,7 @@ pub fn run_latency_campaign(cfg: &LatencyConfig) -> LatencyReport {
                 break;
             };
             let policy_seed = cfg.seed ^ ((ci as u64 + 1) << 20) ^ u64::from(trial);
-            match run_trial(&workloads, victim_index, fault, cfg, policy_seed) {
+            match run_trial(fleet(name, policy_seed), &victim.guests, fault, cfg) {
                 Trial::Detected {
                     armed_clock,
                     effect_clock,
@@ -449,7 +434,7 @@ pub fn run_latency_campaign(cfg: &LatencyConfig) -> LatencyReport {
                     let lag = detected_clock - effect_clock;
                     detected = Some(LatencyRow {
                         class,
-                        victim: victim.spec.name.to_string(),
+                        victim: name.to_string(),
                         trials,
                         armed_clock,
                         effect_clock,

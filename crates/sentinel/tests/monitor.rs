@@ -2,58 +2,36 @@
 //! exactly, a clean fleet reports healthy, and attached metrics feed the
 //! windowed p99.
 
-use asc_installer::{Installer, InstallerOptions};
-use asc_kernel::{Kernel, KernelMetrics, KernelOptions, Personality, VerifyTier};
-use asc_sched::{SchedConfig, SchedPolicy, Scheduler};
+use asc_audit::{ArmedKernel, FleetScenario};
+use asc_kernel::{KernelMetrics, Personality, VerifyTier};
+use asc_sched::{Pid, SchedPolicy, Scheduler};
 use asc_sentinel::{Detector, Sentinel, SentinelConfig, Series};
-use asc_vm::Machine;
-use asc_workloads::{build, program, Guest, ProgramSpec, RUN_BUDGET};
+use asc_workloads::RUN_BUDGET;
 
-use asc_crypto::MacKey;
-
-const PERSONALITY: Personality = Personality::Linux;
-const WORKLOADS: [&str; 3] = ["bison", "calc", "tar"];
-
-fn key() -> MacKey {
-    MacKey::from_seed(0x5E17_11E1)
-}
-
-fn machine_for(spec: &ProgramSpec, program_id: u16, with_metrics: bool) -> Machine<Kernel> {
-    let plain = build(spec, PERSONALITY).expect("workload builds");
-    let installer = Installer::new(
-        key(),
-        InstallerOptions::new(PERSONALITY).with_program_id(program_id),
-    );
-    let (auth, _) = installer.install(&plain, spec.name).expect("installs");
-    let opts = KernelOptions::enforcing(PERSONALITY)
-        .with_verify_cache()
-        .with_tier(VerifyTier::MacPlusFlow);
-    let mut machine = Guest::installed(auth, &key())
-        .boot(opts, spec.fs(), spec.stdin)
-        .expect("workload fits in guest memory");
-    if with_metrics {
-        machine
-            .handler_mut()
-            .set_metrics(Box::new(KernelMetrics::new()));
-    }
-    machine
-}
-
-fn spawn_fleet(with_metrics: bool) -> Scheduler {
-    let mut sched = Scheduler::with_shared_cache(SchedConfig {
+/// One process of each workload at the strongest tier, batched, with no
+/// slice run yet.
+fn spawn_fleet() -> Scheduler<ArmedKernel> {
+    FleetScenario {
+        procs: ["bison", "calc", "tar"].map(String::from).to_vec(),
+        personality: Personality::Linux,
+        tier: VerifyTier::MacPlusFlow,
+        key_seed: 0x5E17_11E1,
+        program_id_base: 0x5E00,
         policy: SchedPolicy::SeededRandom(0x5E17_0001),
         slice_instrs: 2_000,
         budget_cycles: RUN_BUDGET,
         batch_depth: Some(8),
-    });
-    for (i, name) in WORKLOADS.iter().enumerate() {
-        let spec = program(name).expect("workload is registered");
-        sched.spawn(
-            spec.name,
-            machine_for(spec, 0x5E00 + i as u16, with_metrics),
-        );
+        fault: None,
     }
-    sched
+    .build()
+}
+
+/// Attaches `registry(pid)` to every kernel of the fleet.
+fn attach_metrics(sched: &mut Scheduler<ArmedKernel>, registry: fn(Pid) -> KernelMetrics) {
+    for pid in 1..=sched.processes().len() as Pid {
+        let kernel = sched.process_mut(pid).kernel_mut();
+        kernel.set_metrics(Box::new(registry(pid)));
+    }
 }
 
 /// Sum-of-windows identity: because every window is a delta of the same
@@ -61,7 +39,7 @@ fn spawn_fleet(with_metrics: bool) -> Scheduler {
 /// the final aggregate counters exactly, and their spans tile the clock.
 #[test]
 fn windows_partition_the_run_exactly() {
-    let mut sched = spawn_fleet(false);
+    let mut sched = spawn_fleet();
     let sentinel = Sentinel::drive(&mut sched, SentinelConfig::new(200_000));
     let windows = sentinel.windows();
     assert!(
@@ -121,7 +99,7 @@ fn windows_partition_the_run_exactly() {
 /// the report is healthy, with zero firings on every quiet-SLO verdict.
 #[test]
 fn clean_fleet_reports_healthy() {
-    let mut sched = spawn_fleet(false);
+    let mut sched = spawn_fleet();
     let sentinel = Sentinel::drive(&mut sched, SentinelConfig::new(200_000));
     let report = sentinel.report();
     assert!(
@@ -145,9 +123,10 @@ fn clean_fleet_reports_healthy() {
 /// attachment changes no other field of any window.
 #[test]
 fn metrics_attachment_feeds_p99_without_changing_windows() {
-    let mut bare = spawn_fleet(false);
+    let mut bare = spawn_fleet();
     let bare_sentinel = Sentinel::drive(&mut bare, SentinelConfig::new(200_000));
-    let mut metered = spawn_fleet(true);
+    let mut metered = spawn_fleet();
+    attach_metrics(&mut metered, |_| KernelMetrics::new());
     let metered_sentinel = Sentinel::drive(&mut metered, SentinelConfig::new(200_000));
 
     assert_eq!(
@@ -181,14 +160,8 @@ fn metrics_attachment_feeds_p99_without_changing_windows() {
 #[test]
 fn verify_p99_does_not_depend_on_registry_labels() {
     let p99s = |window_cycles: u64, registry: fn(u32) -> KernelMetrics| {
-        let mut sched = spawn_fleet(false);
-        let pids: Vec<u32> = sched.processes().iter().map(|p| p.pid()).collect();
-        for pid in pids {
-            sched
-                .process_mut(pid)
-                .kernel_mut()
-                .set_metrics(Box::new(registry(pid)));
-        }
+        let mut sched = spawn_fleet();
+        attach_metrics(&mut sched, registry);
         let sentinel = Sentinel::drive(&mut sched, SentinelConfig::new(window_cycles));
         sentinel
             .windows()
@@ -213,7 +186,7 @@ fn verify_p99_does_not_depend_on_registry_labels() {
 /// The retained tail is bounded while totals and events keep counting.
 #[test]
 fn retained_tail_is_bounded() {
-    let mut sched = spawn_fleet(false);
+    let mut sched = spawn_fleet();
     let sentinel = Sentinel::drive(&mut sched, SentinelConfig::new(100_000).with_max_windows(3));
     assert!(sentinel.windows_total() > 3);
     assert_eq!(sentinel.windows().len(), 3);

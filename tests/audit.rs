@@ -17,86 +17,36 @@
 //!   the same pid, violation, and kill cycle, bit-identically, and its
 //!   JSON serialization is digest-protected against tampering.
 
-use std::sync::OnceLock;
-
-use asc::audit::{replay, AuditFault, Bundle, FaultAction, SoloScenario, TrapFault};
-use asc::crypto::MacKey;
-use asc::installer::{Installer, InstallerOptions};
-use asc::kernel::{Kernel, KernelOptions, KernelStats, Personality, VerifyTier};
-use asc::object::Binary;
-use asc::sched::{Pid, ProcState, RecorderConfig, SchedConfig, SchedPolicy, Scheduler, SliceEnd};
+use asc::audit::{
+    replay, ArmedKernel, AuditFault, Bundle, FaultAction, FleetScenario, SoloScenario, TrapFault,
+};
+use asc::kernel::{KernelStats, Personality, VerifyTier};
+use asc::sched::{Pid, ProcState, RecorderConfig, SchedPolicy, Scheduler, SliceEnd};
 use asc::trace::EventKind;
-use asc::vm::Machine;
-use asc::workloads::{build, program, Guest, ProgramSpec, RUN_BUDGET};
+use asc::workloads::RUN_BUDGET;
 use asc_testkit::Rng;
 
 const PERSONALITY: Personality = Personality::Linux;
 const WORKLOADS: [&str; 3] = ["bison", "calc", "tar"];
 
-fn key() -> MacKey {
-    MacKey::from_seed(0x3117_0AC5)
-}
-
-struct Built {
-    spec: &'static ProgramSpec,
-    auth: Binary,
-}
-
-static FLEET: OnceLock<Vec<Built>> = OnceLock::new();
-
-fn fleet() -> &'static [Built] {
-    FLEET.get_or_init(|| {
-        WORKLOADS
-            .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                let spec = program(name).expect("workload is registered");
-                let plain = build(spec, PERSONALITY).expect("workload builds");
-                let installer = Installer::new(
-                    key(),
-                    InstallerOptions::new(PERSONALITY).with_program_id(0x0AB0 + i as u16),
-                );
-                let (auth, _) = installer.install(&plain, spec.name).expect("installs");
-                Built { spec, auth }
-            })
-            .collect()
-    })
-}
-
-fn machine_for_tier(spec: &ProgramSpec, guest: &Guest, tier: VerifyTier) -> Machine<Kernel> {
-    let opts = KernelOptions::enforcing(PERSONALITY)
-        .with_verify_cache()
-        .with_tier(tier);
-    guest
-        .boot(opts, spec.fs(), spec.stdin)
-        .expect("workload fits in guest memory")
-}
-
-fn spawn_n_tier(
-    n: usize,
-    policy: SchedPolicy,
-    slice_instrs: u64,
-    batch_depth: Option<usize>,
-    tier: VerifyTier,
-) -> Scheduler {
-    let fleet = fleet();
-    // One guest per binary: each parses its artifacts once, not per spawn.
-    let guests: Vec<Guest> = fleet
-        .iter()
-        .map(|b| Guest::installed(b.auth.clone(), &key()))
-        .collect();
-    let mut sched = Scheduler::with_shared_cache(SchedConfig {
-        policy,
-        slice_instrs,
+/// `n` processes cycling over the workloads in 2,000-instruction slices:
+/// the MAC tier, round-robin, no batch window, unless a test overrides
+/// them.
+fn fleet(n: usize) -> FleetScenario {
+    FleetScenario {
+        procs: (0..n)
+            .map(|m| WORKLOADS[m % WORKLOADS.len()].to_string())
+            .collect(),
+        personality: PERSONALITY,
+        tier: VerifyTier::Mac,
+        key_seed: 0x3117_0AC5,
+        program_id_base: 0x0AB0,
+        policy: SchedPolicy::RoundRobin,
+        slice_instrs: 2_000,
         budget_cycles: RUN_BUDGET,
-        batch_depth,
-    });
-    for m in 0..n {
-        let built = &fleet[m % fleet.len()];
-        let guest = &guests[m % fleet.len()];
-        sched.spawn(built.spec.name, machine_for_tier(built.spec, guest, tier));
+        batch_depth: None,
+        fault: None,
     }
-    sched
 }
 
 /// Everything the recorder could possibly perturb, captured per run.
@@ -109,7 +59,7 @@ struct PidWitness {
     counter: u64,
 }
 
-fn witness(sched: &Scheduler) -> (u64, Vec<Pid>, Vec<PidWitness>) {
+fn witness(sched: &Scheduler<ArmedKernel>) -> (u64, Vec<Pid>, Vec<PidWitness>) {
     (
         sched.clock(),
         sched.interleaving().to_vec(),
@@ -134,17 +84,24 @@ fn witness(sched: &Scheduler) -> (u64, Vec<Pid>, Vec<PidWitness>) {
 /// N = 1024 also exercises the batched trap path under recording.
 #[test]
 fn recorder_attachment_is_bit_identical_at_fleet_sizes_and_tiers() {
+    let guests = fleet(WORKLOADS.len()).prepare();
     for &n in &[2usize, 8, 64, 1024] {
         for (ti, &tier) in VerifyTier::ALL.iter().enumerate() {
             let policy = SchedPolicy::SeededRandom(0xF1EE_7000 ^ n as u64 ^ (ti as u64) << 20);
             let batch = if n >= 64 { Some(16) } else { None };
+            let scenario = FleetScenario {
+                tier,
+                policy,
+                batch_depth: batch,
+                ..fleet(n)
+            };
 
-            let mut bare = spawn_n_tier(n, policy, 2_000, batch, tier);
+            let mut bare = scenario.spawn(&guests);
             bare.run();
             let bare_witness = witness(&bare);
             drop(bare);
 
-            let mut recorded = spawn_n_tier(n, policy, 2_000, batch, tier);
+            let mut recorded = scenario.spawn(&guests);
             // Sample everything at small N; at fleet scale sample 1/8 so
             // the test also proves *partial* sampling perturbs nothing.
             let config = if n >= 64 {
@@ -204,16 +161,21 @@ fn recorder_attachment_is_bit_identical_at_fleet_sizes_and_tiers() {
 /// match the twin's observed span events exactly.
 #[test]
 fn ring_accounting_is_exact_across_kills_and_batch_windows() {
+    let guests = fleet(WORKLOADS.len()).prepare();
     let mut rng = Rng::new(0x41C0_0071);
     for round in 0..6u64 {
         let n = [3usize, 6, 9][(round % 3) as usize];
         let batch = if round % 2 == 0 { Some(4) } else { None };
-        let policy = SchedPolicy::SeededRandom(0xACC7_0000 ^ round);
+        let scenario = FleetScenario {
+            policy: SchedPolicy::SeededRandom(0xACC7_0000 ^ round),
+            batch_depth: batch,
+            ..fleet(n)
+        };
         let kill_victim = (rng.range_u32(1, n as u32 + 1)) as Pid;
         let kill_after = rng.range_u32(5, 40);
 
         // Ground truth: capacity large enough to never drop.
-        let mut full = spawn_n_tier(n, policy, 2_000, batch, VerifyTier::Mac);
+        let mut full = scenario.spawn(&guests);
         full.attach_recorder(RecorderConfig {
             ring_capacity: 1 << 20,
             ..RecorderConfig::default()
@@ -231,7 +193,7 @@ fn ring_accounting_is_exact_across_kills_and_batch_windows() {
 
         // Bounded ring over the *identical* schedule and kill sequence.
         let capacity = [4usize, 16, 64][(round % 3) as usize];
-        let mut bounded = spawn_n_tier(n, policy, 2_000, batch, VerifyTier::Mac);
+        let mut bounded = scenario.spawn(&guests);
         bounded.attach_recorder(RecorderConfig {
             ring_capacity: capacity,
             ..RecorderConfig::default()
@@ -361,16 +323,17 @@ fn solo_bundles_replay_bit_identically_and_reject_tampering() {
 /// **Fleet replay**: a kill inside a seeded, batched fleet produces a
 /// bundle whose replay re-runs the interleaving to the same kill — same
 /// pid, violation, kill cycle, slice index, and interleaving-prefix FNV.
+/// Its round-robin twin records `"sched_seed": null` and replays the
+/// same way.
 #[test]
 fn fleet_bundles_replay_to_the_same_kill() {
-    use asc::audit::FleetScenario;
-    let scenario = FleetScenario {
+    let seeded = FleetScenario {
         procs: vec!["calc".into(), "tar".into(), "bison".into(), "calc".into()],
         personality: PERSONALITY,
         tier: VerifyTier::Mac,
         key_seed: 0x3117_0AC5,
         program_id_base: 0x0AC0,
-        sched_seed: 0xF1E7_0001,
+        policy: SchedPolicy::SeededRandom(0xF1E7_0001),
         slice_instrs: 2_000,
         budget_cycles: RUN_BUDGET,
         batch_depth: Some(4),
@@ -382,23 +345,37 @@ fn fleet_bundles_replay_to_the_same_kill() {
             },
         )),
     };
-    let mut sched = scenario.run(Some(RecorderConfig::default()));
-    let audit = sched.take_audit().expect("recorder attached");
-    assert!(
-        matches!(sched.process(1).state(), ProcState::Killed(_)),
-        "the armed fault must kill pid 1: {:?}",
-        sched.process(1).state()
-    );
-    let bundle = Bundle::from_fleet(&scenario, &sched, &audit, 1).expect("kill yields a bundle");
-    let verdict = replay(&bundle);
-    assert!(verdict.matched, "fleet replay diverged: {}", verdict.detail);
+    let round_robin = FleetScenario {
+        policy: SchedPolicy::RoundRobin,
+        ..seeded.clone()
+    };
+    for (scenario, sched_seed) in [
+        (seeded, r#""sched_seed": "0x00000000f1e70001""#),
+        (round_robin, r#""sched_seed": null"#),
+    ] {
+        let mut sched = scenario.run(Some(RecorderConfig::default()));
+        let audit = sched.take_audit().expect("recorder attached");
+        assert!(
+            matches!(sched.process(1).state(), ProcState::Killed(_)),
+            "the armed fault must kill pid 1: {:?}",
+            sched.process(1).state()
+        );
+        let bundle =
+            Bundle::from_fleet(&scenario, &sched, &audit, 1).expect("kill yields a bundle");
+        let verdict = replay(&bundle);
+        assert!(verdict.matched, "fleet replay diverged: {}", verdict.detail);
 
-    // Round-trip through JSON and replay again.
-    let parsed = Bundle::from_json(&bundle.to_json()).expect("round-trip verifies");
-    let verdict = replay(&parsed);
-    assert!(
-        verdict.matched,
-        "round-tripped fleet replay diverged: {}",
-        verdict.detail
-    );
+        // The scenario and the schedule both record the policy.
+        let json = bundle.to_json();
+        assert_eq!(json.matches(sched_seed).count(), 2, "{json}");
+
+        // Round-trip through JSON and replay again.
+        let parsed = Bundle::from_json(&json).expect("round-trip verifies");
+        let verdict = replay(&parsed);
+        assert!(
+            verdict.matched,
+            "round-tripped fleet replay diverged: {}",
+            verdict.detail
+        );
+    }
 }

@@ -16,174 +16,56 @@
 //!   aggregate stats, and the rendered server table bit-for-bit, and
 //!   different seeds still agree on every per-pid result.
 
-use std::sync::OnceLock;
-
+use asc::audit::{run_solo, scenario_options, ArmedKernel, FleetGuests, FleetScenario, SoloRun};
 use asc::crypto::MacKey;
 use asc::installer::{Installer, InstallerOptions};
-use asc::kernel::{
-    FileSystem, Kernel, KernelOptions, KernelStats, Personality, ReasonCode, VerifyTier,
-};
-use asc::object::Binary;
-use asc::sched::{ProcState, Process, SchedConfig, SchedPolicy, Scheduler};
-use asc::vm::Machine;
-use asc::workloads::{build, program, Guest, ProgramSpec, RUN_BUDGET};
+use asc::kernel::{FileSystem, KernelOptions, KernelStats, Personality, ReasonCode, VerifyTier};
+use asc::sched::{ProcState, Process, SchedPolicy, Scheduler};
+use asc::vm::RunOutcome;
+use asc::workloads::{Guest, RUN_BUDGET};
 
 const PERSONALITY: Personality = Personality::Linux;
 const WORKLOADS: [&str; 3] = ["bison", "calc", "tar"];
+const KEY_SEED: u64 = 0x3117_0AC5;
 
-fn key() -> MacKey {
-    MacKey::from_seed(0x3117_0AC5)
+/// `n` processes cycling over the workloads: the MAC tier, round-robin,
+/// 2,000-instruction slices, no batch window. Each test overrides what
+/// it varies.
+fn fleet(n: usize) -> FleetScenario {
+    FleetScenario {
+        procs: (0..n)
+            .map(|m| WORKLOADS[m % WORKLOADS.len()].to_string())
+            .collect(),
+        personality: PERSONALITY,
+        tier: VerifyTier::Mac,
+        key_seed: KEY_SEED,
+        program_id_base: 0x0AB0,
+        policy: SchedPolicy::RoundRobin,
+        slice_instrs: 2_000,
+        budget_cycles: RUN_BUDGET,
+        batch_depth: None,
+        fault: None,
+    }
 }
 
-/// Observables of a process's solo (unscheduled) run.
-struct Solo {
-    exit: u32,
-    stdout: Vec<u8>,
-    stderr: Vec<u8>,
-    stats: KernelStats,
-    fs_digest: u64,
-    counter: u64,
-}
-
-struct Built {
-    spec: &'static ProgramSpec,
-    auth: Binary,
-    solo: Solo,
-}
-
-static FLEET: OnceLock<Vec<Built>> = OnceLock::new();
-
-fn fleet() -> &'static [Built] {
-    FLEET.get_or_init(|| {
-        WORKLOADS
-            .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                let spec = program(name).expect("workload is registered");
-                let plain = build(spec, PERSONALITY).expect("workload builds");
-                let installer = Installer::new(
-                    key(),
-                    InstallerOptions::new(PERSONALITY).with_program_id(0x0AB0 + i as u16),
-                );
-                let (auth, _) = installer.install(&plain, spec.name).expect("installs");
-                let solo = solo_run(spec, &Guest::installed(auth.clone(), &key()));
-                Built { spec, auth, solo }
-            })
-            .collect()
-    })
-}
-
-/// One guest per fleet binary, each parsing its artifacts once. A guest
-/// holds a key handle that cannot cross threads, so tests build their
-/// own from the shared binaries.
-fn guests() -> Vec<Guest> {
-    fleet()
+/// Each workload's solo run under `tier`, in workload order (per-tier
+/// `stats` differ: the flow tiers charge different verification cycles).
+fn solo_runs(guests: &FleetGuests, tier: VerifyTier) -> Vec<SoloRun> {
+    let opts = scenario_options(PERSONALITY, tier);
+    guests
+        .guests()
         .iter()
-        .map(|b| Guest::installed(b.auth.clone(), &key()))
+        .map(|(spec, guest)| run_solo(spec, guest, opts.clone(), None))
         .collect()
 }
 
-fn machine_for(spec: &ProgramSpec, guest: &Guest) -> Machine<Kernel> {
-    machine_for_tier(spec, guest, VerifyTier::Mac)
-}
-
-/// [`machine_for`] under an explicit verification tier; the flow tiers
-/// get the binary's installed digraph.
-fn machine_for_tier(spec: &ProgramSpec, guest: &Guest, tier: VerifyTier) -> Machine<Kernel> {
-    let opts = KernelOptions::enforcing(PERSONALITY)
-        .with_verify_cache()
-        .with_tier(tier);
-    guest
-        .boot(opts, spec.fs(), spec.stdin)
-        .expect("workload fits in guest memory")
-}
-
-/// Solo observables under an explicit tier (per-tier `stats` differ:
-/// the flow tiers charge different verification cycles).
-fn solo_tier(spec: &ProgramSpec, guest: &Guest, tier: VerifyTier) -> Solo {
-    let mut machine = machine_for_tier(spec, guest, tier);
-    let outcome = machine.run(RUN_BUDGET);
-    let exit = match outcome {
-        asc::vm::RunOutcome::Exited(code) => code,
-        other => panic!(
-            "{}: solo {} run did not exit: {other:?}",
-            spec.name,
-            tier.name()
-        ),
+fn assert_matches_solo(proc: &Process<ArmedKernel>, solo: &SoloRun, context: &str) {
+    let RunOutcome::Exited(exit) = solo.outcome else {
+        panic!("{}: solo run did not exit: {:?}", proc.name(), solo.outcome);
     };
-    let kernel = machine.into_handler();
-    Solo {
-        exit,
-        stdout: kernel.stdout().to_vec(),
-        stderr: kernel.stderr().to_vec(),
-        stats: *kernel.stats(),
-        fs_digest: kernel.fs().digest(),
-        counter: kernel.policy_counter(),
-    }
-}
-
-fn solo_run(spec: &ProgramSpec, guest: &Guest) -> Solo {
-    let mut machine = machine_for(spec, guest);
-    let outcome = machine.run(RUN_BUDGET);
-    let exit = match outcome {
-        asc::vm::RunOutcome::Exited(code) => code,
-        other => panic!("{}: solo run did not exit: {other:?}", spec.name),
-    };
-    let kernel = machine.into_handler();
-    Solo {
-        exit,
-        stdout: kernel.stdout().to_vec(),
-        stderr: kernel.stderr().to_vec(),
-        stats: *kernel.stats(),
-        fs_digest: kernel.fs().digest(),
-        counter: kernel.policy_counter(),
-    }
-}
-
-/// Spawns `n` processes cycling over the fleet's workloads under a
-/// shared-cache scheduler with the given policy and slice.
-fn spawn_n(n: usize, policy: SchedPolicy, slice_instrs: u64) -> Scheduler {
-    spawn_n_batched(n, policy, slice_instrs, None)
-}
-
-/// [`spawn_n`] with an explicit kernel batch-window depth.
-fn spawn_n_batched(
-    n: usize,
-    policy: SchedPolicy,
-    slice_instrs: u64,
-    batch_depth: Option<usize>,
-) -> Scheduler {
-    spawn_n_tier(n, policy, slice_instrs, batch_depth, VerifyTier::Mac)
-}
-
-/// [`spawn_n_batched`] with an explicit verification tier.
-fn spawn_n_tier(
-    n: usize,
-    policy: SchedPolicy,
-    slice_instrs: u64,
-    batch_depth: Option<usize>,
-    tier: VerifyTier,
-) -> Scheduler {
-    let fleet = fleet();
-    let guests = guests();
-    let mut sched = Scheduler::with_shared_cache(SchedConfig {
-        policy,
-        slice_instrs,
-        budget_cycles: RUN_BUDGET,
-        batch_depth,
-    });
-    for m in 0..n {
-        let built = &fleet[m % fleet.len()];
-        let guest = &guests[m % fleet.len()];
-        sched.spawn(built.spec.name, machine_for_tier(built.spec, guest, tier));
-    }
-    sched
-}
-
-fn assert_matches_solo(proc: &Process, solo: &Solo, context: &str) {
     assert_eq!(
         proc.state(),
-        &ProcState::Exited(solo.exit),
+        &ProcState::Exited(exit),
         "{context}: pid {} ({}) diverged from its solo outcome (alerts: {:?})",
         proc.pid(),
         proc.name(),
@@ -194,7 +76,11 @@ fn assert_matches_solo(proc: &Process, solo: &Solo, context: &str) {
     assert_eq!(kernel.stderr(), &solo.stderr[..], "{context}: stderr");
     assert_eq!(proc.stats(), solo.stats, "{context}: kernel stats");
     assert_eq!(kernel.fs().digest(), solo.fs_digest, "{context}: fs digest");
-    assert_eq!(kernel.policy_counter(), solo.counter, "{context}: counter");
+    assert_eq!(
+        kernel.policy_counter(),
+        solo.policy_counter,
+        "{context}: counter"
+    );
     assert!(kernel.alerts().is_empty(), "{context}: spurious alerts");
 }
 
@@ -204,7 +90,8 @@ fn assert_matches_solo(proc: &Process, solo: &Solo, context: &str) {
 /// preemption granularities.
 #[test]
 fn any_interleaving_matches_solo_runs() {
-    let fleet = fleet();
+    let guests = fleet(WORKLOADS.len()).prepare();
+    let solos = solo_runs(&guests, VerifyTier::Mac);
     for &n in &[2usize, 4, 8] {
         for round in 0..24u64 {
             let slice = [500, 2_000, 10_000][(round % 3) as usize];
@@ -213,11 +100,16 @@ fn any_interleaving_matches_solo_runs() {
             } else {
                 SchedPolicy::SeededRandom(0x1507_A7E0 ^ (n as u64) << 32 ^ round)
             };
-            let mut sched = spawn_n(n, policy, slice);
+            let mut sched = FleetScenario {
+                policy,
+                slice_instrs: slice,
+                ..fleet(n)
+            }
+            .spawn(&guests);
             sched.run();
             let context = format!("n={n} round={round} slice={slice} policy={policy:?}");
             for proc in sched.processes() {
-                let solo = &fleet[(proc.pid() as usize - 1) % fleet.len()].solo;
+                let solo = &solos[(proc.pid() as usize - 1) % solos.len()];
                 assert_matches_solo(proc, solo, &context);
             }
             // The schedule actually interleaved: every pid got slices.
@@ -236,9 +128,14 @@ fn any_interleaving_matches_solo_runs() {
 /// where they were; the peers then finish bit-identical to solo.
 #[test]
 fn external_kill_leaves_peers_untouched() {
-    let fleet = fleet();
+    let guests = fleet(WORKLOADS.len()).prepare();
+    let solos = solo_runs(&guests, VerifyTier::Mac);
     for seed in 0..4u64 {
-        let mut sched = spawn_n(3, SchedPolicy::SeededRandom(0x0C11_5EED ^ seed), 2_000);
+        let mut sched = FleetScenario {
+            policy: SchedPolicy::SeededRandom(0x0C11_5EED ^ seed),
+            ..fleet(3)
+        }
+        .spawn(&guests);
         // Run partway so every process has live verifier state.
         for _ in 0..60 {
             if sched.step().is_none() {
@@ -291,7 +188,7 @@ fn external_kill_leaves_peers_untouched() {
 
         sched.run();
         for &pid in &peers {
-            let solo = &fleet[(pid as usize - 1) % fleet.len()].solo;
+            let solo = &solos[(pid as usize - 1) % solos.len()];
             assert_matches_solo(
                 sched.process(pid),
                 solo,
@@ -307,27 +204,27 @@ fn external_kill_leaves_peers_untouched() {
 /// fail-stop `bad-policy-state` kill attributed to B.
 #[test]
 fn policy_state_replayed_across_pids_is_rejected() {
-    let fleet = fleet();
-    let guests = guests();
+    let guests = fleet(WORKLOADS.len()).prepare();
     // Pick a workload whose runs actually carry policy state.
-    let (built, guest) = fleet
+    let (spec, guest) = guests
+        .guests()
         .iter()
-        .zip(&guests)
-        .find(|(b, g)| {
-            let mut machine = machine_for(b.spec, g);
+        .find(|(spec, guest)| {
+            let opts = scenario_options(PERSONALITY, VerifyTier::Mac);
+            let mut machine = guest.boot(opts, spec.fs(), spec.stdin).expect("fits");
             machine.run(RUN_BUDGET);
             machine.into_handler().last_policy_cell().is_some()
         })
         .expect("some workload exercises policy state");
 
-    let mut sched = Scheduler::with_shared_cache(SchedConfig {
-        policy: SchedPolicy::RoundRobin,
-        slice_instrs: 2_000,
-        budget_cycles: RUN_BUDGET,
-        batch_depth: None,
-    });
-    let a = sched.spawn(built.spec.name, machine_for(built.spec, guest));
-    let b = sched.spawn(built.spec.name, machine_for(built.spec, guest));
+    // Two processes of that one binary.
+    let mut sched = FleetScenario {
+        procs: vec![spec.name.into(); 2],
+        program_id_base: guest.binary().program_id(),
+        ..fleet(2)
+    }
+    .spawn(&guests);
+    let (a, b) = (1, 2);
 
     // Run A alone until it has verified a policy-state call and its
     // counter has pulled ahead of B's (B has not run at all).
@@ -404,7 +301,7 @@ struct RunWitness {
     per_pid: Vec<PidWitness>,
 }
 
-fn witness(sched: &Scheduler) -> RunWitness {
+fn witness(sched: &Scheduler<ArmedKernel>) -> RunWitness {
     RunWitness {
         interleaving: sched.interleaving().to_vec(),
         per_pid: sched
@@ -430,9 +327,15 @@ fn witness(sched: &Scheduler) -> RunWitness {
 /// shared-cache probe traffic may differ, and it must shrink.
 #[test]
 fn batched_verification_is_bit_identical_at_fleet_sizes() {
+    let guests = fleet(WORKLOADS.len()).prepare();
     for &n in &[2usize, 8, 64, 1024] {
         let policy = SchedPolicy::SeededRandom(0xF1EE_7000 ^ n as u64);
-        let mut unbatched_sched = spawn_n_batched(n, policy, 2_000, None);
+        let batched = |batch_depth| FleetScenario {
+            policy,
+            batch_depth,
+            ..fleet(n)
+        };
+        let mut unbatched_sched = batched(None).spawn(&guests);
         unbatched_sched.run();
         let unbatched_probes = unbatched_sched
             .shared_cache()
@@ -442,7 +345,7 @@ fn batched_verification_is_bit_identical_at_fleet_sizes() {
         let unbatched = witness(&unbatched_sched);
         drop(unbatched_sched);
 
-        let mut batched_sched = spawn_n_batched(n, policy, 2_000, Some(16));
+        let mut batched_sched = batched(Some(16)).spawn(&guests);
         batched_sched.run();
         let batch = batched_sched.batch_stats();
         let batched_probes = batched_sched
@@ -492,7 +395,8 @@ fn batched_verification_is_bit_identical_at_fleet_sizes() {
 #[test]
 fn same_shard_and_cross_shard_pids_survive_a_kill() {
     use asc::core::pid_shard;
-    let fleet = fleet();
+    let guests = fleet(WORKLOADS.len()).prepare();
+    let solos = solo_runs(&guests, VerifyTier::Mac);
     // Find the first pid pair that collides in the default 64-shard
     // family, plus a pid in some other shard.
     let shards = asc::core::SharedVerifyCache::new().shard_count();
@@ -505,7 +409,12 @@ fn same_shard_and_cross_shard_pids_survive_a_kill() {
         .find(|&pid| pid_shard(pid, shards) != pid_shard(a, shards))
         .expect("some pid lands in another shard");
 
-    let mut sched = spawn_n_batched(n, SchedPolicy::SeededRandom(0x5AAD_B0DD), 2_000, Some(8));
+    let mut sched = FleetScenario {
+        policy: SchedPolicy::SeededRandom(0x5AAD_B0DD),
+        batch_depth: Some(8),
+        ..fleet(n)
+    }
+    .spawn(&guests);
     for _ in 0..20 * n {
         if sched.step().is_none() {
             break;
@@ -567,7 +476,7 @@ fn same_shard_and_cross_shard_pids_survive_a_kill() {
         if pid == a {
             continue;
         }
-        let solo = &fleet[(pid as usize - 1) % fleet.len()].solo;
+        let solo = &solos[(pid as usize - 1) % solos.len()];
         assert_matches_solo(
             sched.process(pid),
             solo,
@@ -690,24 +599,19 @@ fn scheduler_is_deterministic_and_order_independent() {
 /// and the survivors still finish bit-identical to their solo runs.
 #[test]
 fn flow_state_is_per_pid_and_kills_do_not_leak() {
-    let fleet = fleet();
+    let guests = fleet(WORKLOADS.len()).prepare();
     for (ti, &tier) in VerifyTier::ALL
         .iter()
         .enumerate()
         .filter(|(_, t)| t.checks_flow())
     {
-        let solos: Vec<Solo> = fleet
-            .iter()
-            .zip(&guests())
-            .map(|(b, g)| solo_tier(b.spec, g, tier))
-            .collect();
-        let mut sched = spawn_n_tier(
-            3,
-            SchedPolicy::SeededRandom(0xF10A_57A7 ^ ti as u64),
-            2_000,
-            None,
+        let solos = solo_runs(&guests, tier);
+        let mut sched = FleetScenario {
             tier,
-        );
+            policy: SchedPolicy::SeededRandom(0xF10A_57A7 ^ ti as u64),
+            ..fleet(3)
+        }
+        .spawn(&guests);
         // Run partway, sampling every pid's flow state after each slice.
         let mut saw_divergence = false;
         let mut saw_state = false;
@@ -748,7 +652,7 @@ fn flow_state_is_per_pid_and_kills_do_not_leak() {
 
         sched.run();
         for &pid in &[2u32, 3] {
-            let solo = &solos[(pid as usize - 1) % fleet.len()];
+            let solo = &solos[(pid as usize - 1) % solos.len()];
             assert_matches_solo(
                 sched.process(pid),
                 solo,
@@ -767,10 +671,17 @@ fn flow_state_is_per_pid_and_kills_do_not_leak() {
 /// opens none and probes nothing either way.
 #[test]
 fn batched_windows_are_bit_identical_under_every_tier() {
+    let guests = fleet(WORKLOADS.len()).prepare();
     for (ti, &tier) in VerifyTier::ALL.iter().enumerate() {
         let n = 8;
         let policy = SchedPolicy::SeededRandom(0xBA7C_47E0 ^ ti as u64);
-        let mut unbatched_sched = spawn_n_tier(n, policy, 2_000, None, tier);
+        let batched = |batch_depth| FleetScenario {
+            tier,
+            policy,
+            batch_depth,
+            ..fleet(n)
+        };
+        let mut unbatched_sched = batched(None).spawn(&guests);
         unbatched_sched.run();
         let unbatched_probes = unbatched_sched
             .shared_cache()
@@ -780,7 +691,7 @@ fn batched_windows_are_bit_identical_under_every_tier() {
         let unbatched = witness(&unbatched_sched);
         drop(unbatched_sched);
 
-        let mut batched_sched = spawn_n_tier(n, policy, 2_000, Some(16), tier);
+        let mut batched_sched = batched(Some(16)).spawn(&guests);
         batched_sched.run();
         let batch = batched_sched.batch_stats();
         let batched_probes = batched_sched
@@ -829,26 +740,33 @@ fn batched_windows_are_bit_identical_under_every_tier() {
 /// N ∈ {2, 8, 64}.
 #[test]
 fn gadget_pid_dies_alone_with_an_attributed_origin_kill() {
-    let fleet = fleet();
+    let guests = fleet(WORKLOADS.len()).prepare();
+    let solos = solo_runs(&guests, VerifyTier::Mac);
     let spec = asc::workloads::hostile::hostile("gadget").expect("gadget in the corpus");
     let plain = asc::workloads::hostile::build_hostile(spec).expect("gadget assembles");
+    let key = MacKey::from_seed(KEY_SEED);
     let installer = Installer::new(
-        key(),
+        key.clone(),
         InstallerOptions::new(PERSONALITY).with_program_id(0x0AB7),
     );
     let (auth, _) = installer
         .install(&plain, spec.name)
         .expect("gadget installs");
-    let gadget_guest = Guest::installed(auth, &key());
+    let gadget_guest = Guest::installed(auth, &key);
 
     for &n in &[2usize, 8, 64] {
-        let mut sched = spawn_n(n, SchedPolicy::SeededRandom(0x0619_0AD6 ^ n as u64), 2_000);
+        let mut sched = FleetScenario {
+            policy: SchedPolicy::SeededRandom(0x0619_0AD6 ^ n as u64),
+            ..fleet(n)
+        }
+        .spawn(&guests);
         let opts = KernelOptions::enforcing(PERSONALITY).with_verify_cache();
         let gadget = sched.spawn(
             spec.name,
             gadget_guest
                 .boot(opts, FileSystem::new(), &[])
-                .expect("gadget fits"),
+                .expect("gadget fits")
+                .map_handler(|k| ArmedKernel::new(k, None)),
         );
         sched.run();
 
@@ -882,7 +800,7 @@ fn gadget_pid_dies_alone_with_an_attributed_origin_kill() {
             if proc.pid() == gadget {
                 continue;
             }
-            let solo = &fleet[(proc.pid() as usize - 1) % fleet.len()].solo;
+            let solo = &solos[(proc.pid() as usize - 1) % solos.len()];
             assert_matches_solo(proc, solo, &format!("n={n} with a gadget peer"));
         }
     }

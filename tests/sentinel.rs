@@ -13,98 +13,31 @@
 //!   partition the run: per-window deltas sum to the final aggregate
 //!   counters and the window spans tile the virtual clock.
 
-use std::sync::OnceLock;
-
-use asc::crypto::MacKey;
-use asc::installer::{Installer, InstallerOptions};
-use asc::kernel::{Kernel, KernelMetrics, KernelOptions, KernelStats, Personality, VerifyTier};
-use asc::object::Binary;
-use asc::sched::{Pid, ProcState, SchedConfig, SchedPolicy, Scheduler};
+use asc::audit::{ArmedKernel, FleetScenario};
+use asc::kernel::{KernelMetrics, KernelStats, Personality, VerifyTier};
+use asc::sched::{Pid, ProcState, SchedPolicy, Scheduler};
 use asc::sentinel::{Sentinel, SentinelConfig};
-use asc::vm::Machine;
-use asc::workloads::{build, program, Guest, ProgramSpec, RUN_BUDGET};
+use asc::workloads::RUN_BUDGET;
 
-const PERSONALITY: Personality = Personality::Linux;
 const WORKLOADS: [&str; 3] = ["bison", "calc", "tar"];
 
-fn key() -> MacKey {
-    MacKey::from_seed(0x5E17_0AC5)
-}
-
-struct Built {
-    spec: &'static ProgramSpec,
-    auth: Binary,
-}
-
-static FLEET: OnceLock<Vec<Built>> = OnceLock::new();
-
-fn fleet() -> &'static [Built] {
-    FLEET.get_or_init(|| {
-        WORKLOADS
-            .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                let spec = program(name).expect("workload is registered");
-                let plain = build(spec, PERSONALITY).expect("workload builds");
-                let installer = Installer::new(
-                    key(),
-                    InstallerOptions::new(PERSONALITY).with_program_id(0x5E00 + i as u16),
-                );
-                let (auth, _) = installer.install(&plain, spec.name).expect("installs");
-                Built { spec, auth }
-            })
-            .collect()
-    })
-}
-
-fn machine_for_tier(
-    spec: &ProgramSpec,
-    guest: &Guest,
-    tier: VerifyTier,
-    with_metrics: bool,
-) -> Machine<Kernel> {
-    let opts = KernelOptions::enforcing(PERSONALITY)
-        .with_verify_cache()
-        .with_tier(tier);
-    let mut machine = guest
-        .boot(opts, spec.fs(), spec.stdin)
-        .expect("workload fits in guest memory");
-    if with_metrics {
-        machine
-            .handler_mut()
-            .set_metrics(Box::new(KernelMetrics::new()));
-    }
-    machine
-}
-
-fn spawn_n_tier(
-    n: usize,
-    policy: SchedPolicy,
-    batch_depth: Option<usize>,
-    tier: VerifyTier,
-    with_metrics: bool,
-) -> Scheduler {
-    let fleet = fleet();
-    // One guest per binary: each parses its artifacts once, not per spawn.
-    let guests: Vec<Guest> = fleet
-        .iter()
-        .map(|b| Guest::installed(b.auth.clone(), &key()))
-        .collect();
-    let mut sched = Scheduler::with_shared_cache(SchedConfig {
-        policy,
+/// `n` processes cycling over the workloads in 2,000-instruction slices
+/// (round-robin and the MAC tier unless a test overrides them).
+fn fleet(n: usize) -> FleetScenario {
+    FleetScenario {
+        procs: (0..n)
+            .map(|m| WORKLOADS[m % WORKLOADS.len()].to_string())
+            .collect(),
+        personality: Personality::Linux,
+        tier: VerifyTier::Mac,
+        key_seed: 0x5E17_0AC5,
+        program_id_base: 0x5E00,
+        policy: SchedPolicy::RoundRobin,
         slice_instrs: 2_000,
         budget_cycles: RUN_BUDGET,
-        batch_depth,
-    });
-    for m in 0..n {
-        let built = &fleet[m % fleet.len()];
-        let guest = &guests[m % fleet.len()];
-        sched.spawn(
-            built.spec.name,
-            machine_for_tier(built.spec, guest, tier, with_metrics),
-        );
+        batch_depth: None,
+        fault: None,
     }
-    sched
 }
 
 /// Everything the sentinel could possibly perturb, captured per run.
@@ -117,7 +50,7 @@ struct PidWitness {
     counter: u64,
 }
 
-fn witness(sched: &Scheduler) -> (u64, Vec<Pid>, Vec<PidWitness>) {
+fn witness(sched: &Scheduler<ArmedKernel>) -> (u64, Vec<Pid>, Vec<PidWitness>) {
     (
         sched.clock(),
         sched.interleaving().to_vec(),
@@ -144,12 +77,19 @@ fn witness(sched: &Scheduler) -> (u64, Vec<Pid>, Vec<PidWitness>) {
 /// path under observation.
 #[test]
 fn sentinel_attachment_is_bit_identical_at_fleet_sizes_and_tiers() {
+    let guests = fleet(WORKLOADS.len()).prepare();
     for &n in &[2usize, 8, 64, 1024] {
         for (ti, &tier) in VerifyTier::ALL.iter().enumerate() {
             let policy = SchedPolicy::SeededRandom(0x5E17_7000 ^ n as u64 ^ (ti as u64) << 20);
             let batch = if n >= 64 { Some(16) } else { None };
+            let scenario = FleetScenario {
+                tier,
+                policy,
+                batch_depth: batch,
+                ..fleet(n)
+            };
 
-            let mut bare = spawn_n_tier(n, policy, batch, tier, false);
+            let mut bare = scenario.spawn(&guests);
             bare.run();
             let bare_witness = witness(&bare);
             let bare_agg = bare.aggregate_stats();
@@ -158,7 +98,11 @@ fn sentinel_attachment_is_bit_identical_at_fleet_sizes_and_tiers() {
             // Retain every window (the default 256-window tail would
             // drop early windows on the long N=1024 runs, breaking the
             // partition identity below).
-            let mut observed = spawn_n_tier(n, policy, batch, tier, true);
+            let mut observed = scenario.spawn(&guests);
+            for pid in 1..=n as Pid {
+                let kernel = observed.process_mut(pid).kernel_mut();
+                kernel.set_metrics(Box::new(KernelMetrics::new()));
+            }
             let sentinel = Sentinel::drive(
                 &mut observed,
                 SentinelConfig::new(250_000).with_max_windows(usize::MAX),
